@@ -1,42 +1,26 @@
 """Kernel probes: the cost of one call of the field and polynomial kernels.
 
 Each probe cycles through fixed operands drawn from the seed, in batches
-of at least BATCH_S seconds, and reports the median over REPEATS batches
-in microseconds per call.
+that timeit's autorange makes at least 0.2 s long, and reports the median
+over REPEATS batches in microseconds per call.
 """
 
 import operator
 import random
 import statistics
-import time
+import timeit
 
 from pbelyi.field import FieldElement, FiniteField
 from pbelyi.poly import Polynomial
 
-BATCH_S = 0.02
 REPEATS = 5
 OPERANDS = 32
 
 
 def _per_call_us(fn, operands):
-    reps = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for args in operands:
-                fn(*args)
-        elapsed = time.perf_counter() - t0
-        if elapsed >= BATCH_S:
-            break
-        reps *= 2
-    times = [elapsed]
-    for _ in range(REPEATS - 1):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for args in operands:
-                fn(*args)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) / (reps * len(operands)) * 1e6
+    timer = timeit.Timer(lambda: [fn(*args) for args in operands])
+    number, _ = timer.autorange()
+    return statistics.median(timer.repeat(REPEATS, number)) / (number * len(operands)) * 1e6
 
 
 def _unit(F, rng):

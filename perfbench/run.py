@@ -2,15 +2,17 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload maps --seed 0 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload maps --seed 0 --seconds 55 --trace 0
 
 --trace 0 measures the end-to-end metrics: it runs whole passes of the
-workload's operations, each operation after the previous one ends, until
---seconds have passed, and times set-up in a fresh interpreter before
-each pass (at least SETUP_RUNS times).
---trace 1 measures the per-layer metrics: kernel probes, then pass 0 once
-untraced and once traced.  Every output is checked.  The last line of
-standard output is one JSON object; details and spans go to perfbench/out/.
+workload's operations, each operation after the previous one ends and
+each pass with pbelyi's modulus cache cleared, for at most --seconds, and
+times set-up in a fresh interpreter before each pass (at least SETUP_RUNS
+times).
+--trace 1 measures the per-layer metrics: kernel probes, then pass 0
+untraced and traced in turn, TRACE_PAIRS times.  Every output is checked.
+The last line of standard output is one JSON object; details and spans go
+to perfbench/out/.
 The exit status is 0 only when every operation succeeded and passed its
 check, and 2 when no pbelyi source tree is found under ./src.
 """
@@ -29,6 +31,7 @@ HERE = Path(__file__).resolve().parent
 SRC = Path.cwd() / "src"
 OUT = HERE / "out"
 SETUP_RUNS = 7
+TRACE_PAIRS = 3
 
 END_TO_END = {
     "wall_s": "s",
@@ -82,9 +85,12 @@ def end_to_end(workload, args):
     time_setup(args)  # fills the bytecode cache
     # one set-up before each pass, so set-up is sampled across the whole run
     setups, per_op, passes, failures = [], [], [], []
-    start = time.perf_counter()
-    while not passes or time.perf_counter() - start < args.seconds:
+    start = last = time.perf_counter()
+    # a pass starts only if it should end within --seconds, judged by the last one
+    while not passes or 2 * time.perf_counter() - last - start < args.seconds:
+        last = time.perf_counter()
         setups.append(time_setup(args))
+        _clear_modulus_cache()  # every pass starts cold, as a fresh CLI process does
         times = [run_op(op, failures) for op in workload.pass_ops(len(passes))]
         per_op = per_op or [[] for _ in times]
         for samples, t in zip(per_op, times):
@@ -92,24 +98,25 @@ def end_to_end(workload, args):
         passes.append(sum(times))
     while len(setups) < SETUP_RUNS:
         setups.append(time_setup(args))
-    # Each operation's fastest time over the passes: other load on the host
-    # only adds time, and on a shared host the speed of identical work
-    # switches between states about 1.5x apart every few seconds, which
+    # Each operation's and set-up's fastest time in the run: other load on
+    # the host only adds time, and on a shared host the speed of identical
+    # work switches between states about 1.5x apart every few seconds, which
     # moves medians by more than any bound.
     op_best = [min(samples) for samples in per_op]
     values = {
         "wall_s": sum(op_best),
         "op_p50_ms": statistics.median(op_best) * 1e3,
-        "op_p90_ms": statistics.quantiles(op_best, n=10)[8] * 1e3,
+        "op_p90_ms": statistics.quantiles(op_best, n=10, method="inclusive")[8] * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "setup_s": statistics.median(setups),
+        "setup_s": min(setups),
     }
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
     detail = {"passes": len(passes), "pass_s": passes, "setup_s": setups,
               "op_s": {op.label: samples for op, samples in zip(workload.pass_ops(0), per_op)}}
     print(f"{args.workload} seed={args.seed}: {len(op_best)} operations a pass, each timed at its fastest "
-          f"of {len(passes)} passes; wall_s is their sum, op_p50_ms and op_p90_ms quantiles over the "
-          f"{len(op_best)}; setup_s is the median of {len(setups)} fresh interpreters")
+          f"of {len(passes)} cold passes; wall_s is their sum, op_p50_ms and op_p90_ms quantiles over the "
+          f"{len(op_best)} (p90 interpolated between the two slowest when fewer than 10); setup_s is the "
+          f"fastest of {len(setups)} fresh interpreters")
     return metrics, len(passes) * len(op_best), failures, detail
 
 
@@ -126,16 +133,10 @@ def _clear_modulus_cache():
         cache.cache_clear()
 
 
-def per_layer(workload, args):
+def _traced_pass(ops, failures):
+    """Run ops cold under a fresh Tracer; returns it, the pass time and the modulus searches."""
     import workloads
-    from probes import kernel_probes
-    from tracer import CONSTRUCTIONS, Tracer
-
-    probes = kernel_probes(args.seed)
-    ops = workload.pass_ops(0)
-    failures = []
-    _clear_modulus_cache()
-    untraced = sum(run_op(op, failures) for op in ops)
+    from tracer import Tracer
 
     _clear_modulus_cache()
     tracer = Tracer(extra_modules=[workloads])
@@ -162,6 +163,25 @@ def per_layer(workload, args):
             error = op.check(result)
         if error is not None:
             failures.append(f"{op.label} (traced): {error}")
+    return tracer, traced, misses
+
+
+def per_layer(workload, args):
+    from probes import kernel_probes
+    from tracer import CONSTRUCTIONS
+
+    probes = kernel_probes(args.seed)
+    ops = workload.pass_ops(0)
+    failures = []
+    # untraced and traced passes alternate; the overhead compares the fastest
+    # of each, and the layer figures come from the last traced pass
+    untraced_s, traced_s = [], []
+    for _ in range(TRACE_PAIRS):
+        _clear_modulus_cache()
+        untraced_s.append(sum(run_op(op, failures) for op in ops))
+        tracer, traced, misses = _traced_pass(ops, failures)
+        traced_s.append(traced)
+    untraced = min(untraced_s)
 
     OUT.mkdir(exist_ok=True)
     tracer.write(OUT / f"spans-{args.workload}-seed{args.seed}.jsonl")
@@ -212,13 +232,15 @@ def per_layer(workload, args):
     values += [(name, us, "us") for name, us in probes.items()]
     values += [
         ("trace.untraced_wall_s", untraced, "s"),
-        ("trace.traced_wall_s", traced, "s"),
-        ("trace.overhead", traced / untraced, "ratio"),
+        ("trace.traced_wall_s", min(traced_s), "s"),
+        ("trace.overhead", min(traced_s) / untraced, "ratio"),
     ]
     metrics = {name: {"value": value, "unit": unit} for name, value, unit in values}
-    print(f"{args.workload} seed={args.seed}: pass 0 ({len(ops)} operations) untraced then traced, "
-          f"{len(tracer.spans)} spans; busy_pct values are shares of the traced pass")
-    return metrics, 2 * len(ops), failures, {"spans": len(tracer.spans)}
+    print(f"{args.workload} seed={args.seed}: pass 0 ({len(ops)} operations) {TRACE_PAIRS} times untraced "
+          f"and traced in turn, {len(tracer.spans)} spans in the last traced pass; busy_pct values are "
+          f"shares of that pass; trace.* compare the fastest untraced and traced pass")
+    return metrics, 2 * TRACE_PAIRS * len(ops), failures, {
+        "spans": len(tracer.spans), "untraced_s": untraced_s, "traced_s": traced_s}
 
 
 def main(argv=None):
