@@ -98,26 +98,27 @@ def end_to_end(workload, args):
         passes.append(sum(times))
     while len(setups) < SETUP_RUNS:
         setups.append(time_setup(args))
-    # Each operation's and set-up's fastest time in the run: other load on
-    # the host only adds time, and on a shared host the speed of identical
-    # work switches between states about 1.5x apart every few seconds, which
-    # moves medians by more than any bound.
-    op_best = [min(samples) for samples in per_op]
+    # Each operation's and set-up's median over the run's passes.  On a
+    # shared host the speed of identical work switches between states about
+    # 1.6x apart; the median reads the state that prevails in the run, and
+    # over ten runs in one state its quartile spread was a third or less of
+    # that of the fastest sample, which depends on a few lucky passes.
+    op_med = [statistics.median(samples) for samples in per_op]
     values = {
-        "wall_s": sum(op_best),
-        "op_p50_ms": statistics.median(op_best) * 1e3,
-        "op_p90_ms": statistics.quantiles(op_best, n=10, method="inclusive")[8] * 1e3,
+        "wall_s": sum(op_med),
+        "op_p50_ms": statistics.median(op_med) * 1e3,
+        "op_p90_ms": statistics.quantiles(op_med, n=10, method="inclusive")[8] * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "setup_s": min(setups),
+        "setup_s": statistics.median(setups),
     }
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
     detail = {"passes": len(passes), "pass_s": passes, "setup_s": setups,
               "op_s": {op.label: samples for op, samples in zip(workload.pass_ops(0), per_op)}}
-    print(f"{args.workload} seed={args.seed}: {len(op_best)} operations a pass, each timed at its fastest "
-          f"of {len(passes)} cold passes; wall_s is their sum, op_p50_ms and op_p90_ms quantiles over the "
-          f"{len(op_best)} (p90 interpolated between the two slowest when fewer than 10); setup_s is the "
-          f"fastest of {len(setups)} fresh interpreters")
-    return metrics, len(passes) * len(op_best), failures, detail
+    print(f"{args.workload} seed={args.seed}: {len(op_med)} operations a pass, each timed at its median "
+          f"over {len(passes)} cold passes; wall_s is their sum, op_p50_ms and op_p90_ms quantiles over the "
+          f"{len(op_med)} (p90 interpolated between the two slowest when fewer than 10); setup_s is the "
+          f"median of {len(setups)} fresh interpreters")
+    return metrics, len(passes) * len(op_med), failures, detail
 
 
 def _modulus_cache():
