@@ -6,7 +6,6 @@ is only materialized when its estimated digit count stays under a guard,
 while the intermediates (thresholds, exponents) are always available.
 """
 
-import sys
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -31,14 +30,33 @@ def _decimal_digits(value):
     return est
 
 
+_CHUNK_DIGITS = 500  # below 640, the smallest nonzero int-to-str digit limit
+
+
 def decimal_string(value):
-    """str(value), lifting the interpreter's int-to-str digit limit if needed."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is not None:
-        needed = _decimal_digits(value) + 2
-        if get_limit() and needed > get_limit():
-            sys.set_int_max_str_digits(needed)
-    return str(value)
+    """str(value) for an int of any size, leaving the int-to-str digit limit alone.
+
+    The value is split by divmod at powers 10**(500 * 2**k) until every
+    piece has at most 500 digits, and str() converts each piece.
+    """
+    if value < 0:
+        return "-" + decimal_string(-value)
+    powers = [10 ** _CHUNK_DIGITS]
+    while powers[-1] <= value:
+        powers.append(powers[-1] * powers[-1])
+    return _decimal_pieces(value, powers, len(powers) - 2, False)
+
+
+def _decimal_pieces(value, powers, level, pad):
+    """Digits of 0 <= value < powers[level + 1], zero-padded to full width if pad."""
+    if level < 0:
+        text = str(value)
+        return text.zfill(_CHUNK_DIGITS) if pad else text
+    high, low = divmod(value, powers[level])
+    low_text = _decimal_pieces(low, powers, level - 1, True)
+    if high or pad:
+        return _decimal_pieces(high, powers, level - 1, pad) + low_text
+    return low_text.lstrip("0") or "0"
 
 
 def _require_nonneg(**named):

@@ -434,12 +434,13 @@ def wild_h_tower(V, base_field=None, degree_limit=TOWER_DEGREE_LIMIT):
         eps = embed(base, ext)
         coeffs = []
         for c in h0_ext.coeffs:
-            down = eps.section(c)
-            if down is None:
+            # h0 is fixed by Frobenius over base, since V is a union of orbits
+            try:
+                coeffs.append(eps.section(c))
+            except PreconditionError:
                 raise InternalInconsistencyError(
                     "coefficient %s of h0 does not descend to %s" % (c, base)
-                )
-            coeffs.append(down)
+                ) from None
         h0 = Polynomial(base, coeffs)
     else:
         h0 = h0_ext

@@ -228,6 +228,8 @@ class FiniteField:
         return self.p ** self.n
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, FiniteField)
             and self.p == other.p

@@ -319,8 +319,8 @@ class BelyiVerdict:
         return {"kind": self.kind, "passed": self.passed, "violations": list(self.violations)}
 
 
-def _checked_sets(f, marked, avoided):
-    base = f.field
+def _checked_sets(base, marked, avoided):
+    """Marked and avoided points on the line over base, deduplicated and disjoint."""
 
     def clean(pts, label):
         out = []
@@ -368,7 +368,7 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False)
     """
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
-    marked, avoided = _checked_sets(f, marked, avoided)
+    marked, avoided = _checked_sets(f.field, marked, avoided)
     violations = []
     std = _standard_triple(f.field)
     for pt in marked:
@@ -414,7 +414,7 @@ def verify_wild_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False)
         raise PreconditionError("constant map is not a covering")
     if wronskian(f).is_zero:
         raise InseparableMapError("map is inseparable")
-    marked, avoided = _checked_sets(f, marked, avoided)
+    marked, avoided = _checked_sets(f.field, marked, avoided)
     inf = P1Point.infinity(f.field)
     violations = []
     for pt in marked:

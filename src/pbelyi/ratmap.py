@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .errors import PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 from .field import EmbeddingMap, FieldElement, FiniteField
 from .poly import Polynomial, parse_poly
 
@@ -252,9 +252,11 @@ def mobius_from_triple(a: P1Point, b: P1Point, c: P1Point) -> RationalMap:
             fld, b.value - a.value
         )
     m = RationalMap(num, den)
-    assert m(a) == P1Point(fld, fld.zero)
-    assert m(b) == P1Point(fld, fld.one)
-    assert m(c) == P1Point.infinity(fld)
+    images = (P1Point(fld, fld.zero), P1Point(fld, fld.one), P1Point.infinity(fld))
+    for pt, want in zip(pts, images):
+        got = m(pt)
+        if got != want:
+            raise InternalInconsistencyError(f"Moebius map {m} sends {pt} to {got}, not to {want}")
     return m
 
 

@@ -1,22 +1,28 @@
 """Brute-force search for minimal-degree Belyi maps over tiny fields.
 
 Candidates are reduced maps with monic denominator, enumerated in a fixed
-order, and every hit is certified by the exact verifiers.  An exhaustive
-run that finds nothing is a lower bound over the searched coefficient
-fields only, never over the algebraic closure; the result record names
-the fields so the caller cannot misread the claim.
+order.  A cheap exact screen built on the Riemann-Hurwitz count picks out
+the hits without factoring, and every hit is then certified by the exact
+verifiers.  An exhaustive run that finds nothing is a lower bound over the
+searched coefficient fields only, never over the algebraic closure; the
+result record names the fields so the caller cannot misread the claim.
 """
 
 import multiprocessing
 import random
 
 from .constructions import BelyiInstance, _as_field
-from .errors import GuardExceededError, InseparableMapError, PreconditionError
-from .factor import DEFAULT_SEED
+from .errors import (
+    GuardExceededError,
+    InseparableMapError,
+    InternalInconsistencyError,
+    PreconditionError,
+)
+from .factor import DEFAULT_SEED, squarefree_decomposition
 from .field import FiniteField, embed
 from .poly import Polynomial
-from .ramification import verify_tame_belyi, verify_wild_belyi
-from .ratmap import RationalMap, parse_point, parse_ratmap
+from .ramification import _checked_sets, verify_tame_belyi, verify_wild_belyi
+from .ratmap import RationalMap, parse_point, parse_ratmap, wronskian
 
 EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
@@ -72,13 +78,33 @@ def enumerate_candidates(field, d, normalize=False):
     field = _as_field(field)
     if not isinstance(d, int) or d < 1:
         raise PreconditionError("degree must be a positive integer, got %r" % (d,))
+    yield from _candidates(field, d, normalize, 0, _raw_count(field.q, d))
+
+
+def _raw_count(q, d):
+    """Number of raw (denominator, numerator code) pairs at degree d."""
+    top = q ** (d + 1)
+    return sum(q ** e * (top - (q ** d if e < d else 1)) for e in range(d + 1))
+
+
+def _candidates(field, d, normalize, lo, hi):
+    """The candidates whose raw pair has position in [lo, hi), in stream order.
+
+    Raw pairs run over denominators of degree e = 0..d by code, and for
+    each over its numerator codes; enumerate_candidates is the whole range.
+    """
     q = field.q
     top = q ** (d + 1)
+    base = 0
     for e in range(d + 1):
         start = q ** d if e < d else 1
-        for body in range(q ** e):
+        width = top - start
+        first, last = max(lo - base, 0), min(hi - base, q ** e * width)
+        base += q ** e * width
+        for body in range(first // width, -(-last // width)):
             den = _monic_from_code(field, e, body)
-            for code in range(start, top):
+            row = body * width
+            for code in range(start + max(first - row, 0), start + min(last - row, width)):
                 f = RationalMap(_poly_from_code(field, code), den)
                 if f.degree != d:
                     continue
@@ -145,6 +171,94 @@ def _check_guard(spec, cap):
             )
 
 
+def _rad_degree(g):
+    """Number of distinct roots of g over the algebraic closure."""
+    return sum(h.degree for h, _ in squarefree_decomposition(g))
+
+
+class _Screen:
+    """Exact Belyi test for one coefficient field, with no factoring.
+
+    The point sets are validated once, when the screen is built.  For a
+    candidate f = N/D of degree d (reduced, D monic) the steps run from
+    cheap to dear: the images of the marked and avoided points, then
+    separability (the Wronskian W = N'D - ND' is nonzero), then the
+    Riemann-Hurwitz count.
+
+    Tame: f is a tame cover branched only over {0, 1, inf} exactly when
+    the fibres over those values hold d + 2 points, that is
+    deg rad N + deg rad (N - D) + deg rad D + [f(inf) in {0, 1, inf}] = d + 2.
+    Wild: every root of W is a pole, and when f(inf) = beta is affine,
+    inf is unramified: d - deg (N - beta D) <= 1.
+
+    A candidate passes exactly when verify_*_belyi(fast=True) passes it;
+    certify() still runs the verifier on every hit.
+    """
+
+    def __init__(self, field, kind, marked, avoided):
+        marked, avoided = _checked_sets(field, marked, avoided)
+        self.kind = kind
+        self.points = (marked, avoided)
+        self.one = field.one
+        self.marked_inf = any(pt.is_infinity for pt in marked)
+        self.avoided_inf = any(pt.is_infinity for pt in avoided)
+        self.marked_affine = tuple(pt.value for pt in marked if not pt.is_infinity)
+        self.avoided_affine = tuple(pt.value for pt in avoided if not pt.is_infinity)
+
+    def _special_at_infinity(self, f):
+        """f(inf) is inf (wild) or lies in {0, 1, inf} (tame)."""
+        dn, dd = f.num.degree, f.den.degree
+        if self.kind == "wild":
+            return dn > dd
+        return dn != dd or f.num.leading == self.one
+
+    def _special(self, f, x):
+        """f(x) is inf (wild) or lies in {0, 1, inf} (tame), for affine x."""
+        bottom = f.den.evaluate(x)
+        if self.kind == "wild":
+            return bottom.is_zero
+        top = f.num.evaluate(x)
+        return top.is_zero or bottom.is_zero or top == bottom
+
+    def __call__(self, f):
+        if self.marked_inf and not self._special_at_infinity(f):
+            return False
+        if self.avoided_inf and self._special_at_infinity(f):
+            return False
+        for x in self.marked_affine:
+            if not self._special(f, x):
+                return False
+        for x in self.avoided_affine:
+            if self._special(f, x):
+                return False
+        w = wronskian(f)
+        if w.is_zero:
+            return False
+        num, den = f.num, f.den
+        if self.kind == "tame":
+            at_infinity = num.degree != den.degree or num.leading == self.one
+            count = _rad_degree(num) + _rad_degree(num - den) + _rad_degree(den) + at_infinity
+            return count == f.degree + 2
+        g = w.gcd(den)
+        while g.degree > 0:
+            w = w // g
+            g = w.gcd(den)
+        if w.degree > 0:
+            return False
+        if num.degree > den.degree:
+            return True
+        rest = num - den * num.leading if num.degree == den.degree else num
+        return f.degree - rest.degree <= 1
+
+    def certify(self, f):
+        """Return f once the verifier confirms that it passes."""
+        if not _passes(f, self.kind, *self.points):
+            raise InternalInconsistencyError(
+                f"{f} passes the Riemann-Hurwitz screen but fails the {self.kind} Belyi verifier"
+            )
+        return f
+
+
 def _passes(f, kind, marked, avoided):
     try:
         if kind == "tame":
@@ -154,54 +268,62 @@ def _passes(f, kind, marked, avoided):
         return False
 
 
-def _scan_round(field, d, kind, marked, avoided, normalize):
+def _scan_round(field, d, screen, normalize):
     tested = 0
     for f in enumerate_candidates(field, d, normalize):
         tested += 1
-        if _passes(f, kind, marked, avoided):
-            return f, tested
+        if screen(f):
+            return screen.certify(f), tested
     return None, tested
 
 
 def _worker_scan(args):
-    p, n, d, kind, marked_texts, avoided_texts, normalize, offset, step = args
-    E = FiniteField(p, n)
+    """Scan one contiguous block of the raw stream.
+
+    Returns (local index of the first hit, its text, candidates seen); the
+    count covers the whole block when there is no hit.
+    """
+    p, n, modulus, d, kind, marked_texts, avoided_texts, normalize, lo, hi = args
+    E = FiniteField(p, n, modulus)
     marked = tuple(parse_point(E, t) for t in marked_texts)
     avoided = tuple(parse_point(E, t) for t in avoided_texts)
+    screen = _Screen(E, kind, marked, avoided)
     tested = 0
-    for idx, f in enumerate(enumerate_candidates(E, d, normalize)):
-        if idx % step != offset:
-            continue
+    for f in _candidates(E, d, normalize, lo, hi):
         tested += 1
-        if _passes(f, kind, marked, avoided):
-            return idx, str(f), tested
+        if screen(f):
+            return tested - 1, str(screen.certify(f)), tested
     return None, None, tested
 
 
-def _scan_round_parallel(field, d, kind, marked, avoided, normalize, workers):
+def _scan_round_parallel(field, d, screen, normalize, workers):
+    marked, avoided = screen.points
+    total = _raw_count(field.q, d)
+    bounds = [total * w // workers for w in range(workers + 1)]
     args = [
         (
             field.p,
             field.n,
+            field.modulus,
             d,
-            kind,
+            screen.kind,
             tuple(str(pt) for pt in marked),
             tuple(str(pt) for pt in avoided),
             normalize,
-            w,
-            workers,
+            bounds[w],
+            bounds[w + 1],
         )
         for w in range(workers)
     ]
+    tested = 0
     with multiprocessing.Pool(workers) as pool:
-        results = pool.map(_worker_scan, args)
-    hits = [(idx, text) for idx, text, _ in results if idx is not None]
-    if hits:
-        idx, text = min(hits)
-        # tested counts candidates up to the hit in stream order, so the
-        # number does not depend on the worker count
-        return parse_ratmap(field, text), idx + 1
-    return None, sum(t for _, _, t in results)
+        # blocks arrive in stream order, so the first hit seen is the
+        # stream's first, and the blocks after it need not finish
+        for idx, text, count in pool.imap(_worker_scan, args):
+            if idx is not None:
+                return parse_ratmap(field, text), tested + idx + 1
+            tested += count
+    return None, tested
 
 
 def _random_candidate(field, d, rng):
@@ -235,7 +357,7 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         eps = embed(base, E)
         marked = tuple(pt.embedded(eps) for pt in spec.instance.S)
         avoided = tuple(pt.embedded(eps) for pt in spec.instance.T)
-        rounds.append((E, marked, avoided))
+        rounds.append((E, _Screen(E, spec.kind, marked, avoided)))
     rng = random.Random(spec.seed)
     tested_total = 0
 
@@ -249,14 +371,12 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         }
 
     for d in range(1, spec.d_max + 1):
-        for E, marked, avoided in rounds:
+        for E, screen in rounds:
             if spec.mode == "exhaustive":
                 if workers == 1:
-                    witness, tested = _scan_round(E, d, spec.kind, marked, avoided, spec.normalize)
+                    witness, tested = _scan_round(E, d, screen, spec.normalize)
                 else:
-                    witness, tested = _scan_round_parallel(
-                        E, d, spec.kind, marked, avoided, spec.normalize, workers
-                    )
+                    witness, tested = _scan_round_parallel(E, d, screen, spec.normalize, workers)
                 tested_total += tested
                 if witness is not None:
                     return record(d, witness)
@@ -264,6 +384,6 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
                 for _ in range(spec.budget):
                     f = _random_candidate(E, d, rng)
                     tested_total += 1
-                    if _passes(f, spec.kind, marked, avoided):
-                        return record(d, f)
+                    if screen(f):
+                        return record(d, screen.certify(f))
     return record(None, None)

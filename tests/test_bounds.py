@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -264,3 +266,34 @@ def test_decimal_string_handles_huge_values():
     assert len(text) == res.digit_count
     assert text[0] != "0"
     assert res.digit_count > 1000
+
+
+def _digit_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
+    return None if get is None else get()
+
+
+def _reference_str(value):
+    """str(value) with the int-to-str digit limit lifted, then restored."""
+    limit = _digit_limit()
+    if limit is None:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_string_leaves_the_digit_limit_alone():
+    value = random.Random(5).randrange(10 ** 99_999, 10 ** 100_000)
+    limit = _digit_limit()
+    text = decimal_string(value)
+    assert _digit_limit() == limit
+    assert text == _reference_str(value)
+    assert len(text) == 100_000
+
+
+def test_decimal_string_matches_str_across_piece_boundaries():
+    for value in (0, 7, 10 ** 500 - 1, 10 ** 500, 10 ** 1000 + 1, 10 ** 2000 - 10 ** 700, -(10 ** 1500)):
+        assert decimal_string(value) == _reference_str(value)

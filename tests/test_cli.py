@@ -108,6 +108,32 @@ def test_exit_code_2_on_bad_input():
         assert proc.returncode == 2, argv
 
 
+def test_exit_code_1_when_a_tower_coefficient_does_not_descend(monkeypatch, capsys):
+    # the pole map of T = {0, 1, 2} over F_5 has a quadratic critical orbit, so
+    # the tower's h0 is built over F_25 and must descend to F_5
+    from pbelyi import cli, constructions
+    from pbelyi.errors import PreconditionError
+    from pbelyi.field import EmbeddingMap
+
+    class Stuck(EmbeddingMap):
+        __slots__ = ()
+
+        def section(self, a):
+            raise PreconditionError("element does not descend to the source field")
+
+    real_embed = constructions.embed
+
+    def stuck_embed(source, target):
+        eps = real_embed(source, target)
+        return Stuck(eps.source, eps.target, eps.image_of_generator)
+
+    monkeypatch.setattr(constructions, "embed", stuck_embed)
+    assert cli.main(["construct", "wild", "--q", "5", "--T", "0,1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "does not descend" in err
+
+
 def test_json_error_paths_keep_stdout_empty():
     proc = run_cli("--json", "construct", "wild", "--q", "3", "--S", "0,1,2", "--T", "none")
     assert proc.returncode == 2

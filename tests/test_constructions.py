@@ -16,8 +16,8 @@ from pbelyi.constructions import (
     wild_h_tower,
     wild_phi,
 )
-from pbelyi.errors import GuardExceededError, PreconditionError
-from pbelyi.field import FiniteField
+from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
+from pbelyi.field import EmbeddingMap, FiniteField
 from pbelyi.poly import Polynomial, parse_poly
 from pbelyi.ratmap import P1Point, RationalMap, parse_point
 
@@ -229,6 +229,17 @@ def test_h_tower_descends_to_the_base_field():
     nonzero = [i for i, c in enumerate(tower.h0.coeffs) if c != F3.zero]
     assert nonzero == [1, 3]
     assert [bp.label() for bp in tower.report.branch_points] == ["inf"]
+
+
+def test_h_tower_reports_a_coefficient_that_does_not_descend(monkeypatch):
+    V = fp_span_of_conjugates(F3, [F9.gen])
+
+    def refuse(self, a):
+        raise PreconditionError("element does not descend to the source field")
+
+    monkeypatch.setattr(EmbeddingMap, "section", refuse)
+    with pytest.raises(InternalInconsistencyError, match="does not descend to 3"):
+        wild_h_tower(V, base_field=F3)
 
 
 def test_h_tower_validation():

@@ -1,8 +1,10 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
-from pbelyi.errors import PreconditionError
+from pbelyi.errors import InternalInconsistencyError, PreconditionError
 from pbelyi.field import FiniteField, embed
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import (
@@ -149,6 +151,29 @@ def test_mobius_all_slots_and_errors():
     assert m3.degree == 1
     with pytest.raises(PreconditionError):
         mobius_from_triple(a, a, c)
+
+
+
+def test_mobius_checks_its_images_explicitly(monkeypatch):
+    monkeypatch.setattr(RationalMap, "__call__", lambda self, point: P1Point.infinity(self.field))
+    with pytest.raises(InternalInconsistencyError, match="not to 0"):
+        mobius_from_triple(pt(F5, 0), pt(F5, 1), P1Point.infinity(F5))
+
+
+def test_mobius_check_survives_python_O():
+    code = (
+        "from pbelyi.errors import InternalInconsistencyError\n"
+        "from pbelyi.field import FiniteField\n"
+        "from pbelyi.ratmap import P1Point, RationalMap, mobius_from_triple\n"
+        "F = FiniteField(5)\n"
+        "RationalMap.__call__ = lambda self, point: P1Point.infinity(F)\n"
+        "try:\n"
+        "    mobius_from_triple(P1Point(F, 0), P1Point(F, 1), P1Point.infinity(F))\n"
+        "except InternalInconsistencyError:\n"
+        "    print('caught')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "caught\n", proc.stderr
 
 
 def test_mobius_randomized_triples():

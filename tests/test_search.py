@@ -2,11 +2,13 @@ import pytest
 
 from pbelyi.bounds import wild_bound
 from pbelyi.constructions import BelyiInstance
-from pbelyi.errors import GuardExceededError, PreconditionError
+from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from pbelyi.field import FiniteField, embed
 from pbelyi.poly import Polynomial, parse_poly
 from pbelyi.ramification import verify_tame_belyi, verify_wild_belyi
 from pbelyi.ratmap import RationalMap, p1_points, parse_ratmap
+from pbelyi import search
+from pbelyi.ramification import BelyiVerdict
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
 
 F3 = FiniteField(3, 1)
@@ -44,6 +46,23 @@ def test_enumeration_order_is_frozen():
 def test_first_quartic_candidate_is_x4():
     first = next(iter(enumerate_candidates(F5, 4)))
     assert str(first) == "poly=0,0,0,0,1"
+
+
+def test_stream_blocks_concatenate_to_the_stream():
+    whole = list(enumerate_candidates(F3, 2))
+    total = search._raw_count(3, 2)
+    for cuts in ([0, total], [0, 1, 2, total], [0, 17, 18, 100, 241, total], [0, 9, total - 1, total]):
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            pieces.extend(search._candidates(F3, 2, False, lo, hi))
+        assert pieces == whole
+
+
+def test_screen_hit_rejected_by_the_verifier_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(search, "verify_tame_belyi", lambda *a, **k: BelyiVerdict("tame", False, ["x"]))
+    spec = SearchSpec(BelyiInstance(F5, [], []), "tame", 1, fields=[F5])
+    with pytest.raises(InternalInconsistencyError, match="screen"):
+        minimal_belyi_degree(spec)
 
 
 def test_enumeration_rejects_bad_degree():
@@ -127,16 +146,30 @@ def test_search_exhausts_low_degrees():
 
 
 def test_search_workers_do_not_change_the_answer():
-    spec = SearchSpec(BelyiInstance(F5, ["0", "1", "inf"], []), "tame", 2, fields=[F5])
-    serial = minimal_belyi_degree(spec, workers=1)
-    pooled = minimal_belyi_degree(spec, workers=3)
-    assert serial["degree"] == pooled["degree"]
-    assert str(serial["witness"]) == str(pooled["witness"])
-    assert serial["candidates_tested"] == pooled["candidates_tested"]
+    # (field, marked, avoided, kind, d_max, degree, witness, candidates_tested):
+    # a hit and an exhausted search of each kind
+    cases = [
+        (F5, ["0", "1", "2", "3"], [], "tame", 2, 2, "num=4,4,2/den=0,0,1", 680),
+        (F5, "all", [], "tame", 2, None, None, 3120),
+        (F5, ["1"], ["inf"], "wild", 1, 1, "num=1/den=4,1", 101),
+        (F3, "all", [], "wild", 3, None, None, 2184),
+    ]
+    for field, marked, avoided, kind, d_max, degree, witness, tested in cases:
+        inst = BelyiInstance(field, p1_points(field) if marked == "all" else marked, avoided)
+        spec = SearchSpec(inst, kind, d_max, fields=[field])
+        for workers in (1, 2, 3):
+            res = minimal_belyi_degree(spec, workers=workers)
+            witness_text = None if res["witness"] is None else str(res["witness"])
+            got = (res["degree"], witness_text, res["candidates_tested"])
+            assert got == (degree, witness, tested), (kind, marked, workers)
 
-    inst = BelyiInstance(F5, p1_points(F5), [])
-    spec = SearchSpec(inst, "tame", 2, fields=[F5])
-    assert minimal_belyi_degree(spec, workers=2)["candidates_tested"] == 3120
+
+def test_search_workers_keep_a_custom_modulus():
+    E = FiniteField(3, 2, (2, 2, 1))  # x^2 + 2x + 2, not the canonical x^2 + 1
+    spec = SearchSpec(BelyiInstance(E, ["0,1", "1,1", "2,2"], []), "tame", 1, fields=[E])
+    for workers in (1, 2):
+        res = minimal_belyi_degree(spec, workers=workers)
+        assert (str(res["witness"]), res["candidates_tested"]) == ("num=0,2;2,1/den=1,1;1,0", 406)
 
 
 def test_randomized_mode_is_reproducible():
