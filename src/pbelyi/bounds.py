@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
-from .field import is_prime
+from .field import is_prime, prime_power
 
 DIGIT_GUARD = 100_000
 
@@ -65,21 +65,14 @@ def _require_nonneg(**named):
             raise PreconditionError("%s must be a nonnegative integer, got %r" % (name, value))
 
 
-def _require_odd_prime_power(q):
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
-        raise PreconditionError("q must be an odd prime power, got %r" % (q,))
-    if is_prime(q):
-        return
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            rest = q
-            while rest % d == 0:
-                rest //= d
-            if rest != 1:
-                raise PreconditionError("q must be an odd prime power, got %r" % (q,))
-            return
-        d += 2
+def _check_digit_guard(bits, digit_guard):
+    """Refuse a value of about bits + 64 bits once its digits pass digit_guard."""
+    digit_estimate = (bits + 64) * 30103 // 100000 + 2
+    if digit_estimate > digit_guard:
+        raise GuardExceededError(
+            "bound value needs about %d decimal digits, over the guard of %d; "
+            "pass a larger digit_guard to materialize it" % (digit_estimate, digit_guard)
+        )
 
 
 def lcm_up_to(m):
@@ -145,7 +138,7 @@ def tame_threshold(g, s, t):
 def tame_bound_parts(g, s, t, q):
     """Intermediates of the tame degree bound, without materializing the value."""
     _require_nonneg(g=g, s=s, t=t)
-    _require_odd_prime_power(q)
+    prime_power(q)
     threshold = tame_threshold(g, s, t)
     m = ceil_log_q(q, threshold)
     L = lcm_up_to(6 * g + 2 * t)
@@ -169,13 +162,7 @@ def tame_bound(g, s, t, q, digit_guard=DIGIT_GUARD):
     """
     parts = tame_bound_parts(g, s, t, q)
     power = parts["m"] * parts["L"]
-    bits = parts["exponent"] * power * q.bit_length() + 64
-    digit_estimate = bits * 30103 // 100000 + 2
-    if digit_estimate > digit_guard:
-        raise GuardExceededError(
-            "bound value needs about %d decimal digits, over the guard of %d; "
-            "pass a larger digit_guard to materialize it" % (digit_estimate, digit_guard)
-        )
+    _check_digit_guard(parts["exponent"] * power * q.bit_length(), digit_guard)
     value = parts["factor"] * (q ** power - 1) ** parts["exponent"]
     return BoundResult(value, {"g": g, "s": s, "t": t, "q": q}, parts)
 
@@ -217,12 +204,7 @@ def wild_bound(g, s, t, p, digit_guard=DIGIT_GUARD):
         raise PreconditionError("p must be an odd prime, got %r" % (p,))
     N = wild_N(g, t)
     exponent = s + 2 * (g + N)
-    digit_estimate = (exponent * p.bit_length() + 64) * 30103 // 100000 + 2
-    if digit_estimate > digit_guard:
-        raise GuardExceededError(
-            "bound value needs about %d decimal digits, over the guard of %d; "
-            "pass a larger digit_guard to materialize it" % (digit_estimate, digit_guard)
-        )
+    _check_digit_guard(exponent * p.bit_length(), digit_guard)
     value = N * p ** exponent
     parts = {"N": N, "exponent": exponent, "log_q_size": exponent}
     return BoundResult(value, {"g": g, "s": s, "t": t, "p": p}, parts)

@@ -18,10 +18,10 @@ from .bounds import (
 from .counting import ProjectiveLine, pick_points
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from .factor import is_irreducible, roots
-from .field import EmbeddingMap, FieldElement, FiniteField, embed, galois_orbit, is_prime
+from .field import FieldElement, FiniteField, embed, galois_orbit, prime_power
 from .poly import Polynomial
-from .ramification import BelyiVerdict, analyze, verify_tame_belyi, verify_wild_belyi
-from .ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, parse_point
+from .ramification import BelyiVerdict, _locus_key, analyze, verify_tame_belyi, verify_wild_belyi
+from .ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, parse_point, three_points
 
 SPAN_LIMIT = 10 ** 4
 TOWER_DEGREE_LIMIT = 2000
@@ -32,22 +32,7 @@ FIELD_DEGREE_LIMIT = 32
 def _as_field(q):
     if isinstance(q, FiniteField):
         return q
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
-        raise PreconditionError("q must be an odd prime power at least 3, got %r" % (q,))
-    if is_prime(q):
-        return FiniteField(q, 1)
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            rest, n = q, 0
-            while rest % d == 0:
-                rest //= d
-                n += 1
-            if rest != 1:
-                raise PreconditionError("q must be an odd prime power, got %r" % (q,))
-            return FiniteField(d, n)
-        d += 2
-    raise InternalInconsistencyError("prime power factorization fell through")
+    return FiniteField(*prime_power(q))
 
 
 def _as_point(field, value):
@@ -62,6 +47,8 @@ def _as_point(field, value):
     if isinstance(value, str):
         return parse_point(field, value)
     if isinstance(value, int):
+        if not 0 <= value < field.q:
+            raise PreconditionError("point code %d lies outside [0, %d)" % (value, field.q))
         return P1Point.of(field.from_int_value(value))
     raise PreconditionError("cannot read %r as a point on the line" % (value,))
 
@@ -69,14 +56,6 @@ def _as_point(field, value):
 def _point_tuple(field, values):
     pts = {_as_point(field, v) for v in values}
     return tuple(sorted(pts, key=lambda p: p.sort_key()))
-
-
-def _triple(field):
-    return (
-        P1Point.of(field.zero),
-        P1Point.of(field.one),
-        P1Point.infinity(field),
-    )
 
 
 class BelyiInstance:
@@ -179,7 +158,7 @@ def tame_normalize_small(instance, tau=None):
         tau = _as_point(field, tau)
         if tau in instance.S:
             raise PreconditionError("the avoided point %s is marked" % tau)
-    zero, one, inf = _triple(field)
+    zero, one, inf = three_points(field)
     srcs = list(instance.S)
     if not srcs:
         pairs = []
@@ -233,7 +212,7 @@ def collapse_map(q, alpha, S, tau=None):
     field = _as_field(q)
     S = _point_tuple(field, S)
     alpha = _as_point(field, alpha)
-    zero, one, inf = _triple(field)
+    zero, one, inf = three_points(field)
     if zero not in S or inf not in S:
         raise PreconditionError("needs 0 and inf marked; apply a degree-1 move first")
     if alpha.is_infinity or alpha == zero:
@@ -278,7 +257,7 @@ def tame_reduce_recursive(instance, tau):
     tau = _as_point(field, tau)
     if tau in instance.S:
         raise PreconditionError("the avoided point %s is marked" % tau)
-    zero, one, inf = _triple(field)
+    zero, one, inf = three_points(field)
     provenance = []
     current = instance.S
     cur_tau = tau
@@ -331,13 +310,21 @@ def fp_span_of_conjugates(base_field, elements, limit=SPAN_LIMIT):
             raise PreconditionError("span generators must be elements of a single field")
     if ext.p != base_field.p or ext.n % base_field.n != 0:
         raise PreconditionError("the generators live outside an extension of %s" % base_field)
-    p = base_field.p
     closure = set()
     for b in gens:
         closure.update(galois_orbit(b, base_field))
-    span = {ext.zero}
+    return tuple(sorted(_fp_span(ext, closure, limit), key=lambda e: e.int_value))
+
+
+def _fp_span(field, gens, limit):
+    """The F_p-span of gens as a set, adding the generators in element order.
+
+    Raises GuardExceededError before the span grows past limit elements.
+    """
+    p = field.p
+    span = {field.zero}
     dim = 0
-    for gen in sorted(closure, key=lambda e: e.int_value):
+    for gen in sorted(gens, key=lambda e: e.int_value):
         if gen in span:
             continue
         dim += 1
@@ -353,7 +340,7 @@ def fp_span_of_conjugates(base_field, elements, limit=SPAN_LIMIT):
                 bigger.add(w)
                 w = w + gen
         span = bigger
-    return tuple(sorted(span, key=lambda e: e.int_value))
+    return span
 
 
 class HTower:
@@ -404,20 +391,11 @@ def wild_h_tower(V, base_field=None, degree_limit=TOWER_DEGREE_LIMIT):
     vset = set(members)
     if ext.zero not in vset:
         raise PreconditionError("the subspace must contain 0")
-    span = {ext.zero}
-    for v in sorted(vset, key=lambda e: e.int_value):
-        if v in span:
-            continue
-        bigger = set()
-        for u in span:
-            w = u
-            for _ in range(p):
-                bigger.add(w)
-                w = w + v
-        span = bigger
-        if len(span) > len(vset):
-            break
-    if span != vset:
+    try:
+        is_subspace = _fp_span(ext, vset, len(vset)) == vset
+    except GuardExceededError:  # the span outgrew the set
+        is_subspace = False
+    if not is_subspace:
         raise PreconditionError("the element set is not an F_p-subspace")
     if len(vset) * p * p > degree_limit:
         raise GuardExceededError(
@@ -486,7 +464,7 @@ def wild_phi(instance):
             "needs q + 1 - N - s >= 0 on the line: q = %d, N = %d, s = %d gives %d"
             % (q, N, instance.s, q + 1 - N - instance.s)
         )
-    zero, one, inf = _triple(field)
+    zero, one, inf = three_points(field)
     provenance = []
     S_cur, T_cur = instance.S, instance.T
     pre = None
@@ -638,7 +616,7 @@ class CoveringDescriptor:
                 raise PreconditionError(
                     "partition %s does not sum to the degree %d" % (list(partition), degree)
                 )
-            key = ("inf",) if mp is None else tuple(c.int_value for c in mp.coeffs)
+            key = _locus_key(mp)
             if key in seen:
                 raise PreconditionError("branch locus listed twice")
             seen.add(key)
@@ -662,10 +640,7 @@ class CoveringDescriptor:
                 )
             if map.degree > 1 or self.branch:
                 derived = _branch_partitions(analyze(map))
-                declared = {
-                    (("inf",) if mp is None else tuple(c.int_value for c in mp.coeffs)): partition
-                    for mp, partition in self.branch
-                }
+                declared = {_locus_key(mp): partition for mp, partition in self.branch}
                 if derived != declared:
                     raise PreconditionError("declared branch data disagrees with the map")
 
@@ -792,7 +767,7 @@ def tame_pipeline(desc, S=0, T=0, field_degree_limit=FIELD_DEGREE_LIMIT):
         drop_avoided = False
     else:
         tau0 = None
-        blocked = s_prime_set | set(_triple(ext))
+        blocked = s_prime_set | set(three_points(ext))
         k = 0
         while tau0 is None:
             cand = P1Point.of(ext.from_int_value(k))

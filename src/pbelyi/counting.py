@@ -11,7 +11,7 @@ from math import comb, factorial
 
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from .factor import is_irreducible
-from .field import FiniteField, embed, parse_field
+from .field import FiniteField, digits, embed, parse_field
 from .poly import Polynomial, parse_poly
 from .ratmap import P1Point, p1_points
 
@@ -295,13 +295,8 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
                 out[1] = q + 1
                 continue
             found = 0
-            for k in range(q**d):
-                coeffs = []
-                t = k
-                for _ in range(d):
-                    t, digit = divmod(t, q)
-                    coeffs.append(field.from_int_value(digit))
-                coeffs.append(field.one)
+            for k in range(q**d, 2 * q**d):
+                coeffs = [field.from_int_value(c) for c in digits(k, q, d + 1)]
                 if is_irreducible(Polynomial(field, coeffs)):
                     found += 1
             out[d] = found

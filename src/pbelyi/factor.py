@@ -12,7 +12,7 @@ import random
 from typing import List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .field import FieldElement, FiniteField, frobenius
+from .field import FieldElement, FiniteField, _prime_divisors, frobenius
 from .poly import Polynomial
 
 DEFAULT_SEED = 1
@@ -166,18 +166,7 @@ def is_irreducible(f: Polynomial) -> bool:
     x = Polynomial.x(fld)
     if x.powmod(fld.q ** m, f) != x % f:
         return False
-    ell_set = set()
-    mm = m
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            ell_set.add(d)
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        ell_set.add(mm)
-    for ell in sorted(ell_set):
+    for ell in _prime_divisors(m):
         g = f.gcd(x.powmod(fld.q ** (m // ell), f) - x)
         if g.degree > 0:
             return False

@@ -147,6 +147,7 @@ def _ppowmod(base: IntPoly, e: int, mod: IntPoly, p: int) -> IntPoly:
 
 
 def _prime_divisors(n: int) -> List[int]:
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -154,9 +155,36 @@ def _prime_divisors(n: int) -> List[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
+            if is_prime(n):  # a prime cofactor ends the search at once
+                break
         d += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def prime_power(q: int) -> Tuple[int, int]:
+    """(p, n) with q = p**n for an odd prime p; PreconditionError otherwise."""
+    if isinstance(q, int) and not isinstance(q, bool) and q >= 3:
+        if is_prime(q):
+            return q, 1
+        divisors = _prime_divisors(q)
+        if len(divisors) == 1 and divisors[0] != 2:
+            p = divisors[0]
+            n = 0
+            while q > 1:
+                q //= p
+                n += 1
+            return p, n
+    raise PreconditionError("q must be an odd prime power, got %r" % (q,))
+
+
+def digits(k: int, base: int, count: int) -> List[int]:
+    """The count lowest base-`base` digits of k (mod base**count), least significant first."""
+    out = []
+    for _ in range(count):
+        k, r = divmod(k, base)
+        out.append(r)
     return out
 
 
@@ -182,12 +210,7 @@ def _canonical_modulus(p: int, n: int) -> IntPoly:
     if n == 1:
         return (0, 1)
     for k in range(p ** n):
-        coeffs = []
-        kk = k
-        for _ in range(n):
-            coeffs.append(kk % p)
-            kk //= p
-        f = tuple(coeffs) + (1,)
+        f = tuple(digits(k, p, n)) + (1,)
         if _pirreducible(f, p):
             return f
     raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
@@ -287,19 +310,11 @@ class FiniteField:
     def elements(self) -> Iterator["FieldElement"]:
         """All elements, ordered by base-p value of the coordinate vector."""
         for k in range(self.q):
-            coords = []
-            kk = k
-            for _ in range(self.n):
-                coords.append(kk % self.p)
-                kk //= self.p
-            yield FieldElement(self, tuple(coords))
+            yield self.from_int_value(k)
 
     def from_int_value(self, k: int) -> "FieldElement":
-        coords = []
-        for _ in range(self.n):
-            coords.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coords))
+        """The element whose coordinate vector has base-p value k (mod q)."""
+        return FieldElement(self, tuple(digits(k, self.p, self.n)))
 
     # -- internal reduction
 

@@ -18,7 +18,14 @@ from .errors import (
 from .factor import factor, roots
 from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
-from .ratmap import P1Point, RationalMap, wronskian
+from .ratmap import P1Point, RationalMap, three_points, wronskian
+
+
+def _locus_key(min_poly) -> Tuple:
+    """Hashable key of a closed point of the line: its minimal polynomial, None for infinity."""
+    if min_poly is None:
+        return ("inf",)
+    return tuple(c.int_value for c in min_poly.coeffs)
 
 
 def _multiplicity(g: Polynomial, h: Polynomial) -> int:
@@ -68,9 +75,7 @@ class RamOrbit:
         return "minpoly:" + str(self.branch_min_poly)
 
     def branch_key(self) -> Tuple:
-        if self.branch_is_infinity:
-            return ("inf",)
-        return tuple(c.int_value for c in self.branch_min_poly.coeffs)
+        return _locus_key(self.branch_min_poly)
 
     def sort_key(self) -> Tuple:
         if self.is_infinity:
@@ -117,9 +122,7 @@ class BranchPoint:
         return "minpoly:" + str(self.min_poly)
 
     def key(self) -> Tuple:
-        if self.is_infinity:
-            return ("inf",)
-        return tuple(c.int_value for c in self.min_poly.coeffs)
+        return _locus_key(self.min_poly)
 
     def sort_key(self) -> Tuple:
         if self.is_infinity:
@@ -342,14 +345,6 @@ def _checked_sets(base, marked, avoided):
     return marked, avoided
 
 
-def _standard_triple(field):
-    return (
-        P1Point(field, field.zero),
-        P1Point(field, field.one),
-        P1Point.infinity(field),
-    )
-
-
 def _branch_in_triple(bp: BranchPoint, field) -> bool:
     if bp.is_infinity:
         return True
@@ -359,7 +354,7 @@ def _branch_in_triple(bp: BranchPoint, field) -> bool:
     return v.is_zero or v == field.one
 
 
-def verify_tame_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False) -> BelyiVerdict:
+def verify_tame_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     """Check that f is a three-point cover compatible with the given sets.
 
     Requirements: f separable, every ramification index prime to the
@@ -370,19 +365,15 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False)
         raise PreconditionError("constant map is not a covering")
     marked, avoided = _checked_sets(f.field, marked, avoided)
     violations = []
-    std = _standard_triple(f.field)
+    std = three_points(f.field)
     for pt in marked:
         img = f(pt)
         if img not in std:
             violations.append(f"marked point {pt} maps to {img}, outside {{0, 1, inf}}")
-            if fast:
-                return BelyiVerdict("tame", False, violations)
     for pt in avoided:
         img = f(pt)
         if img in std:
             violations.append(f"avoided point {pt} maps to {img}, inside {{0, 1, inf}}")
-            if fast:
-                return BelyiVerdict("tame", False, violations)
     if wronskian(f).is_zero:
         violations.append("inseparable")
         return BelyiVerdict("tame", False, violations)
@@ -393,17 +384,13 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False)
                 f"ramification index {orbit.index} at {orbit.place_label()} "
                 "is divisible by the characteristic"
             )
-            if fast:
-                return BelyiVerdict("tame", False, violations, report)
     for bp in report.branch_points:
         if not _branch_in_triple(bp, f.field):
             violations.append(f"branch point {bp.label()} lies outside {{0, 1, inf}}")
-            if fast:
-                return BelyiVerdict("tame", False, violations, report)
     return BelyiVerdict("tame", not violations, violations, report)
 
 
-def verify_wild_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False) -> BelyiVerdict:
+def verify_wild_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     """Check that f ramifies only above infinity and respects the given sets.
 
     Requirements: f separable, every branch value equal to inf, marked
@@ -421,23 +408,17 @@ def verify_wild_belyi(f: RationalMap, marked=(), avoided=(), fast: bool = False)
         img = f(pt)
         if img != inf:
             violations.append(f"marked point {pt} maps to {img}, not to inf")
-            if fast:
-                return BelyiVerdict("wild", False, violations)
     for pt in avoided:
         if f(pt) == inf:
             violations.append(f"avoided point {pt} maps to inf")
-            if fast:
-                return BelyiVerdict("wild", False, violations)
     report = analyze(f)
     for bp in report.branch_points:
         if not bp.is_infinity:
             violations.append(f"branch point {bp.label()} is not inf")
-            if fast:
-                return BelyiVerdict("wild", False, violations, report)
     return BelyiVerdict("wild", not violations, violations, report)
 
 
-def is_simple_covering(f: RationalMap, fast: bool = False) -> BelyiVerdict:
+def is_simple_covering(f: RationalMap) -> BelyiVerdict:
     """Check that every index is 2 with one ramified point per geometric branch point."""
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
@@ -448,8 +429,6 @@ def is_simple_covering(f: RationalMap, fast: bool = False) -> BelyiVerdict:
     for orbit in report.points:
         if orbit.index != 2:
             violations.append(f"ramification index {orbit.index} at {orbit.place_label()} is not 2")
-            if fast:
-                return BelyiVerdict("simple", False, violations, report)
     by_branch = {}
     for orbit in report.points:
         by_branch.setdefault(orbit.branch_key(), []).append(orbit)
@@ -459,6 +438,4 @@ def is_simple_covering(f: RationalMap, fast: bool = False) -> BelyiVerdict:
             violations.append(
                 f"branch point {bp.label()} has {total} geometric ramified points, expected {bp.degree}"
             )
-            if fast:
-                return BelyiVerdict("simple", False, violations, report)
     return BelyiVerdict("simple", not violations, violations, report)

@@ -66,6 +66,11 @@ class P1Point:
         return P1Point(eps.target, eps(self.value))
 
 
+def three_points(field: FiniteField) -> Tuple[P1Point, P1Point, P1Point]:
+    """The points 0, 1 and infinity of P^1(F), in that order."""
+    return (P1Point(field, field.zero), P1Point(field, field.one), P1Point.infinity(field))
+
+
 def p1_points(field: FiniteField) -> Tuple[P1Point, ...]:
     """All of P^1(F) in canonical order (affine ascending, infinity last)."""
     pts = [P1Point(field, a) for a in field.elements()]
@@ -168,9 +173,6 @@ class RationalMap:
     def __call__(self, point: P1Point) -> P1Point:
         return self.evaluate(point)
 
-    def evaluate_elem(self, value) -> P1Point:
-        return self.evaluate(P1Point(self.field, self.field.element(value)))
-
     # -- algebra
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
@@ -252,8 +254,7 @@ def mobius_from_triple(a: P1Point, b: P1Point, c: P1Point) -> RationalMap:
             fld, b.value - a.value
         )
     m = RationalMap(num, den)
-    images = (P1Point(fld, fld.zero), P1Point(fld, fld.one), P1Point.infinity(fld))
-    for pt, want in zip(pts, images):
+    for pt, want in zip(pts, three_points(fld)):
         got = m(pt)
         if got != want:
             raise InternalInconsistencyError(f"Moebius map {m} sends {pt} to {got}, not to {want}")
@@ -278,7 +279,10 @@ def parse_point(field: FiniteField, text: str) -> P1Point:
     text = text.strip()
     if text == "inf":
         return P1Point.infinity(field)
-    return P1Point(field, field.element([int(c) for c in text.split(",")]))
+    coords = [int(c) for c in text.split(",")]
+    if any(not 0 <= c < field.p for c in coords):
+        raise PreconditionError(f"point {text!r} has a coordinate outside [0, {field.p})")
+    return P1Point(field, field.element(coords))
 
 
 def parse_point_set(field: FiniteField, text: str) -> Tuple[P1Point, ...]:

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .factor import DEFAULT_SEED, squarefree_decomposition
-from .field import FiniteField, embed
+from .field import FiniteField, digits, embed
 from .poly import Polynomial
 from .ramification import _checked_sets, verify_tame_belyi, verify_wild_belyi
 from .ratmap import RationalMap, parse_point, parse_ratmap, wronskian
@@ -28,43 +28,30 @@ EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
 
 
-def _poly_from_code(field, code):
-    coeffs = []
-    while code:
-        code, r = divmod(code, field.q)
-        coeffs.append(field.from_int_value(r))
-    return Polynomial(field, coeffs)
+def _poly_from_code(field, code, length):
+    """The polynomial whose length coefficients are the base-q digits of code."""
+    return Polynomial(field, [field.from_int_value(c) for c in digits(code, field.q, length)])
 
 
-def _monic_from_code(field, e, body):
-    coeffs = []
-    for _ in range(e):
-        body, r = divmod(body, field.q)
-        coeffs.append(field.from_int_value(r))
-    coeffs.append(field.one)
-    return Polynomial(field, coeffs)
-
-
-def _map_key(f):
-    return (f.den.sort_key(), f.num.sort_key())
-
-
-def _triple_orbit(f):
-    """Postcompositions of f by the six Mobius maps permuting {0, 1, inf}."""
-    n, d = f.num, f.den
-    return (
-        f,
-        RationalMap(d - n, d),
-        RationalMap(d, n),
-        RationalMap(d, d - n),
-        RationalMap(n - d, n),
-        RationalMap(n, n - d),
-    )
+def _monic_key(num, den):
+    """(den, num) sort keys of num/den once den is scaled to be monic."""
+    lead = den.leading
+    if lead != den.field.one:
+        inv = lead.inverse()
+        num, den = num * inv, den * inv
+    return (den.sort_key(), num.sort_key())
 
 
 def _is_orbit_representative(f):
-    key = _map_key(f)
-    return all(key <= _map_key(g) for g in _triple_orbit(f))
+    """f is the least of its postcompositions by the Mobius maps permuting {0, 1, inf}.
+
+    The five other images are (d-n)/d, d/n, d/(d-n), (n-d)/n and n/(n-d).
+    f = n/d is reduced, so each of them is reduced too and needs no gcd.
+    """
+    n, d = f.num, f.den
+    key = (d.sort_key(), n.sort_key())
+    images = ((d - n, d), (d, n), (d, d - n), (n - d, n), (n, n - d))
+    return all(key <= _monic_key(top, bottom) for top, bottom in images)
 
 
 def enumerate_candidates(field, d, normalize=False):
@@ -102,10 +89,10 @@ def _candidates(field, d, normalize, lo, hi):
         first, last = max(lo - base, 0), min(hi - base, q ** e * width)
         base += q ** e * width
         for body in range(first // width, -(-last // width)):
-            den = _monic_from_code(field, e, body)
+            den = _poly_from_code(field, q ** e + body, e + 1)
             row = body * width
             for code in range(start + max(first - row, 0), start + min(last - row, width)):
-                f = RationalMap(_poly_from_code(field, code), den)
+                f = RationalMap(_poly_from_code(field, code, d + 1), den)
                 if f.degree != d:
                     continue
                 if normalize and not _is_orbit_representative(f):
@@ -191,8 +178,8 @@ class _Screen:
     Wild: every root of W is a pole, and when f(inf) = beta is affine,
     inf is unramified: d - deg (N - beta D) <= 1.
 
-    A candidate passes exactly when verify_*_belyi(fast=True) passes it;
-    certify() still runs the verifier on every hit.
+    A candidate passes exactly when verify_*_belyi passes it; certify()
+    still runs the verifier on every hit.
     """
 
     def __init__(self, field, kind, marked, avoided):
@@ -262,15 +249,16 @@ class _Screen:
 def _passes(f, kind, marked, avoided):
     try:
         if kind == "tame":
-            return bool(verify_tame_belyi(f, marked, avoided, fast=True))
-        return bool(verify_wild_belyi(f, marked, avoided, fast=True))
+            return bool(verify_tame_belyi(f, marked, avoided))
+        return bool(verify_wild_belyi(f, marked, avoided))
     except InseparableMapError:
         return False
 
 
-def _scan_round(field, d, screen, normalize):
+def _scan(candidates, screen):
+    """(first certified hit or None, candidates seen up to and including it)."""
     tested = 0
-    for f in enumerate_candidates(field, d, normalize):
+    for f in candidates:
         tested += 1
         if screen(f):
             return screen.certify(f), tested
@@ -278,25 +266,16 @@ def _scan_round(field, d, screen, normalize):
 
 
 def _worker_scan(args):
-    """Scan one contiguous block of the raw stream.
-
-    Returns (local index of the first hit, its text, candidates seen); the
-    count covers the whole block when there is no hit.
-    """
+    """Scan one contiguous block of the raw stream; the hit travels as text."""
     p, n, modulus, d, kind, marked_texts, avoided_texts, normalize, lo, hi = args
     E = FiniteField(p, n, modulus)
     marked = tuple(parse_point(E, t) for t in marked_texts)
     avoided = tuple(parse_point(E, t) for t in avoided_texts)
-    screen = _Screen(E, kind, marked, avoided)
-    tested = 0
-    for f in _candidates(E, d, normalize, lo, hi):
-        tested += 1
-        if screen(f):
-            return tested - 1, str(screen.certify(f)), tested
-    return None, None, tested
+    witness, tested = _scan(_candidates(E, d, normalize, lo, hi), _Screen(E, kind, marked, avoided))
+    return None if witness is None else str(witness), tested
 
 
-def _scan_round_parallel(field, d, screen, normalize, workers):
+def _scan_parallel(pool, workers, field, d, screen, normalize):
     marked, avoided = screen.points
     total = _raw_count(field.q, d)
     bounds = [total * w // workers for w in range(workers + 1)]
@@ -316,13 +295,12 @@ def _scan_round_parallel(field, d, screen, normalize, workers):
         for w in range(workers)
     ]
     tested = 0
-    with multiprocessing.Pool(workers) as pool:
-        # blocks arrive in stream order, so the first hit seen is the
-        # stream's first, and the blocks after it need not finish
-        for idx, text, count in pool.imap(_worker_scan, args):
-            if idx is not None:
-                return parse_ratmap(field, text), tested + idx + 1
-            tested += count
+    # blocks arrive in stream order, so the first hit seen is the stream's
+    # first, and the blocks after it need not finish
+    for text, count in pool.imap(_worker_scan, args):
+        tested += count
+        if text is not None:
+            return parse_ratmap(field, text), tested
     return None, tested
 
 
@@ -330,9 +308,9 @@ def _random_candidate(field, d, rng):
     q = field.q
     while True:
         e = rng.randrange(d + 1)
-        den = _monic_from_code(field, e, rng.randrange(q ** e))
+        den = _poly_from_code(field, q ** e + rng.randrange(q ** e), e + 1)
         start = q ** d if e < d else 1
-        f = RationalMap(_poly_from_code(field, rng.randrange(start, q ** (d + 1))), den)
+        f = RationalMap(_poly_from_code(field, rng.randrange(start, q ** (d + 1)), d + 1), den)
         if f.degree == d:
             return f
 
@@ -349,7 +327,8 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         raise PreconditionError("spec must be a SearchSpec")
     if not isinstance(workers, int) or workers < 1:
         raise PreconditionError("workers must be a positive integer")
-    if spec.mode == "exhaustive":
+    exhaustive = spec.mode == "exhaustive"
+    if exhaustive:
         _check_guard(spec, guard)
     base = spec.instance.field
     rounds = []
@@ -365,25 +344,27 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         return {
             "degree": degree,
             "witness": witness,
-            "exhausted": spec.mode == "exhaustive",
+            "exhausted": exhaustive,
             "fields_searched": [str(E) for E in spec.fields],
             "candidates_tested": tested_total,
         }
 
-    for d in range(1, spec.d_max + 1):
-        for E, screen in rounds:
-            if spec.mode == "exhaustive":
-                if workers == 1:
-                    witness, tested = _scan_round(E, d, screen, spec.normalize)
+    pool = multiprocessing.Pool(workers) if exhaustive and workers > 1 else None
+    try:
+        for d in range(1, spec.d_max + 1):
+            for E, screen in rounds:
+                if not exhaustive:
+                    stream = (_random_candidate(E, d, rng) for _ in range(spec.budget))
+                    witness, tested = _scan(stream, screen)
+                elif pool is None:
+                    witness, tested = _scan(enumerate_candidates(E, d, spec.normalize), screen)
                 else:
-                    witness, tested = _scan_round_parallel(E, d, screen, spec.normalize, workers)
+                    witness, tested = _scan_parallel(pool, workers, E, d, screen, spec.normalize)
                 tested_total += tested
                 if witness is not None:
                     return record(d, witness)
-            else:
-                for _ in range(spec.budget):
-                    f = _random_candidate(E, d, rng)
-                    tested_total += 1
-                    if screen(f):
-                        return record(d, screen.certify(f))
-    return record(None, None)
+        return record(None, None)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()

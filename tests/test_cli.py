@@ -1,9 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pbelyi
+
 GOLDEN = Path(__file__).parent / "golden"
+# the child interpreter imports the same pbelyi as this one
+CHILD_PATH = os.pathsep.join(filter(None, (str(Path(pbelyi.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 
 def run_cli(*argv):
@@ -11,6 +16,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "pbelyi.cli", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=CHILD_PATH),
     )
 
 
@@ -148,6 +154,13 @@ def test_guard_errors_name_the_way_out():
     proc = run_cli("bound", "tame", "--g", "9", "--s", "0", "--t", "0", "--q", "3")
     assert proc.returncode == 2
     assert "digit_guard" in proc.stderr
+
+
+def test_out_of_range_point_exits_2():
+    proc = run_cli("search", "tame", "--q", "5", "--S", "0;5", "--d-max", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "outside [0, 5)" in proc.stderr
 
 
 def test_guard_override_flag():

@@ -5,6 +5,7 @@ import pytest
 from pbelyi.bounds import wild_bound
 from pbelyi.constructions import (
     BelyiInstance,
+    _fp_span,
     CoveringDescriptor,
     collapse_map,
     fp_span_of_conjugates,
@@ -17,7 +18,7 @@ from pbelyi.constructions import (
     wild_phi,
 )
 from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
-from pbelyi.field import EmbeddingMap, FiniteField
+from pbelyi.field import EmbeddingMap, FieldElement, FiniteField
 from pbelyi.poly import Polynomial, parse_poly
 from pbelyi.ratmap import P1Point, RationalMap, parse_point
 
@@ -179,6 +180,14 @@ def test_instance_validation():
     assert inst.s == 2 and inst.t == 1
 
 
+def test_point_codes_out_of_range_are_rejected():
+    F25 = FiniteField(5, 2)
+    for field, marked, avoided in ((F5, [0, 5], []), (F5, [-1], []), (F25, [26], []), (F5, [], [7])):
+        with pytest.raises(PreconditionError, match="outside"):
+            BelyiInstance(field, marked, avoided)
+    assert [str(p) for p in BelyiInstance(F25, [0, 24], [5]).S] == ["0,0", "4,4"]
+
+
 def test_span_of_rational_element():
     span = fp_span_of_conjugates(F3, [F3.one])
     assert sorted(e.int_value for e in span) == [0, 1, 2]
@@ -201,6 +210,17 @@ def test_span_of_imaginary_line():
 def test_span_limit_guard():
     with pytest.raises(GuardExceededError):
         fp_span_of_conjugates(F3, [F3.one], limit=2)
+
+
+def test_span_guard_fires_before_the_span_grows(monkeypatch):
+    F27 = FiniteField(3, 3)
+    added = []
+    add = FieldElement.__add__
+    monkeypatch.setattr(FieldElement, "__add__", lambda a, b: added.append(1) or add(a, b))
+    with pytest.raises(GuardExceededError, match="27 elements"):
+        _fp_span(F27, [F27.one, F27.gen, F27.gen ** 2], 10)
+    # 3 + 9 additions build the spans of sizes 3 and 9; the 27-element one is never built
+    assert len(added) == 12
 
 
 def test_h_tower_on_the_prime_field():

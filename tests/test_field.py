@@ -12,6 +12,7 @@ from pbelyi.field import (
     is_prime,
     parse_element,
     parse_field,
+    prime_power,
 )
 
 
@@ -232,3 +233,16 @@ def test_parse_round_trips():
     assert parse_element(f9, "2,1") == f9.element([2, 1])
     assert str(parse_element(f9, "2,1")) == "2,1"
     assert parse_element(FiniteField(5), "7") == FiniteField(5)(2)
+
+
+def test_prime_power_splits_odd_prime_powers():
+    for q, want in ((3, (3, 1)), (9, (3, 2)), (25, (5, 2)), (3 ** 7, (3, 7))):
+        assert prime_power(q) == want
+    for bad in (1, 2, 4, 15, 45, True, 3.0):
+        with pytest.raises(PreconditionError, match="odd prime power"):
+            prime_power(bad)
+    # a prime cofactor ends the trial division: neither call takes 2^30 steps
+    big = 2 ** 61 - 1
+    assert prime_power(big) == (big, 1)
+    with pytest.raises(PreconditionError):
+        prime_power(3 * big)

@@ -1,9 +1,12 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pbelyi
 from pbelyi.errors import InternalInconsistencyError, PreconditionError
 from pbelyi.field import FiniteField, embed
 from pbelyi.poly import Polynomial
@@ -16,6 +19,7 @@ from pbelyi.ratmap import (
     parse_point,
     parse_point_set,
     parse_ratmap,
+    three_points,
     wronskian,
 )
 
@@ -172,7 +176,10 @@ def test_mobius_check_survives_python_O():
         "except InternalInconsistencyError:\n"
         "    print('caught')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    # the child interpreter imports the same pbelyi as this one
+    path = os.pathsep.join(filter(None, (str(Path(pbelyi.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.stdout == "caught\n", proc.stderr
 
 
@@ -233,6 +240,18 @@ def test_point_order_and_parsing():
     f9 = FiniteField(3, 2)
     got = parse_point_set(f9, "2,1;inf")
     assert got == (P1Point(f9, f9.element([2, 1])), P1Point.infinity(f9))
+
+
+def test_parse_point_rejects_coordinates_out_of_range():
+    f25 = FiniteField(5, 2)
+    for field, text in ((F5, "5"), (F5, "-1"), (f25, "0,5"), (f25, "5,0"), (f25, "-1,0")):
+        with pytest.raises(PreconditionError, match="outside"):
+            parse_point(field, text)
+    assert parse_point(f25, "4,4") == P1Point(f25, f25.element([4, 4]))
+
+
+def test_three_points_are_zero_one_infinity():
+    assert three_points(F7) == (pt(F7, 0), pt(F7, 1), P1Point.infinity(F7))
 
 
 def test_ratmap_parse_round_trip():

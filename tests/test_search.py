@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from pbelyi.bounds import wild_bound
@@ -94,6 +96,33 @@ def test_normalized_stream_is_an_orbit_transversal():
         assert len(orbit & reps) == 1
 
 
+def _gcd_orbit_filter(field, d):
+    """Reference for normalize=True: the orbit images built as RationalMaps, each reduced by a gcd."""
+
+    def key(f):
+        return (f.den.sort_key(), f.num.sort_key())
+
+    kept = []
+    for f in enumerate_candidates(field, d):
+        n, den = f.num, f.den
+        images = (
+            RationalMap(den - n, den),
+            RationalMap(den, n),
+            RationalMap(den, den - n),
+            RationalMap(n - den, n),
+            RationalMap(n, n - den),
+        )
+        if all(key(f) <= key(g) for g in images):
+            kept.append(f)
+    return kept
+
+
+def test_normalized_stream_matches_the_gcd_reference():
+    for field, d_max in ((F3, 2), (F5, 1)):
+        for d in range(1, d_max + 1):
+            assert list(enumerate_candidates(field, d, normalize=True)) == _gcd_orbit_filter(field, d)
+
+
 def test_search_trivial_instance_is_identity():
     spec = SearchSpec(BelyiInstance(F5, [], []), "tame", 2, fields=[F5])
     res = minimal_belyi_degree(spec)
@@ -170,6 +199,33 @@ def test_search_workers_keep_a_custom_modulus():
     for workers in (1, 2):
         res = minimal_belyi_degree(spec, workers=workers)
         assert (str(res["witness"]), res["candidates_tested"]) == ("num=0,2;2,1/den=1,1;1,0", 406)
+
+
+def test_one_pool_serves_every_round(monkeypatch):
+    built = []
+    real_pool = search.multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        built.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", counting_pool)
+    # no degree-1 map sends four points into {0, 1, inf}, so the search runs
+    # three rounds: degree 1 over F_3 and F_9, then degree 2 over F_3 (x^2)
+    F9 = FiniteField(3, 2)
+    spec = SearchSpec(BelyiInstance(F3, p1_points(F3), []), "tame", 2, fields=[F3, F9])
+    serial = minimal_belyi_degree(spec)
+    assert built == []
+    parallel = minimal_belyi_degree(spec, workers=2)
+    assert len(built) == 1
+    assert multiprocessing.active_children() == []
+    assert str(serial["witness"]) == "poly=0,0,1"
+    for key in ("degree", "exhausted", "candidates_tested"):
+        assert parallel[key] == serial[key]
+    assert str(parallel["witness"]) == str(serial["witness"])
+    randomized = SearchSpec(spec.instance, "tame", 1, fields=[F3], mode="randomized", budget=5)
+    minimal_belyi_degree(randomized, workers=2)
+    assert len(built) == 1
 
 
 def test_randomized_mode_is_reproducible():

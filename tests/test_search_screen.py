@@ -1,8 +1,8 @@
 """The search screen against the verifiers it stands in front of.
 
 The screen must pass a candidate exactly when verify_tame_belyi or
-verify_wild_belyi (fast=True) passes it; the search relies on that to
-keep its witnesses and candidate counts.
+verify_wild_belyi passes it; the search relies on that to keep its
+witnesses and candidate counts.
 """
 
 import pytest
