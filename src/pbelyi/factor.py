@@ -16,6 +16,7 @@ from .field import FieldElement, FiniteField, _prime_divisors, frobenius
 from .poly import Polynomial
 
 DEFAULT_SEED = 1
+SPLIT_TRIES = 100
 
 
 def _rng(rng_or_seed) -> random.Random:
@@ -89,28 +90,53 @@ def distinct_degree(f: Polynomial) -> List[Tuple[Polynomial, int]]:
     return out
 
 
-def equal_degree(f: Polynomial, d: int, rng=None) -> List[Polynomial]:
-    """Factor a monic squarefree product of degree-d irreducibles (odd q)."""
-    gen = _rng(rng)
+def _split(f: Polynomial, d: int, gen: random.Random) -> Tuple[Polynomial, Polynomial]:
+    """One random split of f, a monic squarefree product of at least two
+    degree-d irreducibles (odd q), into two monic proper factors.
+
+    Each try splits such an f with probability about 1/2 or more, so
+    SPLIT_TRIES failures mean that f is not of that form.
+    """
     fld = f.field
-    if f.degree == d:
-        return [f]
     exponent = (fld.q ** d - 1) // 2
-    while True:
+    for _ in range(SPLIT_TRIES):
         r = Polynomial(fld, [fld.from_int_value(gen.randrange(fld.q)) for _ in range(f.degree)])
         if r.degree < 1:
             continue
         g = f.gcd(r)
-        if 0 < g.degree < f.degree:
-            left, right = g, f // g
-        else:
+        if not 0 < g.degree < f.degree:
             s = r.powmod(exponent, f)
             g = f.gcd(s - Polynomial.one(fld))
-            if 0 < g.degree < f.degree:
-                left, right = g, f // g
-            else:
-                continue
-        return equal_degree(left.monic(), d, gen) + equal_degree(right.monic(), d, gen)
+        if 0 < g.degree < f.degree:
+            return g.monic(), (f // g).monic()
+    raise PreconditionError(
+        f"no split of a degree-{f.degree} polynomial in {SPLIT_TRIES} tries: "
+        f"it is not a product of distinct irreducibles of degree {d}"
+    )
+
+
+def equal_degree(f: Polynomial, d: int, rng=None) -> List[Polynomial]:
+    """Factor a monic squarefree product of degree-d irreducibles (odd q)."""
+    gen = _rng(rng)
+    if f.degree == d:
+        return [f]
+    left, right = _split(f, d, gen)
+    return equal_degree(left, d, gen) + equal_degree(right, d, gen)
+
+
+def split_root(f: Polynomial, rng=None) -> FieldElement:
+    """One root of f, a product of distinct linear factors over its field.
+
+    Follows the smaller factor of each random split, so it costs about
+    log2(deg f) splits instead of the deg f - 1 that roots() needs.
+    """
+    gen = _rng(rng)
+    f = f.monic()
+    while f.degree > 1:
+        f = min(_split(f, 1, gen), key=lambda g: g.degree)
+    if f.degree != 1:
+        raise PreconditionError("a constant polynomial has no root")
+    return -f.coeff(0)
 
 
 def factor(f: Polynomial, rng=None) -> Tuple[FieldElement, List[Tuple[Polynomial, int]]]:
@@ -144,13 +170,9 @@ def roots(f: Polynomial, rng=None) -> List[FieldElement]:
     fld = f.field
     x = Polynomial.x(fld)
     linear_part = f.monic().gcd(x.powmod(fld.q, f) - x)
-    found: List[FieldElement] = []
-    for g, _ in squarefree_decomposition(linear_part):
-        for h, d in distinct_degree(g):
-            if d != 1:
-                raise InternalInconsistencyError("non-linear factor in root isolation")
-            for irr in equal_degree(h, 1, _rng(rng)):
-                found.append(-irr.coeff(0))
+    if linear_part.degree < 1:
+        return []
+    found = [-g.coeff(0) for g in equal_degree(linear_part, 1, rng)]
     return sorted(found, key=lambda e: e.int_value)
 
 

@@ -163,19 +163,31 @@ def _prime_divisors(n: int) -> List[int]:
     return out
 
 
+def _int_root(x: int, n: int) -> int:
+    """The integer part of the n-th root of x >= 0, by Newton's method from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(q: int) -> Tuple[int, int]:
-    """(p, n) with q = p**n for an odd prime p; PreconditionError otherwise."""
-    if isinstance(q, int) and not isinstance(q, bool) and q >= 3:
-        if is_prime(q):
-            return q, 1
-        divisors = _prime_divisors(q)
-        if len(divisors) == 1 and divisors[0] != 2:
-            p = divisors[0]
-            n = 0
-            while q > 1:
-                q //= p
-                n += 1
-            return p, n
+    """(p, n) with q = p**n for an odd prime p; PreconditionError otherwise.
+
+    The largest n with q an exact n-th power is the exponent, so no
+    trial division is needed.
+    """
+    if isinstance(q, int) and not isinstance(q, bool) and q >= 3 and q % 2:
+        for n in range(q.bit_length(), 0, -1):
+            r = _int_root(q, n)
+            if r ** n == q:
+                if is_prime(r):
+                    return r, n
+                break
     raise PreconditionError("q must be an odd prime power, got %r" % (q,))
 
 
@@ -566,14 +578,13 @@ def embed(source: FiniteField, target: FiniteField) -> EmbeddingMap:
     if source == target:
         return EmbeddingMap(source, target, target.gen)
     from .poly import Polynomial
-    from .factor import roots
+    from .factor import split_root
 
-    mod_poly = Polynomial(target, [target.element(c) for c in source.modulus])
-    candidates = roots(mod_poly)
-    if not candidates:
-        raise PreconditionError("source modulus has no root in target (internal)")
-    best = min(candidates, key=lambda e: e.coords)
-    return EmbeddingMap(source, target, best)
+    # the source modulus splits in target into one orbit under x -> x**p
+    orbit = [split_root(Polynomial(target, [target.element(c) for c in source.modulus]))]
+    for _ in range(source.n - 1):
+        orbit.append(frobenius(orbit[-1]))
+    return EmbeddingMap(source, target, min(orbit, key=lambda e: e.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -596,4 +607,6 @@ def parse_field(text: str) -> FiniteField:
 
 def parse_element(field: FiniteField, text: str) -> FieldElement:
     coords = [int(c) for c in text.strip().split(",")]
+    if any(not 0 <= c < field.p for c in coords):
+        raise PreconditionError(f"element {text.strip()!r} has a coordinate outside [0, {field.p})")
     return field.element(coords)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField
+from .field import FieldElement, FiniteField, parse_element
 
 
 class Polynomial:
@@ -269,8 +269,4 @@ def parse_poly(field: FiniteField, text: str) -> Polynomial:
     if text in ("", "0"):
         return Polynomial(field)
     sep = ";" if field.n > 1 else ","
-    parts = text.split(sep)
-    coeffs = []
-    for part in parts:
-        coeffs.append(field.element([int(c) for c in part.split(",")]))
-    return Polynomial(field, coeffs)
+    return Polynomial(field, [parse_element(field, part) for part in text.split(sep)])

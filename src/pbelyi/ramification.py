@@ -10,12 +10,11 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import (
-    GuardExceededError,
     InseparableMapError,
     InternalInconsistencyError,
     PreconditionError,
 )
-from .factor import factor, roots
+from .factor import factor, split_root
 from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
 from .ratmap import P1Point, RationalMap, three_points, wronskian
@@ -184,54 +183,52 @@ class RamReport:
         }
 
 
-def _affine_orbit(f: RationalMap, g: Polynomial, ext_degree_limit: int) -> RamOrbit:
+def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
+    """The orbit of the roots of g, worked out in K = F_q[x]/(g): no extension field is built."""
     base = f.field
-    d = g.degree
-    if base.n * d > ext_degree_limit:
-        raise GuardExceededError(
-            f"critical orbit of degree {d} needs an extension of degree {base.n * d} "
-            f"over the prime field, above the limit {ext_degree_limit}"
-        )
-    if d == 1:
-        ext, eps = base, None
-        num, den = f.num, f.den
-        root = -g.coeff(0)
-    else:
-        ext = FiniteField(base.p, base.n * d)
-        eps = embed(base, ext)
-        num = f.num.map_coefficients(eps)
-        den = f.den.map_coefficients(eps)
-        root = roots(g.map_coefficients(eps))[0]
-    beta = num.evaluate(root) / den.evaluate(root)
-    index = (num - den * beta).root_multiplicity(root)
+    q, d = base.q, g.degree
+    zero = Polynomial(base)
+    # f at a root of g; D is a unit of K since g does not divide it
+    beta = (f.num % g) * f.den.powmod(q ** d - 2, g) % g
+    conjugates = [beta]
+    for _ in range(d - 1):
+        nxt = conjugates[-1].powmod(q, g)
+        if nxt == beta:
+            break
+        conjugates.append(nxt)
+    coeffs = [Polynomial.one(base)]  # prod (y - beta_j) over K, constant term first
+    for b in conjugates:
+        coeffs = [(s - b * c) % g for s, c in zip([zero] + coeffs, coeffs + [zero])]
+    if any(c.degree > 0 for c in coeffs):
+        raise InternalInconsistencyError("branch minimal polynomial does not descend to the base field")
+    bmp = Polynomial(base, [c.coeff(0) for c in coeffs])
+    # sum b_i N^i D^(k-i) = prod (N - beta_j D) is divisible by g exactly e times
+    fibre = dpow = Polynomial.one(base)
+    for c in reversed(bmp.coeffs[:-1]):
+        dpow = dpow * f.den
+        fibre = fibre * f.num + dpow * c
+    index = _multiplicity(g, fibre)
     if index < 2:
         raise InternalInconsistencyError("critical point with ramification index below 2")
-    orbit = galois_orbit(beta, base)
-    bmp_ext = Polynomial.from_roots(ext, orbit)
-    if eps is None:
-        bmp = bmp_ext
-    else:
-        bmp = Polynomial(base, [eps.section(c) for c in bmp_ext.coeffs])
     value = P1Point(base, -bmp.coeff(0)) if bmp.degree == 1 else None
     return RamOrbit(g, index, d, index % base.p == 0, False, bmp, value)
 
 
 def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
+    """The point at infinity, read off the degrees of num and den."""
     base = f.field
-    conj = f.conjugate_by_reciprocal()
-    zero = base.zero
-    if conj.den.evaluate(zero).is_zero:
-        index = conj.den.root_multiplicity(zero)
-        branch_inf, bmp, value = True, None, None
+    num, den = f.num, f.den
+    if num.degree > den.degree:
+        index, beta = num.degree - den.degree, None
     else:
-        beta = conj.num.evaluate(zero) / conj.den.evaluate(zero)
-        index = (conj.num - conj.den * beta).root_multiplicity(zero)
-        branch_inf = False
-        bmp = Polynomial(base, (-beta, base.one))
-        value = P1Point(base, beta)
+        beta = num.leading / den.leading if num.degree == den.degree else base.zero
+        index = den.degree - (num - den * beta).degree
     if index < 2:
         return None
-    return RamOrbit(None, index, 1, index % base.p == 0, branch_inf, bmp, value)
+    if beta is None:
+        return RamOrbit(None, index, 1, index % base.p == 0, True, None, None)
+    bmp = Polynomial(base, (-beta, base.one))
+    return RamOrbit(None, index, 1, index % base.p == 0, False, bmp, P1Point(base, beta))
 
 
 def _collect_branches(base, orbits, rep_degree_limit) -> Tuple[BranchPoint, ...]:
@@ -247,17 +244,21 @@ def _collect_branches(base, orbits, rep_degree_limit) -> Tuple[BranchPoint, ...]
         rep = orbit.branch_value
         if rep is None and bmp.degree <= rep_degree_limit:
             fld = FiniteField(base.p, base.n * bmp.degree)
-            rep = P1Point(fld, roots(bmp.map_coefficients(embed(base, fld)))[0])
+            root = split_root(bmp.map_coefficients(embed(base, fld)))
+            rep = P1Point(fld, galois_orbit(root, base)[0])
         seen[key] = BranchPoint(bmp, bmp.degree, rep)
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 
-def analyze(f: RationalMap, rep_degree_limit: int = 12, ext_degree_limit: int = 256) -> RamReport:
+def analyze(f: RationalMap, rep_degree_limit: int = 12) -> RamReport:
     """Group the ramification of f into Galois orbits over its base field.
 
     Critical orbits dividing the denominator are read off from pole orders,
-    which keeps large wild examples cheap.  Raises InseparableMapError when
-    the Wronskian vanishes, since the critical locus is then not finite.
+    which keeps large wild examples cheap; the others are worked out in
+    F_q[x]/(g) and infinity from the degrees, so only the representatives
+    of branch orbits of degree <= rep_degree_limit build a field.  Raises
+    InseparableMapError when the Wronskian vanishes, since the critical
+    locus is then not finite.
     """
     base = f.field
     if f.is_constant:
@@ -274,7 +275,7 @@ def analyze(f: RationalMap, rep_degree_limit: int = 12, ext_degree_limit: int = 
                 raise InternalInconsistencyError("simple pole detected on the critical locus")
             orbits.append(RamOrbit(g, index, g.degree, index % base.p == 0, True, None, None))
         else:
-            orbits.append(_affine_orbit(f, g, ext_degree_limit))
+            orbits.append(_affine_orbit(f, g))
     inf_orbit = _infinity_orbit(f)
     if inf_orbit is not None:
         orbits.append(inf_orbit)

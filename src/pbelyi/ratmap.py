@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .field import EmbeddingMap, FieldElement, FiniteField
+from .field import EmbeddingMap, FieldElement, FiniteField, parse_element
 from .poly import Polynomial, parse_poly
 
 
@@ -279,10 +279,7 @@ def parse_point(field: FiniteField, text: str) -> P1Point:
     text = text.strip()
     if text == "inf":
         return P1Point.infinity(field)
-    coords = [int(c) for c in text.split(",")]
-    if any(not 0 <= c < field.p for c in coords):
-        raise PreconditionError(f"point {text!r} has a coordinate outside [0, {field.p})")
-    return P1Point(field, field.element(coords))
+    return P1Point(field, parse_element(field, text))
 
 
 def parse_point_set(field: FiniteField, text: str) -> Tuple[P1Point, ...]:

@@ -163,6 +163,20 @@ def test_out_of_range_point_exits_2():
     assert "outside [0, 5)" in proc.stderr
 
 
+def test_out_of_range_coefficient_exits_2():
+    proc = run_cli("--json", "verify", "tame", "--q", "5", "--map", "poly=0,7", "--S", "none")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "outside [0, 5)" in proc.stderr
+
+
+def test_large_composite_q_exits_2_at_once():
+    # (10^9 + 7)(10^9 + 9) has no small factor for trial division to find
+    proc = run_cli("bound", "tame", "--g", "0", "--s", "0", "--t", "0", "--q", "1000000016000000063")
+    assert proc.returncode == 2
+    assert "odd prime power" in proc.stderr
+
+
 def test_guard_override_flag():
     doc = run_json(
         "--guard-override",

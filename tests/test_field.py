@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -232,7 +233,12 @@ def test_parse_round_trips():
     f9 = parse_field("3^2")
     assert parse_element(f9, "2,1") == f9.element([2, 1])
     assert str(parse_element(f9, "2,1")) == "2,1"
-    assert parse_element(FiniteField(5), "7") == FiniteField(5)(2)
+    # the parser range-checks coordinates; FiniteField.element still reduces ints mod p
+    with pytest.raises(PreconditionError, match=r"outside \[0, 5\)"):
+        parse_element(FiniteField(5), "7")
+    with pytest.raises(PreconditionError):
+        parse_element(f9, "2,-1")
+    assert FiniteField(5).element(7) == FiniteField(5)(2)
 
 
 def test_prime_power_splits_odd_prime_powers():
@@ -246,3 +252,21 @@ def test_prime_power_splits_odd_prime_powers():
     assert prime_power(big) == (big, 1)
     with pytest.raises(PreconditionError):
         prime_power(3 * big)
+
+
+def test_prime_power_decides_large_q_without_trial_division():
+    p1, p2 = 10 ** 9 + 7, 10 ** 9 + 9
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="odd prime power"):
+        prime_power(p1 * p2)
+    assert prime_power(p1 ** 2) == (p1, 2)
+    assert prime_power(p1 ** 3) == (p1, 3)
+    with pytest.raises(PreconditionError):
+        prime_power(p1 ** 2 * p2 ** 2)  # a square, but of a composite
+    assert time.perf_counter() - start < 0.5
+    for q in (81, 3 ** 12, 5 ** 8, 7 ** 5, 2 ** 61 - 1):
+        p, n = prime_power(q)
+        assert p ** n == q and is_prime(p)
+    for bad in (3 ** 4 * 5 ** 4, 9 * 25, 2 ** 10, 3 ** 3 * 2):
+        with pytest.raises(PreconditionError):
+            prime_power(bad)

@@ -1,17 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbelyi.errors import PreconditionError
 from pbelyi.factor import (
+    equal_degree,
     factor,
     is_irreducible,
     pth_root,
     roots,
+    split_root,
     squarefree_decomposition,
     squarefree_part,
 )
-from pbelyi.field import FiniteField
+from pbelyi.field import FiniteField, embed, galois_orbit
 from pbelyi.poly import Polynomial, parse_poly
 
 F3 = FiniteField(3)
@@ -158,3 +162,50 @@ def test_parse_poly_round_trip():
     g = Polynomial(F9, [z, F9.one, z + 1])
     assert parse_poly(F9, str(g)) == g
     assert parse_poly(F5, "0").is_zero
+
+
+def test_parse_poly_rejects_coordinates_out_of_range():
+    for field, text in ((F5, "0,7"), (F5, "1,-1"), (F9, "0;1,3"), (F9, "2,0;5")):
+        with pytest.raises(PreconditionError, match="outside"):
+            parse_poly(field, text)
+    assert parse_poly(F5, "0,4") == P(F5, 0, 4)
+
+
+def test_split_root_examples():
+    assert split_root(P(F5, 1, 0, 1)) in (F5(2), F5(3))
+    assert split_root(P(F5, 3, 2)) == F5(1)  # 2x + 3
+    f = Polynomial.from_roots(F9, list(F9.elements()))
+    assert split_root(f) in list(F9.elements())
+    with pytest.raises(PreconditionError):
+        split_root(P(F5, 2))
+    # x^2 + 2 has no root in F_5, and x^3 + 2x + 1 is irreducible over F_3:
+    # the random splits give up instead of running for ever
+    with pytest.raises(PreconditionError, match="not a product"):
+        split_root(P(F5, 2, 0, 1))
+    with pytest.raises(PreconditionError, match="not a product"):
+        equal_degree(P(F3, 1, 2, 0, 1), 1)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_split_root_is_a_root_of_a_split_product(data):
+    field = data.draw(st.sampled_from((F3, F5, FiniteField(7), F9, FiniteField(5, 2), FiniteField(3, 3))))
+    codes = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=8, unique=True))
+    f = Polynomial.from_roots(field, [field.from_int_value(c) for c in codes])
+    found = roots(f)
+    assert [r.int_value for r in found] == sorted(codes)
+    assert split_root(f, rng=data.draw(st.integers(0, 99))) in found
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_split_root_orbit_is_every_root_of_an_irreducible(data):
+    base = data.draw(st.sampled_from((F3, F5, F9)))
+    k = data.draw(st.integers(1, 4 if base.q < 9 else 3))
+    ext = FiniteField(base.p, base.n * k)
+    eps = embed(base, ext)
+    a = ext.from_int_value(data.draw(st.integers(0, ext.q - 1)))
+    # the minimal polynomial of a over base, with coefficients read in ext
+    min_poly = Polynomial.from_roots(ext, galois_orbit(a, base))
+    assert all(eps(eps.section(c)) == c for c in min_poly.coeffs)
+    assert galois_orbit(split_root(min_poly), base) == tuple(roots(min_poly))

@@ -1,19 +1,25 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pbelyi import ramification
 from pbelyi.errors import InseparableMapError, PreconditionError
 from pbelyi.factor import roots
-from pbelyi.field import FiniteField, embed
+from pbelyi.field import FiniteField, embed, galois_orbit
 from pbelyi.poly import Polynomial
 from pbelyi.ramification import (
+    BranchPoint,
+    RamOrbit,
     analyze,
     discriminant_degree,
     is_simple_covering,
     verify_tame_belyi,
     verify_wild_belyi,
 )
-from pbelyi.ratmap import P1Point, RationalMap
+from pbelyi.ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, wronskian
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -302,3 +308,164 @@ def test_mobius_has_empty_report():
     assert report.points == () and report.branch_points == ()
     assert report.rh_defect == 0 and report.tame
     assert is_simple_covering(f).passed
+
+
+# -- the extension-field analyze that the residue-field one replaced, kept as an oracle
+
+
+def ext_affine_orbit(f, g):
+    """A critical orbit worked out at a root of g in the canonical F_{q^deg g}."""
+    base = f.field
+    d = g.degree
+    if d == 1:
+        ext, eps = base, None
+        num, den = f.num, f.den
+        root = -g.coeff(0)
+    else:
+        ext = FiniteField(base.p, base.n * d)
+        eps = embed(base, ext)
+        num = f.num.map_coefficients(eps)
+        den = f.den.map_coefficients(eps)
+        root = roots(g.map_coefficients(eps))[0]
+    beta = num.evaluate(root) / den.evaluate(root)
+    index = (num - den * beta).root_multiplicity(root)
+    bmp_ext = Polynomial.from_roots(ext, galois_orbit(beta, base))
+    bmp = bmp_ext if eps is None else Polynomial(base, [eps.section(c) for c in bmp_ext.coeffs])
+    value = P1Point(base, -bmp.coeff(0)) if bmp.degree == 1 else None
+    return RamOrbit(g, index, d, index % base.p == 0, False, bmp, value)
+
+
+def reciprocal_infinity_orbit(f):
+    """The point at infinity as the point 0 of f(1/x)."""
+    base = f.field
+    conj = f.conjugate_by_reciprocal()
+    zero = base.zero
+    if conj.den.evaluate(zero).is_zero:
+        index = conj.den.root_multiplicity(zero)
+        branch_inf, bmp, value = True, None, None
+    else:
+        beta = conj.num.evaluate(zero) / conj.den.evaluate(zero)
+        index = (conj.num - conj.den * beta).root_multiplicity(zero)
+        branch_inf = False
+        bmp = Polynomial(base, (-beta, base.one))
+        value = P1Point(base, beta)
+    if index < 2:
+        return None
+    return RamOrbit(None, index, 1, index % base.p == 0, branch_inf, bmp, value)
+
+
+def all_roots_branches(base, orbits, rep_degree_limit):
+    """Branch points whose representative is the least of all roots of the minimal polynomial."""
+    seen = {}
+    for orbit in orbits:
+        key = orbit.branch_key()
+        if key in seen:
+            continue
+        if orbit.branch_is_infinity:
+            seen[key] = BranchPoint(None, 1, P1Point.infinity(base))
+            continue
+        bmp = orbit.branch_min_poly
+        rep = orbit.branch_value
+        if rep is None and bmp.degree <= rep_degree_limit:
+            fld = FiniteField(base.p, base.n * bmp.degree)
+            rep = P1Point(fld, roots(bmp.map_coefficients(embed(base, fld)))[0])
+        seen[key] = BranchPoint(bmp, bmp.degree, rep)
+    return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
+
+
+def extension_field_report(f):
+    with mock.patch.multiple(
+        ramification,
+        _affine_orbit=ext_affine_orbit,
+        _infinity_orbit=reciprocal_infinity_orbit,
+        _collect_branches=all_roots_branches,
+    ):
+        return analyze(f)
+
+
+ORACLE_FIELDS = (F3, F5, F7, F9, FiniteField(5, 2), FiniteField(3, 3))
+
+
+def _random_poly(field, codes):
+    return Polynomial(field, [field.from_int_value(c) for c in codes])
+
+
+@st.composite
+def separable_maps(draw, fields=ORACLE_FIELDS, max_degree=6):
+    """A separable map: random num/den, or x^k or x^p + c x between Moebius maps."""
+    field = draw(st.sampled_from(fields))
+    code = st.integers(0, field.q - 1)
+    shape = draw(st.sampled_from(("random", "random", "power", "additive")))
+    if shape == "random":
+        d = draw(st.integers(1, max_degree))
+        num = _random_poly(field, draw(st.lists(code, min_size=d + 1, max_size=d + 1)))
+        den = _random_poly(field, draw(st.lists(code, min_size=1, max_size=d + 1)))
+        assume(not den.is_zero)
+        f = RationalMap(num, den)
+    else:
+        x = Polynomial.x(field)
+        if shape == "power":
+            core = x ** draw(st.integers(2, max_degree))
+        else:  # wild at infinity: the index there is p
+            assume(field.p <= max_degree)
+            core = x ** field.p + x * field.from_int_value(draw(code))
+        triple = st.lists(st.sampled_from(p1_points(field)), min_size=3, max_size=3, unique=True)
+        outer = mobius_from_triple(*draw(triple))
+        inner = mobius_from_triple(*draw(triple))
+        f = outer.compose(RationalMap.from_polynomial(core).compose(inner))
+    assume(not f.is_constant and not wronskian(f).is_zero)
+    return f
+
+
+@settings(max_examples=120)
+@given(f=separable_maps())
+def test_residue_field_report_matches_the_extension_field_one(f):
+    assert analyze(f).to_dict() == extension_field_report(f).to_dict()
+
+
+@settings(max_examples=60)
+@given(f=separable_maps(fields=(F3, F5, F7, F9), max_degree=5))
+def test_orbit_indices_match_brute_force_fibres(f):
+    report = analyze(f)
+    s = report.splitting_degree
+    assume(f.field.q ** s <= 729)
+    ext = f.field if s == 1 else FiniteField(f.field.p, f.field.n * s)
+    assert expand_report(report, ext) == brute_indices(f, ext)
+
+
+@settings(max_examples=150)
+@given(f=separable_maps(max_degree=8))
+def test_infinity_from_degrees_matches_the_reciprocal_map(f):
+    new, ref = ramification._infinity_orbit(f), reciprocal_infinity_orbit(f)
+    if ref is None:
+        assert new is None
+        return
+    assert new.to_dict() == ref.to_dict()
+    assert (new.branch_is_infinity, new.branch_min_poly, new.branch_value) == (
+        ref.branch_is_infinity,
+        ref.branch_min_poly,
+        ref.branch_value,
+    )
+
+
+def test_rational_branch_values_need_no_field(monkeypatch):
+    # (x^2 - 2)^2 over F_5: the critical orbit x^2 - 2 has degree 2, but
+    # every branch value (0, 4 and inf) is rational
+    f = rmap(F5, (4, 0, 1, 0, 1))
+    built = []
+    real_init = FiniteField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", counting_init)
+    report = analyze(f)
+    assert built == []
+    assert [(o.place_label(), o.index, o.orbit_size) for o in report.points] == [
+        ("0,1", 2, 1),
+        ("3,0,1", 2, 2),
+        ("inf", 4, 1),
+    ]
+    assert [b.label() for b in report.branch_points] == ["0", "4", "inf"]
+    assert all(b.representative.field == F5 for b in report.branch_points)

@@ -62,7 +62,7 @@ def separable_maps(draw):
     return f
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(f=separable_maps(), kind=st.sampled_from(["tame", "wild"]), data=st.data())
 def test_screen_matches_the_verifier_on_random_maps(f, kind, data):
     pts = p1_points(f.field)
