@@ -94,33 +94,21 @@ def parse_curve(text: str):
     raise PreconditionError(f"unrecognized curve format: {text!r}")
 
 
-def _prime_chunk(args):
-    p, coeffs, start, step = args
-    half = (p - 1) // 2
-    total = 0
-    for x in range(start, p, step):
-        t = 0
-        for c in reversed(coeffs):
-            t = (t * x + c) % p
-        if t == 0:
-            total += 1
-        elif pow(t, half, p) == 1:
-            total += 2
-    return total
-
-
-def _ext_chunk(args):
-    p, n, modulus, fcoords, start, step = args
-    field = FiniteField(p, n, modulus=modulus)
-    f = Polynomial(field, [field.element(list(c)) for c in fcoords])
+def _count_chunk(args):
+    """Affine points of y^2 = f(x) with x in one stripe of F_{p^n}; f given by its values."""
+    p, n, modulus, fvals, start, step = args
+    field = FiniteField(p, n, modulus)
+    add, mul, zero, one = field.add, field.mul, field.zero_value, field.one_value
     half = (field.q - 1) // 2
-    one = field.one
     total = 0
     for k in range(start, field.q, step):
-        t = f.evaluate(field.from_int_value(k))
-        if t.is_zero:
+        x = field.from_code(k)
+        t = zero
+        for c in reversed(fvals):
+            t = add(mul(t, x), c)
+        if t == zero:
             total += 1
-        elif t ** half == one:
+        elif field.pow(t, half) == one:
             total += 2
     return total
 
@@ -144,18 +132,11 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     if isinstance(curve, ProjectiveLine):
         return size + 1
     base = curve.field
-    nm = base.n * m
+    ext = FiniteField(base.p, base.n * m)
+    f_ext = curve.f if ext == base else curve.f.map_coefficients(embed(base, ext))
     stripes = max(1, workers)
-    if nm == 1:
-        coeffs = [c.int_value for c in curve.f.coeffs]
-        jobs = [(base.p, coeffs, i, stripes) for i in range(stripes)]
-        total = _sum_chunks(_prime_chunk, jobs, workers)
-    else:
-        ext = FiniteField(base.p, nm)
-        f_ext = curve.f if ext == base else curve.f.map_coefficients(embed(base, ext))
-        fcoords = tuple(c.coords for c in f_ext.coeffs)
-        jobs = [(base.p, nm, ext.modulus, fcoords, i, stripes) for i in range(stripes)]
-        total = _sum_chunks(_ext_chunk, jobs, workers)
+    jobs = [(ext.p, ext.n, ext.modulus, f_ext.values, i, stripes) for i in range(stripes)]
+    total = _sum_chunks(_count_chunk, jobs, workers)
     if curve.f.degree % 2 == 1:
         total += 1
     else:
@@ -296,8 +277,8 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
                 continue
             found = 0
             for k in range(q**d, 2 * q**d):
-                coeffs = [field.from_int_value(c) for c in digits(k, q, d + 1)]
-                if is_irreducible(Polynomial(field, coeffs)):
+                coeffs = [field.from_code(c) for c in digits(k, q, d + 1)]
+                if is_irreducible(Polynomial._from_values(field, coeffs)):
                     found += 1
             out[d] = found
         return out

@@ -12,7 +12,7 @@ import random
 from typing import List, Optional, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .field import FieldElement, FiniteField, _prime_divisors, frobenius
+from .field import FieldElement, _prime_divisors
 from .poly import Polynomial
 
 DEFAULT_SEED = 1
@@ -29,13 +29,14 @@ def pth_root(f: Polynomial) -> Polynomial:
     """The polynomial g with g**p = f; requires f to be a p-th power."""
     fld = f.field
     p = fld.p
+    root = p ** (fld.n - 1)  # c -> c**root inverts c -> c**p on F_{p^n}
     out = []
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(f.values):
         if i % p == 0:
-            out.append(frobenius(c, fld.n - 1) if fld.n > 1 else c)
-        elif not c.is_zero:
+            out.append(fld.pow(c, root))
+        elif c != fld.zero_value:
             raise PreconditionError("polynomial is not a p-th power")
-    return Polynomial(fld, out)
+    return Polynomial._from_values(fld, out)
 
 
 def squarefree_decomposition(f: Polynomial) -> List[Tuple[Polynomial, int]]:
@@ -100,7 +101,7 @@ def _split(f: Polynomial, d: int, gen: random.Random) -> Tuple[Polynomial, Polyn
     fld = f.field
     exponent = (fld.q ** d - 1) // 2
     for _ in range(SPLIT_TRIES):
-        r = Polynomial(fld, [fld.from_int_value(gen.randrange(fld.q)) for _ in range(f.degree)])
+        r = Polynomial._from_values(fld, [fld.from_code(gen.randrange(fld.q)) for _ in range(f.degree)])
         if r.degree < 1:
             continue
         g = f.gcd(r)

@@ -1,29 +1,44 @@
 """Dense univariate polynomials over a finite field.
 
-Coefficients are stored little-endian with trailing zeros stripped, so the
-zero polynomial has an empty coefficient tuple and degree -1.  Polynomials
-are immutable and hashable; arithmetic never mutates.
+Coefficients are stored as the field's element values, little-endian with
+trailing zeros stripped, so the zero polynomial has an empty value tuple and
+degree -1.  Every method runs on values through the field's ops; coeffs,
+coeff(i) and leading build FieldElement views on access.  Polynomials are
+immutable and hashable; arithmetic never mutates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
 from .field import FieldElement, FiniteField, parse_element
 
 
+def _stripped(field: FiniteField, vals: Sequence) -> Tuple:
+    zero = field.zero_value
+    i = len(vals)
+    while i and vals[i - 1] == zero:
+        i -= 1
+    return tuple(vals[:i])
+
+
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "values")
 
     def __init__(self, field: FiniteField, coeffs: Iterable = ()):
-        elems: List[FieldElement] = [field.element(c) for c in coeffs]
-        while elems and elems[-1].is_zero:
-            elems.pop()
+        """Coefficients are ints (prime-field constants), elements of field or coordinate sequences."""
         self.field = field
-        self.coeffs = tuple(elems)
+        self.values = _stripped(field, [field.value_of(c) for c in coeffs])
 
     # -- constructors
+
+    @classmethod
+    def _from_values(cls, field: FiniteField, vals: Sequence) -> "Polynomial":
+        """The polynomial with these element values, trailing zeros allowed."""
+        out = cls.__new__(cls)
+        out.field, out.values = field, _stripped(field, vals)
+        return out
 
     @classmethod
     def x(cls, field: FiniteField) -> "Polynomial":
@@ -47,56 +62,62 @@ class Polynomial:
     # -- structure
 
     @property
+    def coeffs(self) -> Tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, v) for v in self.values)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.values
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.values) <= 1
 
     @property
     def leading(self) -> FieldElement:
         if self.is_zero:
             raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.values[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.values) and self.values[-1] == self.field.one_value
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+        return FieldElement(self.field, self.values[i]) if 0 <= i < len(self.values) else self.field.zero
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        # each (field, coords) pair hashes as the FieldElement it stands for
+        fld = self.field
+        return hash((fld, tuple((fld, fld.coords(v)) for v in self.values)))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.values)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return ";".join(str(c) for c in self.coeffs) if self.field.n > 1 else ",".join(
-            str(c) for c in self.coeffs
-        )
+        coords = self.field.coords
+        return (";" if self.field.n > 1 else ",").join(",".join(map(str, coords(v))) for v in self.values)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field}; {self})"
 
     def sort_key(self) -> Tuple:
         """Deterministic order: by degree, then coefficient values low to high."""
-        return (self.degree, tuple(c.int_value for c in self.coeffs))
+        code = self.field.code
+        return (self.degree, tuple(code(v) for v in self.values))
 
     # -- arithmetic
 
@@ -108,19 +129,20 @@ class Polynomial:
         return Polynomial(self.field, [other])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
+        add = self.field.add
+        a, b = self.values, self._coerce(other).values
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
+            out[i] = add(out[i], c)
+        return Polynomial._from_values(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        neg = self.field.neg
+        return Polynomial._from_values(self.field, [neg(c) for c in self.values])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -129,41 +151,42 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        fld = self.field
+        mul = fld.mul
         if isinstance(other, (FieldElement, int)):
-            c = self.field.element(other)
-            return Polynomial(self.field, [a * c for a in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca.is_zero:
+            c = fld.value_of(other)
+            return Polynomial._from_values(fld, [mul(a, c) for a in self.values])
+        a, b = self.values, self._coerce(other).values
+        add, zero = fld.add, fld.zero_value
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == zero:
                 continue
-            for j, cb in enumerate(other.coeffs):
-                if not cb.is_zero:
-                    out[i + j] = out[i + j] + ca * cb
-        return Polynomial(self.field, out)
+            for j, cb in enumerate(b):
+                if cb != zero:
+                    out[i + j] = add(out[i + j], mul(ca, cb))
+        return Polynomial._from_values(fld, out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
+        fld = self.field
+        b = self._coerce(other).values
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = other.leading.inverse()
-        rem = list(self.coeffs)
-        db = other.degree
-        if len(rem) <= db:
-            return Polynomial(self.field), self
-        quo = [self.field.zero] * (len(rem) - db)
+        sub, mul, zero = fld.sub, fld.mul, fld.zero_value
+        inv_lead = fld.inv(b[-1])
+        rem = list(self.values)
+        db = len(b) - 1
+        quo = [zero] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
-            if not c.is_zero:
-                qc = c * inv_lead
+            if c != zero:
+                qc = mul(c, inv_lead)
                 quo[i - db] = qc
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] = rem[i - db + j] - qc * cb
-        return Polynomial(self.field, quo), Polynomial(self.field, rem[:db])
+                for j, cb in enumerate(b):
+                    rem[i - db + j] = sub(rem[i - db + j], mul(qc, cb))
+        return Polynomial._from_values(fld, quo), Polynomial._from_values(fld, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -196,8 +219,9 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
             return self
-        inv = self.leading.inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        fld = self.field
+        mul, inv = fld.mul, fld.inv(self.values[-1])
+        return Polynomial._from_values(fld, [mul(c, inv) for c in self.values])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, self._coerce(other)
@@ -206,61 +230,56 @@ class Polynomial:
         return a.monic()
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            self.field, [c * i for i, c in enumerate(self.coeffs)][1:]
-        )
+        fld = self.field
+        mul, value_of = fld.mul, fld.value_of
+        return Polynomial._from_values(fld, [mul(c, value_of(i)) for i, c in enumerate(self.values) if i])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        x = self.field.element(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        fld = self.field
+        add, mul, xv = fld.add, fld.mul, fld.value_of(x)
+        acc = fld.zero_value
+        for c in reversed(self.values):
+            acc = add(mul(acc, xv), c)
+        return FieldElement(fld, acc)
 
     __call__ = evaluate
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         inner = self._coerce(inner)
         acc = Polynomial(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
+        for c in reversed(self.values):
+            acc = acc * inner + Polynomial._from_values(self.field, (c,))
         return acc
 
     def map_coefficients(self, embedding) -> "Polynomial":
         """Coefficient-wise push through an EmbeddingMap."""
-        return Polynomial(embedding.target, [embedding(c) for c in self.coeffs])
+        image = embedding.image_value
+        return Polynomial._from_values(embedding.target, [image(c) for c in self.values])
 
     def reverse(self, at_degree: int = None) -> "Polynomial":
         """Coefficient reversal x**m * f(1/x) for m = at_degree (default deg f)."""
         m = self.degree if at_degree is None else at_degree
         if m < self.degree:
             raise PreconditionError("reversal degree below polynomial degree")
-        out = [self.field.zero] * (m + 1)
-        for i, c in enumerate(self.coeffs):
+        out = [self.field.zero_value] * (m + 1)
+        for i, c in enumerate(self.values):
             out[m - i] = c
-        return Polynomial(self.field, out)
+        return Polynomial._from_values(self.field, out)
+
+    def multiplicity(self, g: "Polynomial") -> int:
+        """The largest m with g**m dividing self, for g of positive degree."""
+        if self.is_zero:
+            raise PreconditionError("the zero polynomial is divisible by every power")
+        count = 0
+        quo, rem = divmod(self, g)
+        while rem.is_zero:
+            count += 1
+            quo, rem = divmod(quo, g)
+        return count
 
     def root_multiplicity(self, r: FieldElement) -> int:
-        """Multiplicity of x = r as a root, by repeated synthetic division."""
-        r = self.field.element(r)
-        if self.is_zero:
-            raise PreconditionError("every point is a root of the zero polynomial")
-        count = 0
-        current = list(self.coeffs)
-        while True:
-            # synthetic division of current by (x - r)
-            quo = [self.field.zero] * (len(current) - 1)
-            acc = self.field.zero
-            for i in range(len(current) - 1, 0, -1):
-                acc = acc * r + current[i]
-                quo[i - 1] = acc
-            remainder = acc * r + current[0]
-            if not remainder.is_zero:
-                return count
-            count += 1
-            if len(quo) == 0:
-                return count
-            current = quo
+        """Multiplicity of x = r as a root."""
+        return self.multiplicity(Polynomial(self.field, [-self.field.element(r), 1]))
 
 
 def parse_poly(field: FiniteField, text: str) -> Polynomial:

@@ -19,22 +19,15 @@ from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
 from .ratmap import P1Point, RationalMap, three_points, wronskian
 
+# branch orbits of degree up to this get a representative in an extension field
+REP_DEGREE_LIMIT = 12
+
 
 def _locus_key(min_poly) -> Tuple:
     """Hashable key of a closed point of the line: its minimal polynomial, None for infinity."""
     if min_poly is None:
         return ("inf",)
     return tuple(c.int_value for c in min_poly.coeffs)
-
-
-def _multiplicity(g: Polynomial, h: Polynomial) -> int:
-    count = 0
-    quo, rem = divmod(h, g)
-    while rem.is_zero:
-        count += 1
-        h = quo
-        quo, rem = divmod(h, g)
-    return count
 
 
 class RamOrbit:
@@ -207,7 +200,7 @@ def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
     for c in reversed(bmp.coeffs[:-1]):
         dpow = dpow * f.den
         fibre = fibre * f.num + dpow * c
-    index = _multiplicity(g, fibre)
+    index = fibre.multiplicity(g)
     if index < 2:
         raise InternalInconsistencyError("critical point with ramification index below 2")
     value = P1Point(base, -bmp.coeff(0)) if bmp.degree == 1 else None
@@ -231,7 +224,7 @@ def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
     return RamOrbit(None, index, 1, index % base.p == 0, False, bmp, P1Point(base, beta))
 
 
-def _collect_branches(base, orbits, rep_degree_limit) -> Tuple[BranchPoint, ...]:
+def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
     seen = {}
     for orbit in orbits:
         key = orbit.branch_key()
@@ -242,7 +235,7 @@ def _collect_branches(base, orbits, rep_degree_limit) -> Tuple[BranchPoint, ...]
             continue
         bmp = orbit.branch_min_poly
         rep = orbit.branch_value
-        if rep is None and bmp.degree <= rep_degree_limit:
+        if rep is None and bmp.degree <= REP_DEGREE_LIMIT:
             fld = FiniteField(base.p, base.n * bmp.degree)
             root = split_root(bmp.map_coefficients(embed(base, fld)))
             rep = P1Point(fld, galois_orbit(root, base)[0])
@@ -250,13 +243,13 @@ def _collect_branches(base, orbits, rep_degree_limit) -> Tuple[BranchPoint, ...]
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 
-def analyze(f: RationalMap, rep_degree_limit: int = 12) -> RamReport:
+def analyze(f: RationalMap) -> RamReport:
     """Group the ramification of f into Galois orbits over its base field.
 
     Critical orbits dividing the denominator are read off from pole orders,
     which keeps large wild examples cheap; the others are worked out in
     F_q[x]/(g) and infinity from the degrees, so only the representatives
-    of branch orbits of degree <= rep_degree_limit build a field.  Raises
+    of branch orbits of degree <= REP_DEGREE_LIMIT build a field.  Raises
     InseparableMapError when the Wronskian vanishes, since the critical
     locus is then not finite.
     """
@@ -270,7 +263,7 @@ def analyze(f: RationalMap, rep_degree_limit: int = 12) -> RamReport:
     _unit, parts = factor(w)
     for g, _mult in parts:
         if (f.den % g).is_zero:
-            index = _multiplicity(g, f.den)
+            index = f.den.multiplicity(g)
             if index < 2:
                 raise InternalInconsistencyError("simple pole detected on the critical locus")
             orbits.append(RamOrbit(g, index, g.degree, index % base.p == 0, True, None, None))
@@ -287,7 +280,7 @@ def analyze(f: RationalMap, rep_degree_limit: int = 12) -> RamReport:
         raise InternalInconsistencyError(
             f"ramification totals are inconsistent: defect {defect} with tame={tame}"
         )
-    branch_points = _collect_branches(base, orbits, rep_degree_limit)
+    branch_points = _collect_branches(base, orbits)
     splitting = 1
     for orbit in orbits:
         splitting = lcm(splitting, orbit.orbit_size)

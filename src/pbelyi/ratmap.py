@@ -93,10 +93,9 @@ class RationalMap:
             num = num // g
             den = den // g
         # normalize: monic denominator
-        lead_inv = den.leading.inverse()
-        if den.leading != den.field.one:
-            num = num * lead_inv
-            den = den * lead_inv
+        if not den.is_monic:
+            lead_inv = den.leading.inverse()
+            num, den = num * lead_inv, den * lead_inv
         self.field = num.field
         self.num = num
         self.den = den

@@ -30,14 +30,13 @@ DEFAULT_BUDGET = 2000
 
 def _poly_from_code(field, code, length):
     """The polynomial whose length coefficients are the base-q digits of code."""
-    return Polynomial(field, [field.from_int_value(c) for c in digits(code, field.q, length)])
+    return Polynomial._from_values(field, [field.from_code(c) for c in digits(code, field.q, length)])
 
 
 def _monic_key(num, den):
     """(den, num) sort keys of num/den once den is scaled to be monic."""
-    lead = den.leading
-    if lead != den.field.one:
-        inv = lead.inverse()
+    if not den.is_monic:
+        inv = den.leading.inverse()
         num, den = num * inv, den * inv
     return (den.sort_key(), num.sort_key())
 

@@ -170,6 +170,14 @@ def test_out_of_range_coefficient_exits_2():
     assert "outside [0, 5)" in proc.stderr
 
 
+def test_out_of_range_modulus_exits_2():
+    for q in ("3^2/1,0,4", "3^2/-2,0,1", "3^2/1,0,1,0"):
+        proc = run_cli("--json", "verify", "tame", "--q", q, "--map", "poly=0;1")
+        assert proc.returncode == 2, q
+        assert proc.stdout == ""
+        assert "modulus" in proc.stderr
+
+
 def test_large_composite_q_exits_2_at_once():
     # (10^9 + 7)(10^9 + 9) has no small factor for trial division to find
     proc = run_cli("bound", "tame", "--g", "0", "--s", "0", "--t", "0", "--q", "1000000016000000063")

@@ -241,6 +241,18 @@ def test_parse_round_trips():
     assert FiniteField(5).element(7) == FiniteField(5)(2)
 
 
+def test_parse_field_rejects_a_modulus_out_of_range():
+    # a coordinate outside [0, p), a count other than n + 1, a leading coefficient other than 1
+    for text in ("3^2/1,0,4", "3^2/-2,0,1", "3^2/1,0,1,0", "3^2/1,1", "3^2/2,0,2", "5/3,2"):
+        with pytest.raises(PreconditionError, match="modulus"):
+            parse_field(text)
+    assert parse_field("3^2/2,2,1").modulus == (2, 2, 1)
+    assert parse_field("5/3,1").modulus == (3, 1)
+    # the constructor still reduces its input
+    assert FiniteField(3, 2, [4, 0, 1]).modulus == (1, 0, 1)
+    assert FiniteField(3, 2, [-2, 0, 1, 0]).modulus == (1, 0, 1)
+
+
 def test_prime_power_splits_odd_prime_powers():
     for q, want in ((3, (3, 1)), (9, (3, 2)), (25, (5, 2)), (3 ** 7, (3, 7))):
         assert prime_power(q) == want

@@ -1,0 +1,285 @@
+"""The value kernel against the object arithmetic it replaced, and properties
+of field values, embeddings, factoring and the point-count chunk."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pbelyi.counting import _count_chunk
+from pbelyi.factor import factor, is_irreducible
+from pbelyi.field import FiniteField, embed
+from pbelyi.poly import Polynomial
+
+FIELDS = tuple(FiniteField(p, n) for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 6)))
+
+
+# -- reference: element arithmetic on coordinate tuples through int-tuple
+# polynomials over F_p, and polynomial arithmetic on element objects, as the
+# library computed them before elements became plain values
+
+
+def _trim(c):
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return tuple(c[:i])
+
+
+def _padd(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, cb in enumerate(b):
+        out[i] = (out[i] + cb) % p
+    return _trim(out)
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return _trim(out)
+
+
+def _pdivmod(a, b, p):
+    inv_lead = pow(b[-1], p - 2, p)
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] * inv_lead % p
+        quo[i - db] = q
+        for j, cb in enumerate(b):
+            rem[i - db + j] = (rem[i - db + j] - q * cb) % p
+    return _trim(quo), _trim(rem)
+
+
+def _pext_gcd(a, b, p):
+    """(g, u) with u*a = g mod b and g monic."""
+    r0, r1, s0, s1 = a, b, (1,), ()
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, tuple(-c % p for c in _pmul(q, s1, p)), p)
+    inv = pow(r0[-1], p - 2, p)
+    return _pmul(r0, (inv,), p), _pmul(s0, (inv,), p)
+
+
+class RefElement:
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = tuple(coords) + (0,) * (field.n - len(coords))
+
+    def _make(self, coords):
+        if len(coords) > self.field.n:
+            coords = _pdivmod(coords, self.field.modulus, self.field.p)[1]
+        return RefElement(self.field, coords)
+
+    @property
+    def is_zero(self):
+        return not any(self.coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords
+
+    def __add__(self, other):
+        p = self.field.p
+        return RefElement(self.field, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        p = self.field.p
+        return RefElement(self.field, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+
+    def __mul__(self, other):
+        return self._make(_pmul(_trim(self.coords), _trim(other.coords), self.field.p))
+
+    def inverse(self):
+        g, u = _pext_gcd(_trim(self.coords), self.field.modulus, self.field.p)
+        assert g == (1,)
+        return self._make(u)
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return cs
+
+
+def ref_mul(a, b, zero):
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return ref_trim(out)
+
+
+def ref_divmod(a, b, zero):
+    inv_lead = b[-1].inverse()
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], ref_trim(rem)
+    quo = [zero] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        qc = rem[i] * inv_lead
+        quo[i - db] = qc
+        for j, cb in enumerate(b):
+            rem[i - db + j] = rem[i - db + j] - qc * cb
+    return ref_trim(quo), ref_trim(rem[:db])
+
+
+def ref_gcd(a, b, zero):
+    while b:
+        a, b = b, ref_divmod(a, b, zero)[1]
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def ref_powmod(a, e, m, zero, one):
+    result = ref_divmod([one], m, zero)[1]
+    base = ref_divmod(a, m, zero)[1]
+    while e > 0:
+        if e & 1:
+            result = ref_divmod(ref_mul(result, base, zero), m, zero)[1]
+        base = ref_divmod(ref_mul(base, base, zero), m, zero)[1]
+        e >>= 1
+    return result
+
+
+def ref_of(f):
+    return [RefElement(f.field, c.coords) for c in f.coeffs]
+
+
+def coords_of(ref):
+    return [c.coords for c in ref]
+
+
+# -- strategies
+
+
+@st.composite
+def field_and_codes(draw, count, min_len=0, max_len=10):
+    field = draw(st.sampled_from(FIELDS))
+    code = st.integers(0, field.q - 1)
+    lists = [draw(st.lists(code, min_size=min_len, max_size=max_len)) for _ in range(count)]
+    return field, lists
+
+
+def poly(field, codes):
+    return Polynomial(field, [field.from_int_value(c) for c in codes])
+
+
+# -- the kernel against the reference
+
+
+@settings(max_examples=200)
+@given(data=field_and_codes(1, min_len=2, max_len=2))
+def test_element_ops_match_the_reference(data):
+    field, [(a, b)] = data
+    x, y = field.from_int_value(a), field.from_int_value(b)
+    rx, ry = RefElement(field, x.coords), RefElement(field, y.coords)
+    assert (x * y).coords == (rx * ry).coords
+    assert (x + y).coords == (rx + ry).coords
+    assert (x - y).coords == (rx - ry).coords
+    if not x.is_zero:
+        assert x.inverse().coords == rx.inverse().coords
+        assert (y / x).coords == (ry * rx.inverse()).coords
+
+
+@settings(max_examples=150)
+@given(data=field_and_codes(3), e=st.integers(0, 200))
+def test_polynomial_kernel_matches_the_reference(data, e):
+    field, (ca, cb, cm) = data
+    a, b, m = poly(field, ca), poly(field, cb), poly(field, cm)
+    zero, one = RefElement(field, ()), RefElement(field, (1,))
+    ra, rb, rm = ref_of(a), ref_of(b), ref_of(m)
+    assert [c.coords for c in (a * b).coeffs] == coords_of(ref_mul(ra, rb, zero))
+    assert [c.coords for c in a.gcd(b).coeffs] == coords_of(ref_gcd(ra, rb, zero))
+    if not b.is_zero:
+        quo, rem = divmod(a, b)
+        rquo, rrem = ref_divmod(ra, rb, zero)
+        assert ([c.coords for c in quo.coeffs], [c.coords for c in rem.coeffs]) == (
+            coords_of(rquo),
+            coords_of(rrem),
+        )
+    if not m.is_zero:
+        assert [c.coords for c in a.powmod(e, m).coeffs] == coords_of(ref_powmod(ra, e, rm, zero, one))
+
+
+# -- properties on values
+
+
+@settings(max_examples=200)
+@given(data=field_and_codes(1, min_len=3, max_len=3), e=st.integers(-20, 40))
+def test_field_axioms_on_values(data, e):
+    field, [codes] = data
+    a, b, c = (field.from_code(k) for k in codes)
+    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+    zero, one = field.zero_value, field.one_value
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, zero) == a and mul(a, one) == a and mul(a, zero) == zero
+    assert add(a, neg(a)) == zero and sub(a, b) == add(a, neg(b))
+    assert field.from_code(field.code(a)) == a and field.code(a) == codes[0]
+    if a != zero:
+        assert mul(a, field.inv(a)) == one
+        assert field.pow(a, field.q - 1) == one
+        assert field.pow(a, e) == field.pow(field.inv(a), -e)
+        assert mul(field.pow(a, e), a) == field.pow(a, e + 1)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_embed_is_a_ring_homomorphism_and_section_inverts_it(data):
+    base = data.draw(st.sampled_from(FIELDS[:5]))
+    k = data.draw(st.integers(1, 3))
+    ext = FiniteField(base.p, base.n * k)
+    eps = embed(base, ext)
+    a, b = (base.from_int_value(data.draw(st.integers(0, base.q - 1))) for _ in range(2))
+    assert eps(a + b) == eps(a) + eps(b)
+    assert eps(a * b) == eps(a) * eps(b)
+    assert eps(base.one) == ext.one and eps(base.zero) == ext.zero
+    assert eps.section(eps(a)) == a
+    f = Polynomial(base, [a, b, base.one])
+    assert f.map_coefficients(eps).coeffs == tuple(eps(c) for c in f.coeffs)
+
+
+@settings(max_examples=80)
+@given(data=field_and_codes(1, min_len=1, max_len=9))
+def test_factor_recomposes(data):
+    field, [codes] = data
+    f = poly(field, codes)
+    assume(not f.is_zero)
+    unit, parts = factor(f)
+    product = Polynomial.constant(field, unit)
+    for g, m in parts:
+        assert g.is_monic and is_irreducible(g)
+        product = product * g ** m
+    assert product == f
+
+
+def brute_affine_count(field, f):
+    """Pairs (x, y) with y^2 = f(x), from a table of squares."""
+    squares = {}
+    for y in field.elements():
+        key = (y * y).int_value
+        squares[key] = squares.get(key, 0) + 1
+    return sum(squares.get(f.evaluate(x).int_value, 0) for x in field.elements())
+
+
+@settings(max_examples=40)
+@given(data=field_and_codes(1, min_len=1, max_len=7), step=st.integers(1, 3))
+def test_count_chunk_matches_brute_force(data, step):
+    field, [codes] = data
+    f = poly(field, codes)
+    jobs = [(field.p, field.n, field.modulus, f.values, start, step) for start in range(step)]
+    assert sum(_count_chunk(job) for job in jobs) == brute_affine_count(field, f)

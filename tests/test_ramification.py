@@ -100,7 +100,7 @@ def test_square_map_is_simple():
     assert verdict.passed and not verdict.violations
 
 
-def test_xi_map_report():
+def test_xi_map_report(monkeypatch):
     xi = rmap(F5, (0, 1, 0, 0, 4))  # -x^4 + x
     report = analyze(xi)
     assert report.tame and report.rh_defect == 0
@@ -117,7 +117,8 @@ def test_xi_map_report():
     assert deep.degree == 2
     assert deep.representative is not None
     assert str(deep.representative.field) == "5^2"
-    skinny = analyze(xi, rep_degree_limit=1)
+    monkeypatch.setattr(ramification, "REP_DEGREE_LIMIT", 1)
+    skinny = analyze(xi)
     assert [b.representative for b in skinny.branch_points if b.degree == 2] == [None]
 
 
@@ -354,7 +355,7 @@ def reciprocal_infinity_orbit(f):
     return RamOrbit(None, index, 1, index % base.p == 0, branch_inf, bmp, value)
 
 
-def all_roots_branches(base, orbits, rep_degree_limit):
+def all_roots_branches(base, orbits, rep_degree_limit=12):
     """Branch points whose representative is the least of all roots of the minimal polynomial."""
     seen = {}
     for orbit in orbits:

@@ -8,7 +8,7 @@ import pytest
 
 import pbelyi
 from pbelyi.errors import InternalInconsistencyError, PreconditionError
-from pbelyi.field import FiniteField, embed
+from pbelyi.field import FieldElement, FiniteField, embed
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import (
     P1Point,
@@ -51,6 +51,22 @@ def test_reduction_and_normalization():
     assert g.den == Polynomial.one(F5)
     with pytest.raises(PreconditionError):
         rmap(F5, (1,), ())
+
+
+def test_only_a_non_monic_denominator_is_inverted(monkeypatch):
+    calls = []
+    real_inverse = FieldElement.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+    f = rmap(F5, (1, 2), (4, 1))
+    assert calls == [] and f.den == Polynomial(F5, (4, 1))
+    h = rmap(F5, (1, 2), (3, 2))  # (2x + 1)/(2x + 3) normalizes to (x + 3)/(x + 4)
+    assert calls == [F5(2)]
+    assert (h.num, h.den) == (Polynomial(F5, (3, 1)), Polynomial(F5, (4, 1)))
 
 
 def test_degree_and_constant_flag():
