@@ -94,12 +94,9 @@ def parse_curve(text: str):
     raise PreconditionError(f"unrecognized curve format: {text!r}")
 
 
-def _count_chunk(args):
-    """Affine points of y^2 = f(x) with x in one stripe of F_{p^n}; f given by its values."""
-    p, n, modulus, fvals, start, step = args
-    field = FiniteField(p, n, modulus)
-    add, mul, zero, one = field.add, field.mul, field.zero_value, field.one_value
-    half = (field.q - 1) // 2
+def _count_stripe(field, fvals, start, step):
+    """Affine points of y^2 = f(x) with x in one stripe of the field; f given by its values."""
+    add, mul, zero, is_square = field.add, field.mul, field.zero_value, field.is_square
     total = 0
     for k in range(start, field.q, step):
         x = field.from_code(k)
@@ -108,16 +105,15 @@ def _count_chunk(args):
             t = add(mul(t, x), c)
         if t == zero:
             total += 1
-        elif field.pow(t, half) == one:
+        elif is_square(t):
             total += 2
     return total
 
 
-def _sum_chunks(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return sum(fn(job) for job in jobs)
-    with multiprocessing.Pool(workers) as pool:
-        return sum(pool.map(fn, jobs))
+def _count_chunk(args):
+    """_count_stripe for a pool worker, which rebuilds the field from (p, n, modulus)."""
+    p, n, modulus, fvals, start, step = args
+    return _count_stripe(FiniteField(p, n, modulus), fvals, start, step)
 
 
 def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) -> int:
@@ -134,9 +130,12 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     base = curve.field
     ext = FiniteField(base.p, base.n * m)
     f_ext = curve.f if ext == base else curve.f.map_coefficients(embed(base, ext))
-    stripes = max(1, workers)
-    jobs = [(ext.p, ext.n, ext.modulus, f_ext.values, i, stripes) for i in range(stripes)]
-    total = _sum_chunks(_count_chunk, jobs, workers)
+    if workers <= 1:
+        total = _count_stripe(ext, f_ext.values, 0, 1)
+    else:
+        jobs = [(ext.p, ext.n, ext.modulus, f_ext.values, i, workers) for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
+            total = sum(pool.map(_count_chunk, jobs))
     if curve.f.degree % 2 == 1:
         total += 1
     else:

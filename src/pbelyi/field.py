@@ -5,10 +5,15 @@ polynomial over F_p stored little-endian (constant term first).  For given
 (p, n) the canonical modulus is the monic irreducible of degree n whose
 coefficient vector, read as a base-p integer with higher powers more
 significant, is smallest; that makes field construction reproducible with no
-lookup tables.  An element value is an int in [0, p) when n == 1 and the
+stored list of moduli.  An element value is an int in [0, p) when n == 1 and the
 reduced coordinate tuple in the power basis otherwise; the field's ops act on
 values, and FieldElement is a view of one value.  Everything here is immutable
 and hashable, and no floating point is used anywhere.
+
+A field with n > 1 and at most TABLE_LIMIT elements builds log/exp tables for
+a primitive element when it is made, and multiplies, inverts and raises to
+powers by lookup; larger fields multiply int-tuple polynomials and reduce.
+Either way the values are the same coordinate tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .errors import PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError
 
 IntPoly = Tuple[int, ...]  # little-endian coefficients over F_p
 
@@ -56,8 +61,9 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # int-tuple polynomials over F_p (little-endian): the reduction behind
-# multiplication and inversion in F_{p^n}, n > 1, and nothing else.  Routed
-# through the Polynomial kernel an F_{5^10} multiply took 48 us against 33 us.
+# multiplication and inversion in F_{p^n}, n > 1, above TABLE_LIMIT and in the
+# table build, and nothing else.  Routed through the Polynomial kernel an
+# F_{5^10} multiply took 48 us against 33 us.
 
 
 def _trim(c: Sequence[int]) -> IntPoly:
@@ -215,10 +221,74 @@ def _value_ops(p: int, n: int, modulus: IntPoly):
     )
 
 
-class FiniteField:
-    """The field with p**n elements, p an odd prime."""
+def _pow_by_squaring(mul, one, a, e: int):
+    """a**e for e >= 0 by repeated squaring with the given mul."""
+    result = one
+    while e > 0:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
 
-    __slots__ = ("p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul")
+
+def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
+    """(exp, log) for F_p[x]/(modulus), n > 1, with mul its int-tuple multiply.
+
+    exp lists the powers g^0 .. g^(q-2) of a primitive element g twice over,
+    so a sum of two logs indexes it directly; log maps each nonzero value to
+    its exponent.  g is the first value by code, past the constants, of order
+    q - 1.  When g = c1*x + c0 its powers step in O(n): shift, reduce the top
+    coordinate by the monic modulus, scale by c1 and add c0 times the old
+    value; otherwise each step is a general multiply.
+    """
+    q = p ** n
+    one = (1,) + (0,) * (n - 1)
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    for k in range(p, q):
+        g = tuple(digits(k, p, n))
+        if all(_pow_by_squaring(mul, one, g, e) != one for e in cofactors):
+            break
+    else:
+        raise InternalInconsistencyError(f"no primitive element in F_{p}^{n} modulo {modulus}")
+    if k < p * p:
+        c0, c1 = g[0], g[1]
+
+        def step(a):
+            top = a[-1]
+            return tuple([(c1 * (s - top * m) + c0 * x) % p for s, m, x in zip((0,) + a[:-1], modulus, a)])
+
+    else:
+        step = lambda a: mul(a, g)
+    exp = [one]
+    for _ in range(q - 2):
+        exp.append(step(exp[-1]))
+    log = {v: i for i, v in enumerate(exp)}
+    if len(log) != q - 1:
+        raise InternalInconsistencyError(f"the powers of {g} in F_{p}^{n} repeat before q - 1")
+    return exp + exp, log
+
+
+def _table_mul(exp, log, zero):
+    def mul(a, b):
+        if a == zero or b == zero:
+            return zero
+        return exp[log[a] + log[b]]
+
+    return mul
+
+
+TABLE_LIMIT = 4096  # the largest q whose F_{p^n}, n > 1, gets log/exp tables
+
+
+class FiniteField:
+    """The field with p**n elements, p an odd prime.
+
+    On a tabled field (n > 1, q <= TABLE_LIMIT) _exp and _log are the
+    tables from _log_exp_tables; otherwise both are None.
+    """
+
+    __slots__ = ("p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul", "_exp", "_log")
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -244,6 +314,10 @@ class FiniteField:
         self._hash = hash((self.p, self.n, self.modulus))
         ops = _value_ops(p, n, self.modulus)
         self.zero_value, self.one_value, self.add, self.sub, self.neg, self.mul = ops
+        self._exp = self._log = None
+        if n > 1 and p ** n <= TABLE_LIMIT:
+            self._exp, self._log = _log_exp_tables(p, n, self.modulus, self.mul)
+            self.mul = _table_mul(self._exp, self._log, self.zero_value)
 
     # -- descriptor protocol
 
@@ -281,6 +355,9 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self.n == 1:
             return pow(a, self.p - 2, self.p)
+        log = self._log
+        if log is not None:
+            return self._exp[len(log) - log[a]]  # len(log) = q - 1
         u = _pext_gcd(_trim(a), self.modulus, self.p)[1]  # the gcd is 1: the modulus is irreducible
         return u + (0,) * (self.n - len(u))
 
@@ -290,14 +367,20 @@ class FiniteField:
             a, e = self.inv(a), -e
         if self.n == 1:
             return pow(a, e, self.p)
-        mul = self.mul
-        result = self.one_value
-        while e > 0:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
+        log = self._log
+        if log is None:
+            return _pow_by_squaring(self.mul, self.one_value, a, e)
+        if a == self.zero_value:
+            return self.one_value if e == 0 else a
+        return self._exp[log[a] * e % len(log)]
+
+    def is_square(self, a) -> bool:
+        """Whether a nonzero value is a square: on a tabled field exactly when
+        its log is even (q - 1 is even), otherwise by Euler's criterion."""
+        log = self._log
+        if log is not None:
+            return not log[a] & 1
+        return self.pow(a, (self.q - 1) // 2) == self.one_value
 
     def code(self, a) -> int:
         """Base-p value of the coordinate vector; the canonical element order."""

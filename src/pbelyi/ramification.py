@@ -226,6 +226,7 @@ def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
 
 def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
     seen = {}
+    fields = {}  # degree -> (field, embedding); a tabled field costs up to a few ms to build
     for orbit in orbits:
         key = orbit.branch_key()
         if key in seen:
@@ -236,8 +237,11 @@ def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
         bmp = orbit.branch_min_poly
         rep = orbit.branch_value
         if rep is None and bmp.degree <= REP_DEGREE_LIMIT:
-            fld = FiniteField(base.p, base.n * bmp.degree)
-            root = split_root(bmp.map_coefficients(embed(base, fld)))
+            if bmp.degree not in fields:
+                fld = FiniteField(base.p, base.n * bmp.degree)
+                fields[bmp.degree] = fld, embed(base, fld)
+            fld, eps = fields[bmp.degree]
+            root = split_root(bmp.map_coefficients(eps))
             rep = P1Point(fld, galois_orbit(root, base)[0])
         seen[key] = BranchPoint(bmp, bmp.degree, rep)
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))

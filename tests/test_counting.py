@@ -1,5 +1,6 @@
 import pytest
 
+from pbelyi import counting
 from pbelyi.counting import (
     CurvePoint,
     Hyperelliptic,
@@ -100,6 +101,20 @@ def test_counts_match_brute_force_cubic_extension():
 def test_workers_agree():
     for curve, m in ((ELLIPTIC5, 2), (GENUS2, 1)):
         assert count_points(curve, m, workers=2) == count_points(curve, m, workers=1)
+
+
+def test_count_points_builds_its_field_once(monkeypatch):
+    """Without workers the count runs on the field count_points built, with no second modulus check."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return FiniteField(*args)
+
+    monkeypatch.setattr(counting, "FiniteField", counted)
+    curve = Hyperelliptic(F9, Polynomial(F9, (1, 2, 0, 0, 0, 1)))
+    assert count_points(curve, 2) == brute_count(curve, 2)
+    assert built == [(3, 4)]
 
 
 def test_point_counts_mapping():

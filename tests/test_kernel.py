@@ -1,15 +1,27 @@
 """The value kernel against the object arithmetic it replaced, and properties
-of field values, embeddings, factoring and the point-count chunk."""
+of field values, log/exp tables, embeddings, factoring and the point-count
+chunk."""
 
+from functools import lru_cache
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pbelyi.counting import _count_chunk
+from pbelyi import field as field_module
+from pbelyi.counting import _count_chunk, _count_stripe
+from pbelyi.errors import InternalInconsistencyError
 from pbelyi.factor import factor, is_irreducible
-from pbelyi.field import FiniteField, embed
+from pbelyi.field import TABLE_LIMIT, FiniteField, _value_ops, embed, parse_field
 from pbelyi.poly import Polynomial
 
-FIELDS = tuple(FiniteField(p, n) for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 6)))
+# F_9 .. F_{3^6}, F_{7^3} and F_{5^5} multiply by table (F_{7^3} and F_{5^5}
+# have no primitive x + c), F_{5^6} is above TABLE_LIMIT and multiplies
+# int-tuple polynomials
+FIELDS = tuple(
+    FiniteField(p, n)
+    for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 6), (7, 3), (5, 5), (5, 6))
+)
 
 
 # -- reference: element arithmetic on coordinate tuples through int-tuple
@@ -267,19 +279,100 @@ def test_factor_recomposes(data):
     assert product == f
 
 
-def brute_affine_count(field, f):
-    """Pairs (x, y) with y^2 = f(x), from a table of squares."""
+@lru_cache(maxsize=None)
+def square_counts(field):
+    """code of t -> number of y with y^2 = t."""
     squares = {}
     for y in field.elements():
         key = (y * y).int_value
         squares[key] = squares.get(key, 0) + 1
-    return sum(squares.get(f.evaluate(x).int_value, 0) for x in field.elements())
+    return squares
 
 
-@settings(max_examples=40)
-@given(data=field_and_codes(1, min_len=1, max_len=7), step=st.integers(1, 3))
-def test_count_chunk_matches_brute_force(data, step):
-    field, [codes] = data
-    f = poly(field, codes)
-    jobs = [(field.p, field.n, field.modulus, f.values, start, step) for start in range(step)]
-    assert sum(_count_chunk(job) for job in jobs) == brute_affine_count(field, f)
+@settings(max_examples=15)
+@given(codes=st.lists(st.integers(0, 15624), min_size=1, max_size=7), step=st.integers(1, 3))
+def test_count_chunk_matches_brute_force(codes, step):
+    """On every field of FIELDS, tabled ones taking the character as the parity
+    of the log and the others by Euler's criterion; above q = 729 one sparse
+    stripe only."""
+    for field in FIELDS:
+        f = poly(field, [c % field.q for c in codes])
+        stride = step if field.q <= 729 else 257 * step
+        starts = range(stride) if stride <= 3 else (codes[0] % stride,)
+        xs = [field.from_int_value(k) for start in starts for k in range(start, field.q, stride)]
+        expected = sum(square_counts(field).get(f.evaluate(x).int_value, 0) for x in xs)
+        jobs = [(field.p, field.n, field.modulus, f.values, start, stride) for start in starts]
+        assert sum(_count_chunk(job) for job in jobs) == expected
+        assert [_count_stripe(field, f.values, *job[4:]) for job in jobs] == [_count_chunk(job) for job in jobs]
+
+
+# -- log/exp tables
+
+
+@pytest.mark.parametrize("text", ["3^2", "5^2", "3^3"])
+def test_tables_match_the_int_tuple_ops_exhaustively(text):
+    field = parse_field(text)
+    assert field._log is not None
+    slow_mul = _value_ops(field.p, field.n, field.modulus)[5]
+    zero, one = field.zero_value, field.one_value
+    values = [field.from_code(k) for k in range(field.q)]
+    squares = {slow_mul(a, a) for a in values}
+    for a in values:
+        assert [field.mul(a, b) for b in values] == [slow_mul(a, b) for b in values]
+        power = one
+        for e in range(2 * field.q):
+            assert field.pow(a, e) == power
+            power = slow_mul(power, a)
+        if a != zero:
+            inverse = field.inv(a)
+            assert inverse == RefElement(field, a).inverse().coords
+            assert field.is_square(a) == (a in squares)
+            assert all(field.pow(a, -e) == field.pow(inverse, e) for e in range(2 * field.q))
+
+
+@pytest.mark.parametrize(
+    "text, route",
+    [
+        ("3^2", "x + c"),
+        ("3^2/2,2,1", "x + c"),
+        ("3^3", "x + c"),
+        ("3^6", "x + c"),
+        ("7^3", "c1*x + c0"),
+        ("5^5", "c1*x + c0"),
+        ("3^4/2,0,1,0,1", "general"),
+    ],
+)
+def test_table_invariants(text, route):
+    field = parse_field(text)
+    p, q = field.p, field.q
+    exp, log = field._exp, field._log
+    assert len(exp) == 2 * (q - 1) and exp[q - 1 :] == exp[: q - 1]
+    assert sorted(field.code(v) for v in exp[: q - 1]) == list(range(1, q))
+    assert len(log) == q - 1 and all(log[v] == i for i, v in enumerate(exp[: q - 1]))
+    # the generator's powers under the field's own modulus, by the int-tuple multiply
+    slow_mul = _value_ops(p, field.n, field.modulus)[5]
+    g = exp[1]
+    assert exp[0] == field.one_value
+    assert all(slow_mul(exp[i], g) == exp[i + 1] for i in range(q - 1))
+    code = field.code(g)
+    assert {"x + c": p <= code < 2 * p, "c1*x + c0": 2 * p <= code < p * p, "general": code >= p * p}[route]
+    zero = field.zero_value
+    with pytest.raises(ZeroDivisionError):
+        field.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        field.pow(zero, -1)
+    assert field.pow(zero, 0) == field.one_value and field.pow(zero, 3) == zero
+
+
+def test_no_primitive_element_is_an_internal_error(monkeypatch):
+    """With every order test made to fail the build raises, not asserts, so -O keeps the check."""
+    monkeypatch.setattr(field_module, "_prime_divisors", lambda n: [1])
+    with pytest.raises(InternalInconsistencyError, match="no primitive element"):
+        FiniteField(3, 2)
+
+
+def test_tables_follow_the_field_size():
+    assert FiniteField(3, 2, (2, 2, 1))._exp != FiniteField(3, 2)._exp
+    assert FiniteField(5, 5)._log is not None  # 3125 <= TABLE_LIMIT
+    for field in (FiniteField(3), FiniteField(5, 6), FiniteField(3, 8)):
+        assert field._exp is None and field._log is None
