@@ -662,7 +662,10 @@ class CoveringDescriptor:
             parts = _branch_partitions(report)
             for bp in report.branch_points:
                 branch.append((bp.min_poly, parts[bp.key()]))
-        return cls(field, map_.degree, 0, branch, zS, zT, map=map_)
+        # the branch data comes from this very map, so only the map-free checks run
+        desc = cls(field, map_.degree, 0, branch, zS, zT)
+        desc.map = map_
+        return desc
 
     def __repr__(self):
         return "CoveringDescriptor(degree=%d, genus=%d, %d branch orbits)" % (

@@ -2,8 +2,9 @@
 
 Ramification data is grouped into Galois orbits over the base field, so a
 report never depends on a choice of extension field.  Orbits are located by
-their minimal polynomials; representatives in an extension are materialized
-only when small enough to be worth printing.
+their minimal polynomials, and `analyze` builds no field.  A branch orbit of
+degree 2 to REP_DEGREE_LIMIT gets a display representative in an extension
+field the first time its `representative` is read.
 """
 
 from math import lcm
@@ -19,7 +20,7 @@ from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
 from .ratmap import P1Point, RationalMap, three_points, wronskian
 
-# branch orbits of degree up to this get a representative in an extension field
+# branch orbits of degree up to this get a representative in an extension field when read
 REP_DEGREE_LIMIT = 12
 
 
@@ -88,14 +89,33 @@ class RamOrbit:
 
 
 class BranchPoint:
-    """A Galois orbit of branch values, identified by its minimal polynomial."""
+    """A Galois orbit of branch values, identified by its minimal polynomial.
 
-    __slots__ = ("min_poly", "degree", "representative")
+    A representative given to the constructor is kept as given.  One made by
+    `on_demand` is found at the first read of `representative` and cached.
+    """
+
+    __slots__ = ("min_poly", "degree", "_representative", "_fields")
 
     def __init__(self, min_poly, degree, representative):
         self.min_poly = min_poly  # None marks infinity
         self.degree = degree
-        self.representative = representative  # P1Point in a canonical field, or None
+        self._representative = representative  # P1Point in a canonical field, or None
+        self._fields = None  # the report's display fields while the representative is unread
+
+    @classmethod
+    def on_demand(cls, min_poly, fields):
+        """A non-rational branch orbit; fields (degree -> field, embedding) is shared within a report."""
+        bp = cls(min_poly, min_poly.degree, None)
+        bp._fields = fields
+        return bp
+
+    @property
+    def representative(self):
+        if self._fields is not None:
+            self._representative = _display_root(self.min_poly, self._fields)
+            self._fields = None
+        return self._representative
 
     @property
     def is_infinity(self) -> bool:
@@ -224,26 +244,33 @@ def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
     return RamOrbit(None, index, 1, index % base.p == 0, False, bmp, P1Point(base, beta))
 
 
+def _display_root(bmp, fields) -> Optional[P1Point]:
+    """The least root of bmp in the canonical F_{q^k}, k = deg bmp, or None above REP_DEGREE_LIMIT."""
+    k = bmp.degree
+    if k > REP_DEGREE_LIMIT:
+        return None
+    base = bmp.field
+    if k not in fields:  # a tabled field costs up to a few ms to build
+        fld = FiniteField(base.p, base.n * k)
+        fields[k] = fld, embed(base, fld)
+    fld, eps = fields[k]
+    root = split_root(bmp.map_coefficients(eps))
+    return P1Point(fld, galois_orbit(root, base)[0])
+
+
 def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
     seen = {}
-    fields = {}  # degree -> (field, embedding); a tabled field costs up to a few ms to build
+    fields = {}  # display fields, one per branch-orbit degree, built when a representative is read
     for orbit in orbits:
         key = orbit.branch_key()
         if key in seen:
             continue
         if orbit.branch_is_infinity:
             seen[key] = BranchPoint(None, 1, P1Point.infinity(base))
-            continue
-        bmp = orbit.branch_min_poly
-        rep = orbit.branch_value
-        if rep is None and bmp.degree <= REP_DEGREE_LIMIT:
-            if bmp.degree not in fields:
-                fld = FiniteField(base.p, base.n * bmp.degree)
-                fields[bmp.degree] = fld, embed(base, fld)
-            fld, eps = fields[bmp.degree]
-            root = split_root(bmp.map_coefficients(eps))
-            rep = P1Point(fld, galois_orbit(root, base)[0])
-        seen[key] = BranchPoint(bmp, bmp.degree, rep)
+        elif orbit.branch_value is not None:
+            seen[key] = BranchPoint(orbit.branch_min_poly, 1, orbit.branch_value)
+        else:
+            seen[key] = BranchPoint.on_demand(orbit.branch_min_poly, fields)
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 
@@ -252,10 +279,10 @@ def analyze(f: RationalMap) -> RamReport:
 
     Critical orbits dividing the denominator are read off from pole orders,
     which keeps large wild examples cheap; the others are worked out in
-    F_q[x]/(g) and infinity from the degrees, so only the representatives
-    of branch orbits of degree <= REP_DEGREE_LIMIT build a field.  Raises
-    InseparableMapError when the Wronskian vanishes, since the critical
-    locus is then not finite.
+    F_q[x]/(g) and infinity from the degrees, so no field is built; the
+    representative of a branch orbit of degree <= REP_DEGREE_LIMIT builds
+    one when it is first read.  Raises InseparableMapError when the
+    Wronskian vanishes, since the critical locus is then not finite.
     """
     base = f.field
     if f.is_constant:

@@ -11,9 +11,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CHILD_PATH = os.pathsep.join(filter(None, (str(Path(pbelyi.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 
-def run_cli(*argv):
+def run_cli(*argv, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "pbelyi.cli", *argv],
+        [sys.executable, *python_flags, "-m", "pbelyi.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=CHILD_PATH),
@@ -276,6 +276,16 @@ GOLDEN_CASES = [
 def test_golden_outputs_are_stable():
     for name, argv in GOLDEN_CASES:
         proc = run_cli("--json", *argv)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == (GOLDEN / name).read_text(), name
+
+
+def test_verify_goldens_are_stable_under_python_O():
+    # without asserts; verify_collapse_q5.json prints a representative in F_25, found on demand
+    cases = [(name, argv) for name, argv in GOLDEN_CASES if name.startswith("verify_")]
+    assert len(cases) == 4
+    for name, argv in cases:
+        proc = run_cli("--json", *argv, python_flags=("-O",))
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout == (GOLDEN / name).read_text(), name
 

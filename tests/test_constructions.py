@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pbelyi import constructions
 from pbelyi.bounds import wild_bound
 from pbelyi.constructions import (
     BelyiInstance,
@@ -358,6 +359,39 @@ def test_descriptor_from_map_derives_branch_data():
     desc = CoveringDescriptor.from_map(square, S=["0"], T=[])
     derived = {doc["min_poly"]: doc["partition"] for doc in desc.to_dict()["branch"]}
     assert derived == {"0,1": [2], "inf": [2]}
+
+
+def test_descriptor_from_map_runs_analyze_once(monkeypatch):
+    x = Polynomial.x(F7)
+    f = RationalMap.from_polynomial(x - x ** 6)
+    calls = []
+    real_analyze = constructions.analyze
+
+    def counting_analyze(g):
+        calls.append(g)
+        return real_analyze(g)
+
+    monkeypatch.setattr(constructions, "analyze", counting_analyze)
+    desc = CoveringDescriptor.from_map(f, S=["0", "1", "inf"], T=["3"])
+    assert calls == [f]
+    assert desc.map is f
+    doc = desc.to_dict()
+    assert doc == {
+        "n": 6,
+        "g": 0,
+        "branch": [
+            {"min_poly": "2,1", "partition": [2, 1, 1, 1, 1]},
+            {"min_poly": "2,6,4,5,1", "partition": [2, 1, 1, 1, 1]},
+            {"min_poly": "inf", "partition": [6]},
+        ],
+        "zS": ["0", "inf"],
+        "zT": ["2"],
+        "map": "poly=0,1,0,0,0,0,6",
+    }
+    # the constructor re-derives the branch data from an attached map, and agrees
+    checked = CoveringDescriptor(F7, 6, 0, desc.branch, desc.zS, desc.zT, map=f)
+    assert len(calls) == 2
+    assert checked.to_dict() == doc
 
 
 def test_descriptor_validation():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pbelyi import ramification
 from pbelyi.errors import InseparableMapError, PreconditionError
-from pbelyi.factor import roots
+from pbelyi.factor import roots, split_root
 from pbelyi.field import FiniteField, embed, galois_orbit
 from pbelyi.poly import Polynomial
 from pbelyi.ramification import (
@@ -449,10 +449,8 @@ def test_infinity_from_degrees_matches_the_reciprocal_map(f):
     )
 
 
-def test_rational_branch_values_need_no_field(monkeypatch):
-    # (x^2 - 2)^2 over F_5: the critical orbit x^2 - 2 has degree 2, but
-    # every branch value (0, 4 and inf) is rational
-    f = rmap(F5, (4, 0, 1, 0, 1))
+def count_field_builds(monkeypatch):
+    """A list that gets the arguments of every FiniteField built from now on."""
     built = []
     real_init = FiniteField.__init__
 
@@ -461,6 +459,14 @@ def test_rational_branch_values_need_no_field(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteField, "__init__", counting_init)
+    return built
+
+
+def test_rational_branch_values_need_no_field(monkeypatch):
+    # (x^2 - 2)^2 over F_5: the critical orbit x^2 - 2 has degree 2, but
+    # every branch value (0, 4 and inf) is rational
+    f = rmap(F5, (4, 0, 1, 0, 1))
+    built = count_field_builds(monkeypatch)
     report = analyze(f)
     assert built == []
     assert [(o.place_label(), o.index, o.orbit_size) for o in report.points] == [
@@ -470,3 +476,49 @@ def test_rational_branch_values_need_no_field(monkeypatch):
     ]
     assert [b.label() for b in report.branch_points] == ["0", "4", "inf"]
     assert all(b.representative.field == F5 for b in report.branch_points)
+
+
+def eager_representative(bp):
+    """The display representative built at once: canonical field, split_root, least of the orbit."""
+    base = bp.min_poly.field
+    fld = FiniteField(base.p, base.n * bp.degree)
+    root = split_root(bp.min_poly.map_coefficients(embed(base, fld)))
+    return P1Point(fld, galois_orbit(root, base)[0])
+
+
+F25 = FiniteField(5, 2)
+LAZY_CASES = [
+    # -x^4 + x over F_5: one branch orbit of degree 2
+    (rmap(F5, (0, 1, 0, 0, 4)), [2]),
+    # a random degree-4 map over F_25 (drawn from random.Random(25)): two branch orbits of degree 3
+    (rmap(F25, ([1], [4, 1], [3, 3], [3, 2], [3]), ([3, 3], [3], [3, 3], [1, 4], [3, 4])), [3, 3]),
+]
+
+
+@pytest.mark.parametrize("f,degrees", LAZY_CASES)
+def test_analyze_builds_no_field_and_representatives_build_one_on_first_read(monkeypatch, f, degrees):
+    built = count_field_builds(monkeypatch)
+    report = analyze(f)
+    assert built == []
+    lazy = [bp for bp in report.branch_points if bp.degree > 1]
+    assert [bp.degree for bp in lazy] == degrees
+    first = lazy[0].representative
+    assert len(built) == 1
+    assert lazy[0].representative is first
+    assert len(built) == 1
+    # orbits of the same degree share the report's display field
+    assert [bp.representative.field for bp in lazy[1:]] == [first.field] * (len(lazy) - 1)
+    assert len(built) == 1
+    expected = [eager_representative(bp) for bp in lazy]
+    assert [bp.representative for bp in lazy] == expected
+    assert all(str(bp.representative.field) == str(e.field) for bp, e in zip(lazy, expected))
+
+
+@settings(max_examples=60)
+@given(f=separable_maps())
+def test_lazy_representatives_are_invisible(f):
+    # a report printed at once, against reports whose branch points a verifier has already read
+    first = analyze(f).to_dict()
+    for verdict in (verify_tame_belyi(f), verify_wild_belyi(f), is_simple_covering(f)):
+        assert verdict.report.to_dict() == first
+        assert verdict.report.to_dict() == first
