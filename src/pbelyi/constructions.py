@@ -6,6 +6,8 @@ recipes never certify themselves.  Provenance lists record the choices made
 reproducible.
 """
 
+from itertools import islice
+
 from .bounds import (
     ceil_log_q,
     decimal_string,
@@ -15,13 +17,12 @@ from .bounds import (
     wild_N,
     wild_bound,
 )
-from .counting import ProjectiveLine, pick_points
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from .factor import is_irreducible, roots
 from .field import FieldElement, FiniteField, embed, galois_orbit, prime_power
 from .poly import Polynomial
 from .ramification import BelyiVerdict, _locus_key, analyze, verify_tame_belyi, verify_wild_belyi
-from .ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, parse_point, three_points
+from .ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, p1_points_outside, parse_point, three_points
 
 SPAN_LIMIT = 10 ** 4
 TOWER_DEGREE_LIMIT = 2000
@@ -173,16 +174,7 @@ def tame_normalize_small(instance, tau=None):
     forbidden = set(instance.S)
     if tau is not None:
         forbidden.add(tau)
-    fillers = []
-    # scan lazily; the field can be far too large to list all points
-    k = 0
-    while len(fillers) < len(free) and k < field.q:
-        cand = P1Point.of(field.from_int_value(k))
-        if cand not in forbidden:
-            fillers.append(cand)
-        k += 1
-    if len(fillers) < len(free) and inf not in forbidden:
-        fillers.append(inf)
+    fillers = list(islice(p1_points_outside(field, forbidden), len(free)))
     if len(fillers) < len(free):
         raise PreconditionError(
             "the line over %s has too few rational points to separate the sets" % field
@@ -469,7 +461,7 @@ def wild_phi(instance):
     S_cur, T_cur = instance.S, instance.T
     pre = None
     if inf in T_cur:
-        center = next((pt for pt in p1_points(field) if not pt.is_infinity and pt not in T_cur), None)
+        center = next(p1_points_outside(field, set(T_cur) | {inf}), None)
         if center is None:
             raise PreconditionError("every affine point is avoided; cannot move infinity")
         x = Polynomial.x(field)
@@ -478,7 +470,11 @@ def wild_phi(instance):
         T_cur = _point_tuple(field, (pre(pt) for pt in T_cur))
         provenance.append({"step": "move infinity", "map": str(pre), "center": str(center)})
     avoid = set(S_cur) | set(T_cur) | {inf}
-    picks = pick_points(ProjectiveLine(field), avoid=avoid, count=N - instance.t)
+    picks = tuple(islice(p1_points_outside(field, avoid), N - instance.t))
+    if len(picks) < N - instance.t:
+        raise PreconditionError(
+            f"only {len(picks)} points available outside the avoided set, need {N - instance.t}"
+        )
     root_values = [pt.value for pt in picks] + [pt.value for pt in T_cur]
     phi = RationalMap.from_polynomial(Polynomial.from_roots(field, root_values))
     if pre is not None:
@@ -508,7 +504,7 @@ def wild_phi(instance):
     return ConstructionResult(phi, verdict, provenance)
 
 
-def wild_belyi_compose(instance, span_limit=SPAN_LIMIT, degree_limit=TOWER_DEGREE_LIMIT):
+def wild_belyi_compose(instance):
     """Compose the pole map with a tower map so only infinity branches.
 
     The span of the pole map's marked images and branch values feeds the
@@ -537,8 +533,8 @@ def wild_belyi_compose(instance, span_limit=SPAN_LIMIT, degree_limit=TOWER_DEGRE
             continue
         mp = bp.min_poly.map_coefficients(eps) if eps else bp.min_poly
         gens.extend(roots(mp))
-    V = fp_span_of_conjugates(field, gens, limit=span_limit)
-    tower = wild_h_tower(V, base_field=field, degree_limit=degree_limit)
+    V = fp_span_of_conjugates(field, gens, limit=SPAN_LIMIT)
+    tower = wild_h_tower(V, base_field=field, degree_limit=TOWER_DEGREE_LIMIT)
     f = tower.h2.compose(phi)
     if f.degree != tower.h2.degree * phi.degree:
         raise InternalInconsistencyError(
@@ -691,7 +687,7 @@ class CoveringDescriptor:
         }
 
 
-def tame_pipeline(desc, S=0, T=0, field_degree_limit=FIELD_DEGREE_LIMIT):
+def tame_pipeline(desc, S=0, T=0):
     """Extend scalars until the branch locus is rational, then reduce tamely.
 
     S and T are point sets on the source when the descriptor carries a map,
@@ -733,10 +729,10 @@ def tame_pipeline(desc, S=0, T=0, field_degree_limit=FIELD_DEGREE_LIMIT):
     m = ceil_log_q(field.q, threshold)
     L = lcm_up_to(6 * g + 2 * t)
     mL = m * L
-    if field.n * mL > field_degree_limit:
+    if field.n * mL > FIELD_DEGREE_LIMIT:
         raise GuardExceededError(
             "the working field has degree %d over the prime field, over the limit %d"
-            % (field.n * mL, field_degree_limit)
+            % (field.n * mL, FIELD_DEGREE_LIMIT)
         )
     for mp, _ in desc.branch:
         locus_degree = 1 if mp is None else mp.degree
@@ -769,14 +765,8 @@ def tame_pipeline(desc, S=0, T=0, field_degree_limit=FIELD_DEGREE_LIMIT):
             raise PreconditionError("the avoided image %s lies inside S'" % tau0)
         drop_avoided = False
     else:
-        tau0 = None
-        blocked = s_prime_set | set(three_points(ext))
-        k = 0
-        while tau0 is None:
-            cand = P1Point.of(ext.from_int_value(k))
-            if cand not in blocked:
-                tau0 = cand
-            k += 1
+        # q^(mL) >= threshold is far above |S'| + 3, so some point is left
+        tau0 = next(p1_points_outside(ext, s_prime_set | set(three_points(ext))))
         drop_avoided = True
     xi_res = tame_reduce_recursive(BelyiInstance(ext, S_prime, (tau0,)), tau0)
     total_degree = desc.degree * xi_res.map.degree

@@ -10,8 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
-from .factor import is_irreducible
-from .field import FiniteField, digits, embed, parse_field
+from .field import FiniteField, embed, parse_field
 from .poly import Polynomial, parse_poly
 from .ratmap import P1Point, p1_points
 
@@ -262,27 +261,17 @@ def sym_product_count(counts, r: int) -> int:
 
 
 def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, workers: int = 1) -> dict:
-    """Number of closed points of each degree d <= max_degree."""
+    """Number of closed points of each degree d <= max_degree.
+
+    Möbius inversion of the point counts: N_d is the sum of e * b_e over e | d.
+    """
     q = curve.q
     if q**max_degree > guard:
         raise GuardExceededError(
             f"enumerating closed points of degree {max_degree} needs {q**max_degree} candidates, above the guard {guard}"
         )
     out = {}
-    if isinstance(curve, ProjectiveLine):
-        field = curve.field
-        for d in range(1, max_degree + 1):
-            if d == 1:
-                out[1] = q + 1
-                continue
-            found = 0
-            for k in range(q**d, 2 * q**d):
-                coeffs = [field.from_code(c) for c in digits(k, q, d + 1)]
-                if is_irreducible(Polynomial._from_values(field, coeffs)):
-                    found += 1
-            out[d] = found
-        return out
-    exact = {}
+    exact = {}  # d -> d * b_d, the points of exact degree d
     for d in range(1, max_degree + 1):
         total = count_points(curve, d, guard=guard, workers=workers)
         for e in range(1, d):

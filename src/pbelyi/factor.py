@@ -4,15 +4,17 @@ Pipeline: p-th-power aware squarefree decomposition, then distinct-degree
 splitting, then randomized equal-degree splitting.  The random generator is
 an explicit argument so parallel callers stay deterministic; the default
 seed is fixed, and the factor list is sorted, so repeated runs agree.
+The distinct-degree loop is lazy, so its first stage alone is Ben-Or's
+irreducibility test: one Frobenius-gcd loop serves both.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .field import FieldElement, _prime_divisors
+from .field import FieldElement
 from .poly import Polynomial
 
 DEFAULT_SEED = 1
@@ -69,26 +71,31 @@ def squarefree_decomposition(f: Polynomial) -> List[Tuple[Polynomial, int]]:
     return out
 
 
-def distinct_degree(f: Polynomial) -> List[Tuple[Polynomial, int]]:
-    """Split monic squarefree f into products of same-degree irreducibles."""
+def distinct_degree(f: Polynomial) -> Iterator[Tuple[Polynomial, int]]:
+    """Split monic f into products of same-degree irreducibles, lazily.
+
+    Yields (g, d) for each d whose stage finds a factor, d ascending; g is
+    the product of the degree-d irreducibles of f when f is squarefree.
+    The first stage is (f, deg f) exactly when f is irreducible, even if f
+    is not squarefree, because a reducible f has a factor of degree at
+    most deg f / 2.
+    """
     fld = f.field
     q = fld.q
-    out = []
     h = Polynomial.x(fld)
     x = Polynomial.x(fld)
     d = 0
     while f.degree > 0:
         d += 1
         if 2 * d > f.degree:
-            out.append((f, f.degree))
-            break
+            yield f, f.degree
+            return
         h = h.powmod(q, f)
         g = f.gcd(h - x)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             f = f // g
             h = h % f
-    return out
 
 
 def _split(f: Polynomial, d: int, gen: random.Random) -> Tuple[Polynomial, Polynomial]:
@@ -178,22 +185,8 @@ def roots(f: Polynomial, rng=None) -> List[FieldElement]:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Rabin's criterion over the coefficient field."""
-    fld = f.field
-    m = f.degree
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    f = f.monic()
-    x = Polynomial.x(fld)
-    if x.powmod(fld.q ** m, f) != x % f:
-        return False
-    for ell in _prime_divisors(m):
-        g = f.gcd(x.powmod(fld.q ** (m // ell), f) - x)
-        if g.degree > 0:
-            return False
-    return True
+    """Ben-Or's test: the first distinct-degree stage of an irreducible f is f itself."""
+    return f.degree >= 1 and next(distinct_degree(f.monic()))[1] == f.degree
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:

@@ -399,10 +399,11 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
         img = f(pt)
         if img in std:
             violations.append(f"avoided point {pt} maps to {img}, inside {{0, 1, inf}}")
-    if wronskian(f).is_zero:
+    try:
+        report = analyze(f)
+    except InseparableMapError:
         violations.append("inseparable")
         return BelyiVerdict("tame", False, violations)
-    report = analyze(f)
     for orbit in report.points:
         if orbit.wild:
             violations.append(
@@ -424,8 +425,7 @@ def verify_wild_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     """
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
-    if wronskian(f).is_zero:
-        raise InseparableMapError("map is inseparable")
+    report = analyze(f)  # raises on inseparable input before the sets are checked
     marked, avoided = _checked_sets(f.field, marked, avoided)
     inf = P1Point.infinity(f.field)
     violations = []
@@ -436,7 +436,6 @@ def verify_wild_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     for pt in avoided:
         if f(pt) == inf:
             violations.append(f"avoided point {pt} maps to inf")
-    report = analyze(f)
     for bp in report.branch_points:
         if not bp.is_infinity:
             violations.append(f"branch point {bp.label()} is not inf")
@@ -447,9 +446,10 @@ def is_simple_covering(f: RationalMap) -> BelyiVerdict:
     """Check that every index is 2 with one ramified point per geometric branch point."""
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
-    if wronskian(f).is_zero:
+    try:
+        report = analyze(f)
+    except InseparableMapError:
         return BelyiVerdict("simple", False, ("inseparable",))
-    report = analyze(f)
     violations = []
     for orbit in report.points:
         if orbit.index != 2:

@@ -8,7 +8,7 @@ the separability test (nonvanishing Wronskian) live here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .field import EmbeddingMap, FieldElement, FiniteField, parse_element
@@ -73,9 +73,23 @@ def three_points(field: FiniteField) -> Tuple[P1Point, P1Point, P1Point]:
 
 def p1_points(field: FiniteField) -> Tuple[P1Point, ...]:
     """All of P^1(F) in canonical order (affine ascending, infinity last)."""
-    pts = [P1Point(field, a) for a in field.elements()]
-    pts.append(P1Point.infinity(field))
-    return tuple(pts)
+    return tuple(p1_points_outside(field))
+
+
+def p1_points_outside(field: FiniteField, forbidden=()) -> Iterator[P1Point]:
+    """The points of P^1(F) outside `forbidden`, lazily, in canonical order.
+
+    A caller that takes the first few points of a large field pays for those
+    few, not for the whole line.
+    """
+    forbidden = set(forbidden)
+    for a in field.elements():
+        pt = P1Point(field, a)
+        if pt not in forbidden:
+            yield pt
+    inf = P1Point.infinity(field)
+    if inf not in forbidden:
+        yield inf
 
 
 class RationalMap:

@@ -140,6 +140,12 @@ def test_exit_code_1_when_a_tower_coefficient_does_not_descend(monkeypatch, caps
     assert "does not descend" in err
 
 
+def test_inseparable_wild_map_exits_2():
+    proc = run_cli("verify", "wild", "--q", "3", "--map", "poly=0,0,0,1", "--S", "none", "--T", "none")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: map is inseparable, its critical locus is not finite\n"
+
+
 def test_json_error_paths_keep_stdout_empty():
     proc = run_cli("--json", "construct", "wild", "--q", "3", "--S", "0,1,2", "--T", "none")
     assert proc.returncode == 2

@@ -274,6 +274,23 @@ def test_h_tower_validation():
         wild_h_tower(list(F3.elements()), degree_limit=10)
 
 
+def test_composite_guards_read_the_module_limits(monkeypatch):
+    inst = BelyiInstance(F3, [], ["0"])  # span of size 3, tower of degree 27
+    monkeypatch.setattr(constructions, "SPAN_LIMIT", 2)
+    with pytest.raises(GuardExceededError, match="limit 2"):
+        wild_belyi_compose(inst)
+    monkeypatch.setattr(constructions, "SPAN_LIMIT", 3)
+    monkeypatch.setattr(constructions, "TOWER_DEGREE_LIMIT", 26)
+    with pytest.raises(GuardExceededError, match="27"):
+        wild_belyi_compose(inst)
+    monkeypatch.setattr(constructions, "TOWER_DEGREE_LIMIT", 27)
+    assert wild_belyi_compose(inst).degree == 54
+    desc = CoveringDescriptor.identity(F5, S=["2"], T=["3"])  # works over F_{5^10}
+    monkeypatch.setattr(constructions, "FIELD_DEGREE_LIMIT", 9)
+    with pytest.raises(GuardExceededError, match="degree 10 over the prime field, over the limit 9"):
+        tame_pipeline(desc, S=["2"], T=["3"])
+
+
 def test_wild_phi_plain_quadratic():
     res = wild_phi(BelyiInstance(F5, [], []))
     assert str(res.map) == "poly=0,4,1"

@@ -20,9 +20,10 @@ from pbelyi.counting import (
     zeta_fit,
 )
 from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
-from pbelyi.field import FiniteField, embed
+from pbelyi.field import FiniteField, digits, embed
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import P1Point, p1_points
+from test_poly_factor import rabin_is_irreducible
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -177,6 +178,25 @@ def test_closed_point_counts_on_line():
     b = closed_point_counts(LINE3, 3)
     # monic irreducibles over F_3: 3 quadratics, 8 cubics; degree 1 adds infinity
     assert b == {1: 4, 2: 3, 3: 8}
+
+
+def census_closed_points_on_line(field, max_degree):
+    """Oracle: q + 1 points of degree 1, then a census of the monic
+    irreducibles of each degree d >= 2 by Rabin's test."""
+    q = field.q
+    out = {1: q + 1}
+    for d in range(2, max_degree + 1):
+        out[d] = 0
+        for k in range(q**d):
+            coeffs = [field.from_int_value(c) for c in digits(k, q, d)] + [field.one]
+            out[d] += rabin_is_irreducible(Polynomial(field, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("field, max_degree", [(F3, 5), (F5, 3), (F9, 2)], ids=str)
+def test_closed_point_counts_on_line_match_the_census(field, max_degree):
+    line = ProjectiveLine(field)
+    assert closed_point_counts(line, max_degree) == census_closed_points_on_line(field, max_degree)
 
 
 def test_effective_divisors_on_line():

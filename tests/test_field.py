@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from pbelyi import field as field_module
 from pbelyi.errors import PreconditionError
 from pbelyi.field import (
     EmbeddingMap,
@@ -31,6 +32,37 @@ def test_canonical_modulus_matches_enumeration_oracle():
         fld = FiniteField(p, 2)
         assert fld.modulus == brute_first_irreducible_quadratic(p)
     assert FiniteField(3, 2).modulus == (1, 0, 1)  # x^2 + 1
+
+
+# the first irreducible monic of each degree in code order, recorded when
+# Rabin's test still chose them; they fix every extension-field coordinate
+# in the goldens and reports
+PINNED_MODULI = {
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("pn", sorted(PINNED_MODULI), ids=str)
+def test_canonical_moduli_are_pinned(pn):
+    assert field_module._canonical_modulus(*pn) == PINNED_MODULI[pn]
+
+
+def test_modulus_cache_keeps_the_name_the_benchmark_clears():
+    """perfbench/run.py clears this cache before every pass and reads its
+    misses as field.modulus_searches; without the name it skips both."""
+    cache = getattr(field_module, "_canonical_modulus", None)
+    assert callable(getattr(cache, "cache_clear", None))
+    assert callable(getattr(cache, "cache_info", None))
 
 
 def test_prime_field_modulus_is_x():

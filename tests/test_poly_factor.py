@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from pbelyi.factor import (
     squarefree_decomposition,
     squarefree_part,
 )
-from pbelyi.field import FiniteField, embed, galois_orbit
+from pbelyi.field import FiniteField, _prime_divisors, embed, galois_orbit
 from pbelyi.poly import Polynomial, parse_poly
 
 F3 = FiniteField(3)
@@ -25,6 +26,48 @@ F9 = FiniteField(3, 2)
 
 def P(field, *coeffs):
     return Polynomial(field, coeffs)
+
+
+def rabin_is_irreducible(f):
+    """Oracle: Rabin's test, which shares no loop with `distinct_degree`.
+
+    f of degree m >= 1 is irreducible iff x^(q^m) = x mod f and
+    gcd(f, x^(q^(m/l)) - x) = 1 for every prime l dividing m.
+    """
+    fld = f.field
+    m = f.degree
+    if m < 1:
+        return False
+    if m == 1:
+        return True
+    f = f.monic()
+    x = Polynomial.x(fld)
+    if x.powmod(fld.q ** m, f) != x % f:
+        return False
+    return all(f.gcd(x.powmod(fld.q ** (m // ell), f) - x).degree == 0 for ell in _prime_divisors(m))
+
+
+def all_polynomials(field, max_degree):
+    """Every polynomial of degree <= max_degree over field, zero included."""
+    elems = list(field.elements())
+    return tuple(Polynomial(field, coeffs) for coeffs in product(elems, repeat=max_degree + 1))
+
+
+def mobius(n):
+    out = 1
+    for ell in _prime_divisors(n):
+        if n % (ell * ell) == 0:
+            return 0
+        out = -out
+    return out
+
+
+def necklace_count(q, d):
+    """Monic irreducibles of degree d over F_q: (1/d) sum over e | d of mu(d/e) q^e."""
+    return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
+
+
+EXHAUSTIVE_IRREDUCIBILITY = [(F3, 5), (F5, 4), (FiniteField(7), 3), (F9, 3)]
 
 
 def test_polynomial_basics():
@@ -129,9 +172,32 @@ def test_factor_recomposition_randomized():
             recomposed = Polynomial.constant(fld, unit)
             for g, m in parts:
                 assert g.is_monic
-                assert is_irreducible(g)
+                assert rabin_is_irreducible(g)
                 recomposed = recomposed * g ** m
             assert recomposed == f
+
+
+@pytest.mark.parametrize("field, max_degree", EXHAUSTIVE_IRREDUCIBILITY, ids=str)
+def test_is_irreducible_agrees_with_rabin_exhaustively(field, max_degree):
+    """Every polynomial, monic or not and squarefree or not, up to max_degree.
+
+    Rabin's test reads only the monic associate, so it runs once per associate.
+    """
+    oracle = {}
+    for f in all_polynomials(field, max_degree):
+        g = f.monic()
+        if g not in oracle:
+            oracle[g] = rabin_is_irreducible(g)
+        assert is_irreducible(f) == oracle[g], f
+
+
+@pytest.mark.parametrize("field, max_degree", EXHAUSTIVE_IRREDUCIBILITY, ids=str)
+def test_monic_irreducible_counts_match_the_necklace_formula(field, max_degree):
+    found = {}
+    for f in all_polynomials(field, max_degree):
+        if f.is_monic and is_irreducible(f):
+            found[f.degree] = found.get(f.degree, 0) + 1
+    assert found == {d: necklace_count(field.q, d) for d in range(1, max_degree + 1)}
 
 
 def test_factor_deterministic_with_default_seed():

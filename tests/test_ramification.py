@@ -201,6 +201,38 @@ def test_inseparable_handling():
     assert not is_simple_covering(f).passed
 
 
+def test_inseparable_verdicts_keep_their_order_of_checks(monkeypatch):
+    """analyze alone decides separability, so each verifier call computes one Wronskian."""
+    calls = []
+    real = ramification.wronskian
+    monkeypatch.setattr(ramification, "wronskian", lambda g: calls.append(g) or real(g))
+    f = rmap(F3, (0, 0, 0, 1))  # x^3
+    # tame: the sets are validated first, then the points are read, then "inseparable"
+    with pytest.raises(PreconditionError, match="overlap"):
+        verify_tame_belyi(f, marked=[pt(F3, 0)], avoided=[pt(F3, 0)])
+    assert calls == []
+    tame = verify_tame_belyi(f, marked=[pt(F3, 2)], avoided=[pt(F3, 1)])
+    assert tame.violations == (
+        "marked point 2 maps to 2, outside {0, 1, inf}",
+        "avoided point 1 maps to 1, inside {0, 1, inf}",
+        "inseparable",
+    )
+    assert not tame.passed and tame.report is None
+    simple = is_simple_covering(f)
+    assert simple.violations == ("inseparable",) and not simple.passed
+    # wild: inseparable input raises before the sets are validated
+    with pytest.raises(InseparableMapError, match="map is inseparable"):
+        verify_wild_belyi(f, marked=[pt(F3, 0)], avoided=[pt(F3, 0)])
+    with pytest.raises(InseparableMapError):
+        verify_wild_belyi(f, marked=[pt(F5, 0)])
+    assert len(calls) == 4
+    g = rmap(F5, (0, 0, 0, 0, 1))
+    for verify in (verify_tame_belyi, verify_wild_belyi, is_simple_covering):
+        calls.clear()
+        verify(g)
+        assert calls == [g]
+
+
 def test_set_validation():
     f = rmap(F5, (0, 0, 1))
     with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from pbelyi.ratmap import (
     is_separable,
     mobius_from_triple,
     p1_points,
+    p1_points_outside,
     parse_point,
     parse_point_set,
     parse_ratmap,
@@ -276,3 +278,16 @@ def test_ratmap_parse_round_trip():
         assert parse_ratmap(F5, str(m)) == m
     with pytest.raises(PreconditionError):
         parse_ratmap(F5, "garbage")
+
+
+@pytest.mark.parametrize("field", [F3, F5, FiniteField(3, 2)], ids=str)
+def test_points_outside_match_filtering_the_whole_line(field):
+    line = p1_points(field)
+    assert [pt.sort_key() for pt in line] == [(0, k) for k in range(field.q)] + [(1, 0)]
+    rng = random.Random(field.q)
+    for _ in range(50):
+        forbidden = set(rng.sample(line, rng.randrange(len(line) + 1)))
+        count = rng.randrange(len(line) + 2)
+        want = [pt for pt in line if pt not in forbidden][:count]
+        assert list(itertools.islice(p1_points_outside(field, forbidden), count)) == want
+
