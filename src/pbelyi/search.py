@@ -1,13 +1,29 @@
 """Brute-force search for minimal-degree Belyi maps over tiny fields.
 
-Candidates are reduced maps with monic denominator, enumerated in a fixed
-order.  A cheap exact screen built on the Riemann-Hurwitz count picks out
-the hits without factoring, and every hit is then certified by the exact
-verifiers.  An exhaustive run that finds nothing is a lower bound over the
-searched coefficient fields only, never over the algebraic closure; the
-result record names the fields so the caller cannot misread the claim.
+Candidates are reduced maps N/D of degree d with monic denominator, in a
+fixed order: denominators by (degree, code), then numerators by code.  One
+denominator D with its numerator range is a row, and the exhaustive search
+works row by row:
+
+- A row is counted in closed form, with no gcds: (q - 1) q^(d - e) Phi(D)
+  candidates when deg D = e < d and q Phi(D) when e = d, where Phi is the
+  polynomial totient.
+- The images of the marked and avoided points give each point a set of
+  allowed numerator values there.  A row in which some set is empty, which
+  D alone decides, is skipped whole.
+- In the other rows only the numerators with allowed values are built, by
+  interpolation at the constrained points, and they go in code order through
+  a cheap exact screen built on the Riemann-Hurwitz count.
+- The hit's row is counted by gcds up to the hit, so the count is the hit's
+  place in the stream of enumerate_candidates.
+
+Every hit is certified by the exact verifiers.  An exhaustive run that finds
+nothing is a lower bound over the searched coefficient fields only, never
+over the algebraic closure; the result record names the fields so the caller
+cannot misread the claim.
 """
 
+import itertools
 import multiprocessing
 import random
 
@@ -64,39 +80,74 @@ def enumerate_candidates(field, d, normalize=False):
     field = _as_field(field)
     if not isinstance(d, int) or d < 1:
         raise PreconditionError("degree must be a positive integer, got %r" % (d,))
-    yield from _candidates(field, d, normalize, 0, _raw_count(field.q, d))
+    yield from _candidates(field, d, normalize, 0, _row_count(field.q, d))
 
 
-def _raw_count(q, d):
-    """Number of raw (denominator, numerator code) pairs at degree d."""
-    top = q ** (d + 1)
-    return sum(q ** e * (top - (q ** d if e < d else 1)) for e in range(d + 1))
+def _row_count(q, d):
+    """Number of rows at degree d: the monic denominators of degree at most d."""
+    return sum(q ** e for e in range(d + 1))
+
+
+def _rows(field, d, lo, hi):
+    """(deg D, code of D, D) for the rows with index in [lo, hi), D monic by (degree, code)."""
+    q = field.q
+    base = 0
+    for e in range(d + 1):
+        first, last = max(lo - base, 0), min(hi - base, q ** e)
+        base += q ** e
+        for code in range(q ** e + first, q ** e + last):
+            yield e, code, _poly_from_code(field, code, e + 1)
+
+
+def _code(field, vals):
+    """The base-q code of the polynomial with these element values."""
+    code = 0
+    for v in reversed(vals):
+        code = code * field.q + field.code(v)
+    return code
+
+
+def _row_codes(q, d, e):
+    """The numerator codes of a row whose denominator has degree e."""
+    return range(q ** d if e < d else 1, q ** (d + 1))
+
+
+def _row_stream(field, d, e, den):
+    """The candidates of one row, in code order: its numerators prime to den."""
+    for code in _row_codes(field.q, d, e):
+        f = RationalMap(_poly_from_code(field, code, d + 1), den)
+        if f.degree == d:
+            yield f
 
 
 def _candidates(field, d, normalize, lo, hi):
-    """The candidates whose raw pair has position in [lo, hi), in stream order.
+    """The candidates in the rows with index in [lo, hi), in stream order.
 
-    Raw pairs run over denominators of degree e = 0..d by code, and for
-    each over its numerator codes; enumerate_candidates is the whole range.
+    enumerate_candidates is the whole range of rows.
     """
-    q = field.q
-    top = q ** (d + 1)
-    base = 0
-    for e in range(d + 1):
-        start = q ** d if e < d else 1
-        width = top - start
-        first, last = max(lo - base, 0), min(hi - base, q ** e * width)
-        base += q ** e * width
-        for body in range(first // width, -(-last // width)):
-            den = _poly_from_code(field, q ** e + body, e + 1)
-            row = body * width
-            for code in range(start + max(first - row, 0), start + min(last - row, width)):
-                f = RationalMap(_poly_from_code(field, code, d + 1), den)
-                if f.degree != d:
-                    continue
-                if normalize and not _is_orbit_representative(f):
-                    continue
+    for e, _, den in _rows(field, d, lo, hi):
+        for f in _row_stream(field, d, e, den):
+            if not normalize or _is_orbit_representative(f):
                 yield f
+
+
+def _row_total(q, d, e, phi):
+    """Candidates in a row whose denominator has degree e and totient phi."""
+    return (q - 1) * q ** (d - e) * phi if e < d else q * phi
+
+
+def _value_at(field, vals, d, x):
+    """The value at x of the polynomial with these values, or its x^d coefficient when x is None.
+
+    For f = N/D of degree d, f(inf) is the quotient of the x^d coefficients.
+    """
+    if x is None:
+        return vals[d] if len(vals) > d else field.zero_value
+    add, mul = field.add, field.mul
+    acc = field.zero_value
+    for c in reversed(vals):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 class SearchSpec:
@@ -183,48 +234,54 @@ class _Screen:
 
     def __init__(self, field, kind, marked, avoided):
         marked, avoided = _checked_sets(field, marked, avoided)
+        self.field = field
         self.kind = kind
         self.points = (marked, avoided)
-        self.one = field.one
-        self.marked_inf = any(pt.is_infinity for pt in marked)
-        self.avoided_inf = any(pt.is_infinity for pt in avoided)
-        self.marked_affine = tuple(pt.value for pt in marked if not pt.is_infinity)
-        self.avoided_affine = tuple(pt.value for pt in avoided if not pt.is_infinity)
+        # (x, want): x is a point's value (None for inf), want whether f(x) must be special
+        self.constraints = tuple(
+            (None if pt.is_infinity else pt.value.value, want)
+            for pts, want in ((marked, True), (avoided, False))
+            for pt in pts
+        )
+        self._allowed = {}
 
-    def _special_at_infinity(self, f):
-        """f(inf) is inf (wild) or lies in {0, 1, inf} (tame)."""
-        dn, dd = f.num.degree, f.den.degree
-        if self.kind == "wild":
-            return dn > dd
-        return dn != dd or f.num.leading == self.one
+    def _special(self, top, bottom):
+        """top/bottom is inf (wild) or lies in {0, 1, inf} (tame), for element values."""
+        zero = self.field.zero_value
+        if bottom == zero:
+            return True
+        return self.kind == "tame" and (top == zero or top == bottom)
 
-    def _special(self, f, x):
-        """f(x) is inf (wild) or lies in {0, 1, inf} (tame), for affine x."""
-        bottom = f.den.evaluate(x)
-        if self.kind == "wild":
-            return bottom.is_zero
-        top = f.num.evaluate(x)
-        return top.is_zero or bottom.is_zero or top == bottom
+    def _special_at(self, num, den, d, x):
+        """num/den, of degree d and given by value tuples, sends x (None for inf) to a special value."""
+        fld = self.field
+        return self._special(_value_at(fld, num, d, x), _value_at(fld, den, d, x))
+
+    def meets_points(self, num, den, d):
+        """The marked points go to special values and the avoided points do not."""
+        return all(self._special_at(num, den, d, x) == want for x, want in self.constraints)
+
+    def allowed(self, bottom, want):
+        """The values N(x) with N(x)/bottom special exactly when want, for D(x) = bottom."""
+        key = (bottom, want)
+        out = self._allowed.get(key)
+        if out is None:
+            fld = self.field
+            values = map(fld.from_code, range(fld.q))
+            out = self._allowed[key] = frozenset(v for v in values if self._special(v, bottom) == want)
+        return out
 
     def __call__(self, f):
-        if self.marked_inf and not self._special_at_infinity(f):
+        num, den, d = f.num, f.den, f.degree
+        if not self.meets_points(num.values, den.values, d):
             return False
-        if self.avoided_inf and self._special_at_infinity(f):
-            return False
-        for x in self.marked_affine:
-            if not self._special(f, x):
-                return False
-        for x in self.avoided_affine:
-            if self._special(f, x):
-                return False
         w = wronskian(f)
         if w.is_zero:
             return False
-        num, den = f.num, f.den
         if self.kind == "tame":
-            at_infinity = num.degree != den.degree or num.leading == self.one
+            at_infinity = self._special_at(num.values, den.values, d, None)
             count = _rad_degree(num) + _rad_degree(num - den) + _rad_degree(den) + at_infinity
-            return count == f.degree + 2
+            return count == d + 2
         g = w.gcd(den)
         while g.degree > 0:
             w = w // g
@@ -234,7 +291,7 @@ class _Screen:
         if num.degree > den.degree:
             return True
         rest = num - den * num.leading if num.degree == den.degree else num
-        return f.degree - rest.degree <= 1
+        return d - rest.degree <= 1
 
     def certify(self, f):
         """Return f once the verifier confirms that it passes."""
@@ -264,19 +321,145 @@ def _scan(candidates, screen):
     return None, tested
 
 
+class _RowSearch:
+    """The exhaustive search over one coefficient field, row by row.
+
+    Phi(D) does not depend on the degree, so the totients are kept for the
+    whole search; so are the interpolation data of each set of nodes.
+    """
+
+    def __init__(self, field, screen):
+        self.field = field
+        self.screen = screen
+        self._totients = {}  # Phi(D) by the code of D, for D of degree < self._sieved
+        self._sieved = 0
+        self._irreducibles = []  # (g, deg g), the monic irreducibles of degree < self._sieved
+        self._nodes = {}
+        self._nonzero = frozenset(map(field.from_code, range(1, field.q)))
+
+    def _totient(self, e, code):
+        """Phi(D) for the monic D of degree e with this code.
+
+        Phi(D) = prod (q^k - 1) q^((a - 1) k) over the irreducible factors
+        g^a of D, k = deg g, which is q^e prod (1 - q^-k) over the distinct
+        g.  A sieve over the monic codes finds it, one degree m at a time:
+        every D of degree m starts at q^m and takes one factor 1 - q^-k for
+        each irreducible g of degree k < m that divides it, as D = g h.  The
+        D of degree m > 0 that no g divides are the irreducibles.
+        """
+        fld, q = self.field, self.field.q
+        phi = self._totients
+        while self._sieved <= e:
+            m = self._sieved
+            for c in range(q ** m, 2 * q ** m):
+                phi[c] = q ** m
+            for g, k in self._irreducibles:
+                for h in range(q ** (m - k), 2 * q ** (m - k)):
+                    c = _code(fld, (g * _poly_from_code(fld, h, m - k + 1)).values)
+                    phi[c] = phi[c] // q ** k * (q ** k - 1)
+            if m:
+                for c in range(q ** m, 2 * q ** m):
+                    if phi[c] == q ** m:
+                        phi[c] -= 1
+                        self._irreducibles.append((_poly_from_code(fld, c, m + 1), m))
+            self._sieved += 1
+        return phi[code]
+
+    def _interpolation(self, xs, d):
+        """Lagrange basis at the points xs, and every multiple of prod (x - s) of degree <= d.
+
+        Both are value lists, the basis polynomials of length len(xs) and
+        the multiples of length d + 1.
+        """
+        key = (xs, d)
+        out = self._nodes.get(key)
+        if out is None:
+            fld = self.field
+            k = len(xs)
+
+            def padded(poly, length):
+                return list(poly.values) + [fld.zero_value] * (length - len(poly.values))
+
+            basis = []
+            for s in xs:
+                ell = Polynomial.from_roots(fld, [t for t in xs if t != s])
+                basis.append(padded(ell * ell.evaluate(s).inverse(), k))
+            m = Polynomial.from_roots(fld, xs)
+            multiples = [padded(m * _poly_from_code(fld, h, d + 1 - k), d + 1) for h in range(fld.q ** (d + 1 - k))]
+            out = self._nodes[key] = (basis, multiples)
+        return out
+
+    def numerators(self, d, e, den):
+        """The numerators of a row that meet the point conditions, in code order, as value lists.
+
+        Each marked or avoided point x allows a set of values N(x), given by
+        D(x); at inf the value is the x^d coefficient.  An empty set skips
+        the row.  N is interpolated at up to d + 1 constrained affine points,
+        N = L + M H with M the product of x - s over them, and checked at
+        the other points and at inf.
+        """
+        fld, screen = self.field, self.screen
+        q, zero = fld.q, fld.zero_value
+        nodes, at_infinity = [], []
+        for x, want in screen.constraints:
+            allowed = screen.allowed(_value_at(fld, den.values, d, x), want)
+            if not allowed:
+                return []
+            if len(allowed) < q:
+                (at_infinity if x is None else nodes).append((len(allowed), x, allowed))
+        if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
+            at_infinity.append((q - 1, None, self._nonzero))
+        nodes.sort(key=lambda node: node[0])
+        head, tail = nodes[: d + 1], at_infinity + nodes[d + 1 :]
+        k = len(head)
+        basis, multiples = self._interpolation(tuple(x for _, x, _ in head), d)
+        add, mul = fld.add, fld.mul
+        found = []
+        for vals in itertools.product(*(allowed for _, _, allowed in head)):
+            low = [zero] * k
+            for v, ell in zip(vals, basis):
+                low = [add(a, mul(v, b)) for a, b in zip(low, ell)]
+            for m in multiples:
+                n = [add(a, b) for a, b in zip(low, m)] + m[k:]
+                if all(_value_at(fld, n, d, x) in allowed for _, x, allowed in tail):
+                    code = _code(fld, n)
+                    if code:  # N = 0 lies outside every row
+                        found.append((code, n))
+        found.sort()
+        return [n for _, n in found]
+
+    def scan(self, d, normalize, lo, hi):
+        """(first certified hit or None, candidates up to and including it) in the rows [lo, hi).
+
+        With normalize the rows' orbit representatives are scanned one by one.
+        """
+        fld, screen = self.field, self.screen
+        if normalize:
+            return _scan(_candidates(fld, d, True, lo, hi), screen)
+        tested = 0
+        for e, code, den in _rows(fld, d, lo, hi):
+            for vals in self.numerators(d, e, den):
+                f = RationalMap(Polynomial._from_values(fld, vals), den)
+                if f.degree == d and screen(f):
+                    place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
+                    return screen.certify(f), tested + place
+            tested += _row_total(fld.q, d, e, self._totient(e, code))
+        return None, tested
+
+
 def _worker_scan(args):
-    """Scan one contiguous block of the raw stream; the hit travels as text."""
+    """Scan one contiguous block of rows; the hit travels as text."""
     p, n, modulus, d, kind, marked_texts, avoided_texts, normalize, lo, hi = args
     E = FiniteField(p, n, modulus)
     marked = tuple(parse_point(E, t) for t in marked_texts)
     avoided = tuple(parse_point(E, t) for t in avoided_texts)
-    witness, tested = _scan(_candidates(E, d, normalize, lo, hi), _Screen(E, kind, marked, avoided))
+    witness, tested = _RowSearch(E, _Screen(E, kind, marked, avoided)).scan(d, normalize, lo, hi)
     return None if witness is None else str(witness), tested
 
 
 def _scan_parallel(pool, workers, field, d, screen, normalize):
     marked, avoided = screen.points
-    total = _raw_count(field.q, d)
+    total = _row_count(field.q, d)
     bounds = [total * w // workers for w in range(workers + 1)]
     args = [
         (
@@ -335,7 +518,7 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         eps = embed(base, E)
         marked = tuple(pt.embedded(eps) for pt in spec.instance.S)
         avoided = tuple(pt.embedded(eps) for pt in spec.instance.T)
-        rounds.append((E, _Screen(E, spec.kind, marked, avoided)))
+        rounds.append(_RowSearch(E, _Screen(E, spec.kind, marked, avoided)))
     rng = random.Random(spec.seed)
     tested_total = 0
 
@@ -351,12 +534,13 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
     pool = multiprocessing.Pool(workers) if exhaustive and workers > 1 else None
     try:
         for d in range(1, spec.d_max + 1):
-            for E, screen in rounds:
+            for rows in rounds:
+                E, screen = rows.field, rows.screen
                 if not exhaustive:
                     stream = (_random_candidate(E, d, rng) for _ in range(spec.budget))
                     witness, tested = _scan(stream, screen)
                 elif pool is None:
-                    witness, tested = _scan(enumerate_candidates(E, d, spec.normalize), screen)
+                    witness, tested = rows.scan(d, spec.normalize, 0, _row_count(E.q, d))
                 else:
                     witness, tested = _scan_parallel(pool, workers, E, d, screen, spec.normalize)
                 tested_total += tested

@@ -1,4 +1,6 @@
+import itertools
 import multiprocessing
+import random
 
 import pytest
 
@@ -8,13 +10,15 @@ from pbelyi.errors import GuardExceededError, InternalInconsistencyError, Precon
 from pbelyi.field import FiniteField, embed
 from pbelyi.poly import Polynomial, parse_poly
 from pbelyi.ramification import verify_tame_belyi, verify_wild_belyi
-from pbelyi.ratmap import RationalMap, p1_points, parse_ratmap
+from pbelyi.ratmap import P1Point, RationalMap, p1_points, parse_ratmap
 from pbelyi import search
 from pbelyi.ramification import BelyiVerdict
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
 
 F3 = FiniteField(3, 1)
 F5 = FiniteField(5, 1)
+F7 = FiniteField(7, 1)
+F9 = FiniteField(3, 2)
 
 
 def test_enumeration_counts_match_pgl2():
@@ -51,13 +55,96 @@ def test_first_quartic_candidate_is_x4():
 
 
 def test_stream_blocks_concatenate_to_the_stream():
+    # blocks are contiguous ranges of rows, one row per monic denominator
     whole = list(enumerate_candidates(F3, 2))
-    total = search._raw_count(3, 2)
-    for cuts in ([0, total], [0, 1, 2, total], [0, 17, 18, 100, 241, total], [0, 9, total - 1, total]):
+    total = search._row_count(3, 2)
+    assert total == 1 + 3 + 9
+    for cuts in ([0, total], [0, 1, 2, total], [0, 3, 4, 9, 12, total], [0, 1, total - 1, total]):
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             pieces.extend(search._candidates(F3, 2, False, lo, hi))
         assert pieces == whole
+
+
+def _row_index(field, den):
+    """The index of den's row at any degree d >= deg den."""
+    q = field.q
+    return search._row_count(q, den.degree - 1) + search._code(field, den.values) - q ** den.degree
+
+
+@pytest.mark.parametrize("field, d_max", [(F3, 3), (F5, 2), (F7, 2), (F9, 2)], ids=["q3", "q5", "q7", "q9"])
+def test_row_counts_match_a_gcd_count(field, d_max):
+    q = field.q
+    rows = search._RowSearch(field, search._Screen(field, "tame", (), ()))
+    for d in range(1, d_max + 1):
+        total = 0
+        for e, code, den in search._rows(field, d, 0, search._row_count(q, d)):
+            numerators = (search._poly_from_code(field, c, d + 1) for c in search._row_codes(q, d, e))
+            by_gcd = sum(1 for num in numerators if num.gcd(den).degree == 0)
+            closed = search._row_total(q, d, e, rows._totient(e, code))
+            assert closed == by_gcd, (str(den), d)
+            total += closed
+        # one candidate per map of degree d, and there are q^(2d-1) (q^2 - 1) of them
+        assert total == q ** (2 * d - 1) * (q * q - 1)
+
+
+def _splits(field, sample=None, seed=0):
+    """Splits of P^1(field) into marked and avoided points, every one or a seeded sample."""
+    pts = p1_points(field)
+    if sample is None:
+        labels = itertools.product((0, 1, 2), repeat=len(pts))
+    else:
+        rng = random.Random(seed)
+        labels = [[rng.choice((0, 0, 0, 1, 1, 2)) for _ in pts] for _ in range(sample)]
+    for row in labels:
+        yield [pt for pt, k in zip(pts, row) if k == 1], [pt for pt, k in zip(pts, row) if k == 2]
+
+
+F9_CUSTOM = FiniteField(3, 2, (2, 2, 1))
+# (field, d_max, splits): every split over F_3, seeded samples over F_5 and F_9
+GRIDS = [
+    (F3, 2, list(_splits(F3))),
+    (F5, 2, list(_splits(F5, sample=24))),
+    (F9_CUSTOM, 1, list(_splits(F9_CUSTOM, sample=24))),
+]
+GRID_IDS = ["q3", "q5", "q9_custom"]
+
+
+@pytest.mark.parametrize("field, d_max, splits", GRIDS, ids=GRID_IDS)
+def test_row_scan_matches_the_stream_scan(field, d_max, splits):
+    streams = {d: list(enumerate_candidates(field, d)) for d in range(1, d_max + 1)}
+    inf = P1Point.infinity(field)
+    hits_inside_a_row = 0
+    for marked, avoided in splits:
+        for kind in ("tame", "wild"):
+            screen = search._Screen(field, kind, marked, avoided)
+            rows = search._RowSearch(field, screen)
+            for d, stream in streams.items():
+                want = search._scan(stream, screen)
+                assert rows.scan(d, False, 0, search._row_count(field.q, d)) == want, (kind, marked, avoided, d)
+                if want[0] is not None and 1 < want[1] < len(stream):
+                    before, after = stream[want[1] - 2], stream[want[1]]
+                    hits_inside_a_row += before.den == want[0].den == after.den
+    assert hits_inside_a_row > 0
+    assert any(inf in marked for marked, _ in splits) and any(inf in avoided for _, avoided in splits)
+
+
+@pytest.mark.parametrize("field, d_max, splits", GRIDS, ids=GRID_IDS)
+def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_max, splits):
+    q = field.q
+    for marked, avoided in splits:
+        for kind in ("tame", "wild"):
+            screen = search._Screen(field, kind, marked, avoided)
+            rows = search._RowSearch(field, screen)
+            for d in range(1, d_max + 1):
+                for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
+                    built = [search._code(field, n) for n in rows.numerators(d, e, den)]
+                    meet = [
+                        code
+                        for code in search._row_codes(q, d, e)
+                        if screen.meets_points(search._poly_from_code(field, code, d + 1).values, den.values, d)
+                    ]
+                    assert built == meet, (kind, marked, avoided, str(den))
 
 
 def test_screen_hit_rejected_by_the_verifier_is_an_internal_error(monkeypatch):
@@ -175,22 +262,30 @@ def test_search_exhausts_low_degrees():
 
 
 def test_search_workers_do_not_change_the_answer():
-    # (field, marked, avoided, kind, d_max, degree, witness, candidates_tested):
-    # a hit and an exhausted search of each kind
+    # (field, marked, avoided, kind, d_max, normalize, degree, witness, candidates_tested):
+    # a hit and an exhausted search of each kind, the normalized stream, and
+    # a hit in the middle of a row of the last block for both 2 and 3 workers
     cases = [
-        (F5, ["0", "1", "2", "3"], [], "tame", 2, 2, "num=4,4,2/den=0,0,1", 680),
-        (F5, "all", [], "tame", 2, None, None, 3120),
-        (F5, ["1"], ["inf"], "wild", 1, 1, "num=1/den=4,1", 101),
-        (F3, "all", [], "wild", 3, None, None, 2184),
+        (F5, ["0", "1", "2", "3"], [], "tame", 2, False, 2, "num=4,4,2/den=0,0,1", 680),
+        (F5, "all", [], "tame", 2, False, None, None, 3120),
+        (F5, ["1"], ["inf"], "wild", 1, False, 1, "num=1/den=4,1", 101),
+        (F3, "all", [], "wild", 3, False, None, None, 2184),
+        (F5, ["0", "1", "2", "3"], [], "tame", 2, True, 2, "num=1,1,4/den=0,0,1", 293),
+        (F5, "all", [], "tame", 2, True, None, None, 520),
+        (F7, ["1", "2", "3"], [], "tame", 1, False, 1, "num=3,2/den=4,1", 225),
     ]
-    for field, marked, avoided, kind, d_max, degree, witness, tested in cases:
+    for field, marked, avoided, kind, d_max, normalize, degree, witness, tested in cases:
         inst = BelyiInstance(field, p1_points(field) if marked == "all" else marked, avoided)
-        spec = SearchSpec(inst, kind, d_max, fields=[field])
+        spec = SearchSpec(inst, kind, d_max, fields=[field], normalize=normalize)
         for workers in (1, 2, 3):
             res = minimal_belyi_degree(spec, workers=workers)
             witness_text = None if res["witness"] is None else str(res["witness"])
             got = (res["degree"], witness_text, res["candidates_tested"])
-            assert got == (degree, witness, tested), (kind, marked, workers)
+            assert got == (degree, witness, tested), (kind, marked, normalize, workers)
+    last = parse_ratmap(F7, "num=3,2/den=4,1")
+    rows = search._row_count(7, 1)
+    for workers in (2, 3):
+        assert _row_index(F7, last.den) >= rows * (workers - 1) // workers
 
 
 def test_search_workers_keep_a_custom_modulus():
