@@ -110,12 +110,6 @@ def _count_stripe(field, fvals, start, step):
     return total
 
 
-def _count_chunk(args):
-    """_count_stripe for a pool worker, which rebuilds the field from (p, n, modulus)."""
-    p, n, modulus, fvals, start, step = args
-    return _count_stripe(FiniteField(p, n, modulus), fvals, start, step)
-
-
 def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) -> int:
     """Number of points of the curve over the degree-m extension of its base field."""
     if m < 1:
@@ -133,9 +127,9 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     if workers <= 1:
         total = _count_stripe(ext, f_ext.values, 0, 1)
     else:
-        jobs = [(ext.p, ext.n, ext.modulus, f_ext.values, i, workers) for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            total = sum(pool.map(_count_chunk, jobs))
+        jobs = [(ext, f_ext.values, i, workers) for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:  # each worker unpickles its own copy of ext
+            total = sum(pool.starmap(_count_stripe, jobs))
     if curve.f.degree % 2 == 1:
         total += 1
     else:
@@ -226,38 +220,24 @@ def zeta_fit(curve, counts=None, guard: int = POINT_GUARD, workers: int = 1) -> 
     return ZetaData(q, g, coeffs)
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def sym_product_count(counts, r: int) -> int:
     """Points on the r-th symmetric product, from the counts N_1..N_r.
 
-    Evaluates the exponential-formula sum over integer compositions in exact
-    rational arithmetic and asserts the total is an integer.
+    The counts a_k are the coefficients of exp(sum N_m t^m / m), so
+    k a_k = sum_{m=1..k} N_m a_{k-m} with a_0 = 1.  The recurrence runs in
+    exact rational arithmetic, and a_r must come out an integer.
     """
     if r < 1:
         raise PreconditionError("symmetric power r must be at least 1")
     for m in range(1, r + 1):
         if m not in counts:
             raise PreconditionError(f"symmetric-product count needs N_{m}")
-    total = Fraction(0)
-    for i in range(1, r + 1):
-        block = Fraction(0)
-        for comp in _compositions(r, i):
-            term = Fraction(1)
-            for a in comp:
-                term *= Fraction(counts[a], a)
-            block += term
-        total += block / factorial(i)
-    if total.denominator != 1:
+    a = [Fraction(1)]
+    for k in range(1, r + 1):
+        a.append(sum(counts[m] * a[k - m] for m in range(1, k + 1)) / k)
+    if a[r].denominator != 1:
         raise InternalInconsistencyError("symmetric-product total is not an integer, the counts are inconsistent")
-    return int(total)
+    return int(a[r])
 
 
 def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, workers: int = 1) -> dict:
@@ -285,10 +265,12 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
 
 
 def enumerate_effective_divisors(curve, r: int, guard: int = DIVISOR_GUARD, workers: int = 1) -> int:
-    """Count effective divisors of degree r by enumerating closed points.
+    """Count effective divisors of degree r from the closed-point counts.
 
-    Independent of the symmetric-product formula: multisets of closed points
-    are counted with a stars-and-bars convolution per degree.
+    Multisets of closed points are counted with a stars-and-bars convolution
+    per degree.  closed_point_counts gets b_d by Möbius inversion of the same
+    N_m that sym_product_count reads, so their agreement is an identity
+    between two formulas on one set of counts, not an independent enumeration.
     """
     if r < 1:
         raise PreconditionError("divisor degree r must be at least 1")

@@ -339,6 +339,10 @@ class FiniteField:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a copy is rebuilt from its description, modulus check and tables included
+        return FiniteField, (self.p, self.n, self.modulus)
+
     def __repr__(self) -> str:
         return f"FiniteField({self})"
 

@@ -17,12 +17,18 @@ works row by row:
 - The hit's row is counted by gcds up to the hit, so the count is the hit's
   place in the stream of enumerate_candidates.
 
+The rows of a degree are cut into one contiguous block per worker and the
+blocks are scanned in order, the same _RowSearch.scan for any worker count:
+serially one block through map, in parallel through a pool's imap, where each
+worker gets a pickled copy of the round and returns the witness itself.
+
 Every hit is certified by the exact verifiers.  An exhaustive run that finds
 nothing is a lower bound over the searched coefficient fields only, never
 over the algebraic closure; the result record names the fields so the caller
 cannot misread the claim.
 """
 
+import functools
 import itertools
 import multiprocessing
 import random
@@ -38,7 +44,7 @@ from .factor import DEFAULT_SEED, squarefree_decomposition
 from .field import FiniteField, digits, embed
 from .poly import Polynomial
 from .ramification import _checked_sets, verify_tame_belyi, verify_wild_belyi
-from .ratmap import RationalMap, parse_point, parse_ratmap, wronskian
+from .ratmap import RationalMap, wronskian
 
 EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
@@ -174,6 +180,12 @@ class SearchSpec:
             raise PreconditionError("mode must be 'exhaustive' or 'randomized'")
         if not isinstance(budget, int) or budget < 1:
             raise PreconditionError("budget must be a positive integer")
+        if normalize and kind == "wild":
+            raise PreconditionError(
+                "normalization is for tame searches only: the Mobius maps permuting {0, 1, inf} "
+                "move inf, so a wild hit's orbit representative is usually not a hit; "
+                "drop normalize (--normalize)"
+            )
         base = instance.field
         if fields is None:
             fields = (base, FiniteField(base.p, 2 * base.n))
@@ -428,16 +440,17 @@ class _RowSearch:
         found.sort()
         return [n for _, n in found]
 
-    def scan(self, d, normalize, lo, hi):
-        """(first certified hit or None, candidates up to and including it) in the rows [lo, hi).
+    def scan(self, d, normalize, block):
+        """(first certified hit or None, candidates up to and including it) in a block of rows.
 
-        With normalize the rows' orbit representatives are scanned one by one.
+        The block is a range of row indices.  With normalize the rows' orbit
+        representatives are scanned one by one.
         """
         fld, screen = self.field, self.screen
         if normalize:
-            return _scan(_candidates(fld, d, True, lo, hi), screen)
+            return _scan(_candidates(fld, d, True, block.start, block.stop), screen)
         tested = 0
-        for e, code, den in _rows(fld, d, lo, hi):
+        for e, code, den in _rows(fld, d, block.start, block.stop):
             for vals in self.numerators(d, e, den):
                 f = RationalMap(Polynomial._from_values(fld, vals), den)
                 if f.degree == d and screen(f):
@@ -447,42 +460,20 @@ class _RowSearch:
         return None, tested
 
 
-def _worker_scan(args):
-    """Scan one contiguous block of rows; the hit travels as text."""
-    p, n, modulus, d, kind, marked_texts, avoided_texts, normalize, lo, hi = args
-    E = FiniteField(p, n, modulus)
-    marked = tuple(parse_point(E, t) for t in marked_texts)
-    avoided = tuple(parse_point(E, t) for t in avoided_texts)
-    witness, tested = _RowSearch(E, _Screen(E, kind, marked, avoided)).scan(d, normalize, lo, hi)
-    return None if witness is None else str(witness), tested
+def _scan_blocks(mapper, rows, d, normalize, count):
+    """Cut the rows of degree d into count contiguous blocks and scan them in order through mapper.
 
-
-def _scan_parallel(pool, workers, field, d, screen, normalize):
-    marked, avoided = screen.points
-    total = _row_count(field.q, d)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    args = [
-        (
-            field.p,
-            field.n,
-            field.modulus,
-            d,
-            screen.kind,
-            tuple(str(pt) for pt in marked),
-            tuple(str(pt) for pt in avoided),
-            normalize,
-            bounds[w],
-            bounds[w + 1],
-        )
-        for w in range(workers)
-    ]
+    mapper is map, or a pool's imap.  Blocks arrive in stream order, so the
+    first hit seen is the stream's first, and the blocks after it need not
+    finish.
+    """
+    total = _row_count(rows.field.q, d)
+    blocks = [range(total * w // count, total * (w + 1) // count) for w in range(count)]
     tested = 0
-    # blocks arrive in stream order, so the first hit seen is the stream's
-    # first, and the blocks after it need not finish
-    for text, count in pool.imap(_worker_scan, args):
-        tested += count
-        if text is not None:
-            return parse_ratmap(field, text), tested
+    for witness, seen in mapper(functools.partial(rows.scan, d, normalize), blocks):
+        tested += seen
+        if witness is not None:
+            return witness, tested
     return None, tested
 
 
@@ -532,17 +523,15 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         }
 
     pool = multiprocessing.Pool(workers) if exhaustive and workers > 1 else None
+    mapper = map if pool is None else pool.imap
     try:
         for d in range(1, spec.d_max + 1):
             for rows in rounds:
-                E, screen = rows.field, rows.screen
-                if not exhaustive:
-                    stream = (_random_candidate(E, d, rng) for _ in range(spec.budget))
-                    witness, tested = _scan(stream, screen)
-                elif pool is None:
-                    witness, tested = rows.scan(d, spec.normalize, 0, _row_count(E.q, d))
+                if exhaustive:
+                    witness, tested = _scan_blocks(mapper, rows, d, spec.normalize, workers)
                 else:
-                    witness, tested = _scan_parallel(pool, workers, E, d, screen, spec.normalize)
+                    stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))
+                    witness, tested = _scan(stream, rows.screen)
                 tested_total += tested
                 if witness is not None:
                     return record(d, witness)

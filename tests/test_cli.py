@@ -162,6 +162,15 @@ def test_guard_errors_name_the_way_out():
     assert "digit_guard" in proc.stderr
 
 
+def test_wild_search_with_normalize_exits_2():
+    argv = ("search", "wild", "--q", "5", "--S", "1", "--d-max", "2", "--fields", "5")
+    assert run_json(*argv)["witness"] == "num=1/den=4,1"
+    proc = run_cli("--json", *argv, "--normalize")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "tame searches only" in proc.stderr and "--normalize" in proc.stderr
+
+
 def test_out_of_range_point_exits_2():
     proc = run_cli("search", "tame", "--q", "5", "--S", "0;5", "--d-max", "1")
     assert proc.returncode == 2

@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from pbelyi import counting
@@ -165,6 +169,52 @@ def test_sym_product_worked_examples():
         sym_product_count({1: 4}, 2)
     with pytest.raises(InternalInconsistencyError):
         sym_product_count({1: 1, 2: 2}, 2)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def sym_by_compositions(counts, r):
+    """Oracle: the exponential formula summed over the integer compositions
+    of r, as sym_product_count computed it before the recurrence."""
+    total = Fraction(0)
+    for i in range(1, r + 1):
+        block = Fraction(0)
+        for comp in _compositions(r, i):
+            term = Fraction(1)
+            for a in comp:
+                term *= Fraction(counts[a], a)
+            block += term
+        total += block / factorial(i)
+    return total
+
+
+def test_sym_recurrence_matches_the_composition_sum():
+    """Seeded count sets, random ones and those of real curves: the same
+    value, or the same InternalInconsistencyError, as the oracle."""
+    rng = random.Random(0)
+    curves = [point_counts(curve, 7) for curve in (LINE5, ELLIPTIC3, GENUS2, EVEN_SQ)]
+    integral = inconsistent = 0
+    for _ in range(300):
+        r = rng.randint(1, 7)
+        counts = rng.choice(curves) if rng.random() < 0.3 else {m: rng.randint(0, 60) for m in range(1, r + 1)}
+        want = sym_by_compositions(counts, r)
+        if want.denominator == 1:
+            integral += 1
+            assert sym_product_count(counts, r) == want
+        else:
+            inconsistent += 1
+            with pytest.raises(InternalInconsistencyError):
+                sym_product_count(counts, r)
+    assert integral > 50 and inconsistent > 50
+    # the composition sum would walk 2^17 compositions here
+    assert sym_product_count({m: 3**m + 1 for m in range(1, 19)}, 18) == projective_space_count(3, 18)
 
 
 def test_sym_matches_projective_space_on_the_line():

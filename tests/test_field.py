@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 
@@ -87,6 +88,22 @@ def test_explicit_modulus_accepted():
     fld = FiniteField(3, 2, modulus=[2, 2, 1])  # x^2 + 2x + 2, irreducible
     z = fld.gen
     assert z * z == fld.element([1, 1])  # z^2 = -2z - 2 = z + 1
+
+
+@pytest.mark.parametrize("text", ["5", "3^2", "3^2/2,2,1", "5^6"])
+def test_fields_pickle_by_their_description(text):
+    """A copy is rebuilt from (p, n, modulus): a prime field, a tabled field,
+    a custom modulus, and a field above TABLE_LIMIT without tables."""
+    fld = parse_field(text)
+    copy = pickle.loads(pickle.dumps(fld))
+    assert copy is not fld
+    assert copy == fld
+    assert (str(copy), hash(copy)) == (str(fld), hash(fld)) == (text, hash(fld))
+    assert (copy._exp, copy._log) == (fld._exp, fld._log)
+    assert (fld._log is not None) == (text in ("3^2", "3^2/2,2,1"))
+    a, b = fld.from_code(fld.q - 1), fld.from_code(fld.q // 2)
+    assert copy.mul(a, b) == fld.mul(a, b)
+    assert copy.inv(a) == fld.inv(a)
 
 
 def test_is_prime_basics():

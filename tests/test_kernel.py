@@ -1,7 +1,8 @@
 """The value kernel against the object arithmetic it replaced, and properties
 of field values, log/exp tables, embeddings, factoring and the point-count
-chunk."""
+stripe."""
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pbelyi import field as field_module
-from pbelyi.counting import _count_chunk, _count_stripe
+from pbelyi.counting import _count_stripe
 from pbelyi.errors import InternalInconsistencyError
 from pbelyi.factor import factor
 from pbelyi.field import TABLE_LIMIT, FiniteField, _value_ops, embed, parse_field
@@ -292,19 +293,20 @@ def square_counts(field):
 
 @settings(max_examples=15)
 @given(codes=st.lists(st.integers(0, 15624), min_size=1, max_size=7), step=st.integers(1, 3))
-def test_count_chunk_matches_brute_force(codes, step):
-    """On every field of FIELDS, tabled ones taking Euler's criterion by one
-    table power and the others by square-and-multiply; above q = 729 one
-    sparse stripe only."""
+def test_count_stripe_matches_brute_force(codes, step):
+    """On a pickled copy of every field of FIELDS, as a pool worker counts,
+    tabled ones taking Euler's criterion by one table power and the others by
+    square-and-multiply; above q = 729 one sparse stripe only."""
     for field in FIELDS:
         f = poly(field, [c % field.q for c in codes])
         stride = step if field.q <= 729 else 257 * step
         starts = range(stride) if stride <= 3 else (codes[0] % stride,)
         xs = [field.from_int_value(k) for start in starts for k in range(start, field.q, stride)]
         expected = sum(square_counts(field).get(f.evaluate(x).int_value, 0) for x in xs)
-        jobs = [(field.p, field.n, field.modulus, f.values, start, stride) for start in starts]
-        assert sum(_count_chunk(job) for job in jobs) == expected
-        assert [_count_stripe(field, f.values, *job[4:]) for job in jobs] == [_count_chunk(job) for job in jobs]
+        copy = pickle.loads(pickle.dumps(field))
+        stripes = [_count_stripe(copy, f.values, start, stride) for start in starts]
+        assert sum(stripes) == expected
+        assert stripes == [_count_stripe(field, f.values, start, stride) for start in starts]
 
 
 # -- log/exp tables

@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -291,3 +292,16 @@ def test_points_outside_match_filtering_the_whole_line(field):
         want = [pt for pt in line if pt not in forbidden][:count]
         assert list(itertools.islice(p1_points_outside(field, forbidden), count)) == want
 
+
+
+def test_polynomials_points_and_maps_pickle():
+    E = FiniteField(3, 2, (2, 2, 1))
+    f = parse_ratmap(E, "num=0,2;2,1/den=1,1;1,0")
+    objects = (f.num, parse_point(E, "1,1"), P1Point.infinity(E), f)
+    for obj in objects:
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and str(copy) == str(obj)
+        assert copy.field == E and copy.field is not E
+    # one pickle rebuilds a shared field once
+    num, den = pickle.loads(pickle.dumps((f.num, f.den)))
+    assert num.field is den.field

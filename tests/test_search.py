@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import pickle
 import random
 
 import pytest
@@ -121,7 +122,7 @@ def test_row_scan_matches_the_stream_scan(field, d_max, splits):
             rows = search._RowSearch(field, screen)
             for d, stream in streams.items():
                 want = search._scan(stream, screen)
-                assert rows.scan(d, False, 0, search._row_count(field.q, d)) == want, (kind, marked, avoided, d)
+                assert rows.scan(d, False, range(search._row_count(field.q, d))) == want, (kind, marked, avoided, d)
                 if want[0] is not None and 1 < want[1] < len(stream):
                     before, after = stream[want[1] - 2], stream[want[1]]
                     hits_inside_a_row += before.den == want[0].den == after.den
@@ -279,9 +280,13 @@ def test_search_workers_do_not_change_the_answer():
         spec = SearchSpec(inst, kind, d_max, fields=[field], normalize=normalize)
         for workers in (1, 2, 3):
             res = minimal_belyi_degree(spec, workers=workers)
-            witness_text = None if res["witness"] is None else str(res["witness"])
-            got = (res["degree"], witness_text, res["candidates_tested"])
+            w = res["witness"]
+            got = (res["degree"], None if w is None else str(w), res["candidates_tested"])
             assert got == (degree, witness, tested), (kind, marked, normalize, workers)
+            if w is not None:  # a worker's witness comes back as a map over a copy of the field
+                assert w.field == field and (w.field is field) == (workers == 1)
+                verify = verify_tame_belyi if kind == "tame" else verify_wild_belyi
+                assert verify(w, inst.S, inst.T).passed
     last = parse_ratmap(F7, "num=3,2/den=4,1")
     rows = search._row_count(7, 1)
     for workers in (2, 3):
@@ -294,6 +299,24 @@ def test_search_workers_keep_a_custom_modulus():
     for workers in (1, 2):
         res = minimal_belyi_degree(spec, workers=workers)
         assert (str(res["witness"]), res["candidates_tested"]) == ("num=0,2;2,1/den=1,1;1,0", 406)
+
+
+def test_a_pickled_round_scans_like_the_original():
+    cases = [
+        (F5, ["0", "1", "2", "3"], [], "tame", 2),
+        (F3, p1_points(F3), [], "wild", 3),
+        (F9_CUSTOM, ["0,1", "1,1", "2,2"], [], "tame", 1),
+    ]
+    for field, marked, avoided, kind, d in cases:
+        inst = BelyiInstance(field, marked, avoided)
+        rows = search._RowSearch(field, search._Screen(field, kind, inst.S, inst.T))
+        rows.scan(d - 1 or 1, False, range(search._row_count(field.q, d - 1 or 1)))  # fill the caches
+        copy = pickle.loads(pickle.dumps(rows))
+        assert copy.field == field and copy.screen.field is copy.field is not field
+        block = range(search._row_count(field.q, d))
+        assert copy.scan(d, False, block) == rows.scan(d, False, block)
+        if kind == "tame":
+            assert copy.scan(d, True, block) == rows.scan(d, True, block)
 
 
 def test_one_pool_serves_every_round(monkeypatch):
@@ -393,3 +416,25 @@ def test_normalization_does_not_change_the_minimum():
     reduced = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F5], normalize=True))
     assert plain["degree"] == reduced["degree"] == 1
     assert reduced["candidates_tested"] <= plain["candidates_tested"]
+    # the six Mobius maps permuting {0, 1, inf} keep a tame hit a hit, so
+    # on every split of P^1(F_3) both searches agree on the minimum
+    degrees = set()
+    for marked, avoided in _splits(F3):
+        inst = BelyiInstance(F3, marked, avoided)
+        plain = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F3]))
+        reduced = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F3], normalize=True))
+        assert plain["degree"] == reduced["degree"], (marked, avoided)
+        if reduced["witness"] is not None:
+            assert verify_tame_belyi(reduced["witness"], inst.S, inst.T).passed
+        degrees.add(plain["degree"])
+    assert degrees == {1, 2, None}
+
+
+def test_normalization_is_refused_for_wild_searches():
+    # a wild hit's orbit representative is usually not a hit: over F_5 with
+    # S = {1} the plain search finds num=1/den=4,1 at degree 1, and the
+    # normalized stream would exhaust degree 2 and claim a false lower bound
+    inst = BelyiInstance(F5, ["1"], [])
+    with pytest.raises(PreconditionError, match="tame searches only.*--normalize"):
+        SearchSpec(inst, "wild", 2, fields=[F5], normalize=True)
+    assert str(minimal_belyi_degree(SearchSpec(inst, "wild", 2, fields=[F5]))["witness"]) == "num=1/den=4,1"
