@@ -2,9 +2,12 @@
 
 Coefficients are stored as the field's element values, little-endian with
 trailing zeros stripped, so the zero polynomial has an empty value tuple and
-degree -1.  Every method runs on values through the field's ops; coeffs,
-coeff(i) and leading build FieldElement views on access.  Polynomials are
-immutable and hashable; arithmetic never mutates.
+degree -1.  Over a prime field the values are ints in [0, p), so the
+multiply, divmod and powmod run in field.py's F_p[x] kernel on the value
+tuples themselves; over F_{p^n}, n > 1, and for every other method the
+coefficients go through the field's value ops.  coeffs, coeff(i) and
+leading build FieldElement views on access.  Polynomials are immutable and
+hashable; arithmetic never mutates.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField, parse_element
+from .field import FieldElement, FiniteField, _pdivmod, _pmul, _ppowmod, parse_element
 
 
 def _stripped(field: FiniteField, vals: Sequence) -> Tuple:
@@ -38,6 +41,13 @@ class Polynomial:
         """The polynomial with these element values, trailing zeros allowed."""
         out = cls.__new__(cls)
         out.field, out.values = field, _stripped(field, vals)
+        return out
+
+    @classmethod
+    def _from_trimmed(cls, field: FiniteField, vals: Tuple) -> "Polynomial":
+        """The polynomial with this value tuple, which has no trailing zeros."""
+        out = cls.__new__(cls)
+        out.field, out.values = field, vals
         return out
 
     @classmethod
@@ -157,6 +167,8 @@ class Polynomial:
             c = fld.value_of(other)
             return Polynomial._from_values(fld, [mul(a, c) for a in self.values])
         a, b = self.values, self._coerce(other).values
+        if fld.n == 1:
+            return Polynomial._from_trimmed(fld, _pmul(a, b, fld.p))
         add, zero = fld.add, fld.zero_value
         out = [zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -172,6 +184,9 @@ class Polynomial:
     def __divmod__(self, other):
         fld = self.field
         b = self._coerce(other).values
+        if fld.n == 1:
+            quo, rem = _pdivmod(self.values, b, fld.p)
+            return Polynomial._from_trimmed(fld, quo), Polynomial._from_trimmed(fld, rem)
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         sub, mul, zero = fld.sub, fld.mul, fld.zero_value
@@ -207,6 +222,9 @@ class Polynomial:
         return result
 
     def powmod(self, e: int, mod: "Polynomial") -> "Polynomial":
+        fld = self.field
+        if fld.n == 1:
+            return Polynomial._from_trimmed(fld, _ppowmod(self.values, e, self._coerce(mod).values, fld.p))
         result = Polynomial.one(self.field) % mod
         base = self % mod
         while e > 0:
@@ -224,7 +242,13 @@ class Polynomial:
         return Polynomial._from_values(fld, [mul(c, inv) for c in self.values])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
+        fld = self.field
         a, b = self, self._coerce(other)
+        if fld.n == 1:  # Euclid on the value tuples, with no Polynomial per step
+            a, b = a.values, b.values
+            while b:
+                a, b = b, _pdivmod(a, b, fld.p)[1]
+            return Polynomial._from_trimmed(fld, a).monic()
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()

@@ -20,7 +20,12 @@ works row by row:
 The rows of a degree are cut into one contiguous block per worker and the
 blocks are scanned in order, the same _RowSearch.scan for any worker count:
 serially one block through map, in parallel through a pool's imap, where each
-worker gets a pickled copy of the round and returns the witness itself.
+worker gets a pickled copy of the round and returns the witness itself.  The
+parent fills a round's caches for the degree before the copies are made.
+After a hit the parent sets the pool's stop flag, which every worker checks
+once per row, so the blocks still running end at once and the pool closes
+and joins; it is never terminated, since a worker killed while it sends a
+result would leave the result queue locked.
 
 Every hit is certified by the exact verifiers.  An exhaustive run that finds
 nothing is a lower bound over the searched coefficient fields only, never
@@ -32,6 +37,7 @@ import functools
 import itertools
 import multiprocessing
 import random
+import signal
 
 from .constructions import BelyiInstance, _as_field
 from .errors import (
@@ -48,6 +54,15 @@ from .ratmap import RationalMap, wronskian
 
 EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
+
+_stop_flag = None  # in a pool worker, the search's stop flag; set by _init_worker
+
+
+def _init_worker(stop):
+    """Pool initializer: keep the stop flag, and leave Ctrl-C to the parent, which stops the pool."""
+    global _stop_flag
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _stop_flag = stop
 
 
 def _poly_from_code(field, code, length):
@@ -401,29 +416,47 @@ class _RowSearch:
             out = self._nodes[key] = (basis, multiples)
         return out
 
-    def numerators(self, d, e, den):
-        """The numerators of a row that meet the point conditions, in code order, as value lists.
+    def _row_points(self, d, e, den):
+        """(head, tail) of a row's constrained points as (size, x, allowed values), or None.
 
         Each marked or avoided point x allows a set of values N(x), given by
         D(x); at inf the value is the x^d coefficient.  An empty set skips
-        the row.  N is interpolated at up to d + 1 constrained affine points,
-        N = L + M H with M the product of x - s over them, and checked at
-        the other points and at inf.
+        the row (None).  The head is the up to d + 1 affine points with the
+        fewest allowed values, where N is interpolated; the tail is the rest.
         """
         fld, screen = self.field, self.screen
-        q, zero = fld.q, fld.zero_value
+        q = fld.q
         nodes, at_infinity = [], []
         for x, want in screen.constraints:
             allowed = screen.allowed(_value_at(fld, den.values, d, x), want)
             if not allowed:
-                return []
+                return None
             if len(allowed) < q:
                 (at_infinity if x is None else nodes).append((len(allowed), x, allowed))
         if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
             at_infinity.append((q - 1, None, self._nonzero))
         nodes.sort(key=lambda node: node[0])
-        head, tail = nodes[: d + 1], at_infinity + nodes[d + 1 :]
-        k = len(head)
+        return nodes[: d + 1], at_infinity + nodes[d + 1 :]
+
+    def prepare(self, d):
+        """Fill the caches that a scan of degree d reads: the sieve, and every row's interpolation data."""
+        self._totient(d, self.field.q ** d)
+        for e, _, den in _rows(self.field, d, 0, _row_count(self.field.q, d)):
+            nodes = self._row_points(d, e, den)
+            if nodes is not None:
+                self._interpolation(tuple(x for _, x, _ in nodes[0]), d)
+
+    def numerators(self, d, e, den):
+        """The numerators of a row that meet the point conditions, in code order, as value lists.
+
+        N is interpolated at the head points of _row_points, N = L + M H with M
+        the product of x - s over them, and checked at the tail points.
+        """
+        nodes = self._row_points(d, e, den)
+        if nodes is None:
+            return []
+        head, tail = nodes
+        fld, zero, k = self.field, self.field.zero_value, len(head)
         basis, multiples = self._interpolation(tuple(x for _, x, _ in head), d)
         add, mul = fld.add, fld.mul
         found = []
@@ -444,13 +477,20 @@ class _RowSearch:
         """(first certified hit or None, candidates up to and including it) in a block of rows.
 
         The block is a range of row indices.  With normalize the rows' orbit
-        representatives are scanned one by one.
+        representatives are scanned one by one.  In a pool worker whose stop
+        flag is set the block ends at its next row and reports None.
         """
-        fld, screen = self.field, self.screen
-        if normalize:
-            return _scan(_candidates(fld, d, True, block.start, block.stop), screen)
+        fld, screen, stop = self.field, self.screen, _stop_flag
         tested = 0
         for e, code, den in _rows(fld, d, block.start, block.stop):
+            if stop is not None and stop.is_set():
+                return None
+            if normalize:
+                witness, seen = _scan(filter(_is_orbit_representative, _row_stream(fld, d, e, den)), screen)
+                tested += seen
+                if witness is not None:
+                    return witness, tested
+                continue
             for vals in self.numerators(d, e, den):
                 f = RationalMap(Polynomial._from_values(fld, vals), den)
                 if f.degree == d and screen(f):
@@ -522,12 +562,17 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
             "candidates_tested": tested_total,
         }
 
-    pool = multiprocessing.Pool(workers) if exhaustive and workers > 1 else None
+    pool = None
+    if exhaustive and workers > 1:
+        stop = multiprocessing.Event()
+        pool = multiprocessing.Pool(workers, _init_worker, (stop,))
     mapper = map if pool is None else pool.imap
     try:
         for d in range(1, spec.d_max + 1):
             for rows in rounds:
                 if exhaustive:
+                    if pool is not None and not spec.normalize:
+                        rows.prepare(d)
                     witness, tested = _scan_blocks(mapper, rows, d, spec.normalize, workers)
                 else:
                     stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))
@@ -538,5 +583,6 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         return record(None, None)
     finally:
         if pool is not None:
-            pool.terminate()
+            stop.set()
+            pool.close()
             pool.join()

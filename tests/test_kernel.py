@@ -1,8 +1,13 @@
-"""The value kernel against the object arithmetic it replaced, and properties
-of field values, log/exp tables, embeddings, factoring and the point-count
-stripe."""
+"""The value kernel against the object arithmetic it replaced, the F_p[x]
+kernel's packed multiply, Newton divide and powmod against schoolbook int-tuple
+arithmetic, and properties of field values, log/exp tables, embeddings,
+factoring and the point-count stripe."""
 
+import os
 import pickle
+import random
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -225,6 +230,146 @@ def test_polynomial_kernel_matches_the_reference(data, e):
         )
     if not m.is_zero:
         assert [c.coords for c in a.powmod(e, m).coeffs] == coords_of(ref_powmod(ra, e, rm, zero, one))
+
+
+# -- the F_p[x] kernel against the schoolbook references above, across the
+# multiply and divide crossovers and the slot-width fallback
+
+BIG_P = 2 ** 29 - 3  # (p - 1)^2 n fits a 64-bit slot only for n <= 64
+KERNEL_PRIMES = (3, 5, 7, BIG_P)
+
+
+def _random_poly(rng, p, length, monic=False):
+    """A trimmed int tuple of the given length, leading coefficient nonzero."""
+    if not length:
+        return ()
+    return tuple(rng.randrange(p) for _ in range(length - 1)) + (1 if monic else rng.randrange(1, p),)
+
+
+def _ref_powmod(a, e, m, p):
+    result = _pdivmod((1,), m, p)[1]
+    base = _pdivmod(a, m, p)[1]
+    while e > 0:
+        if e & 1:
+            result = _pdivmod(_pmul(result, base, p), m, p)[1]
+        base = _pdivmod(_pmul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def test_slot_widths():
+    assert field_module._slot(255) == (8, "B") and field_module._slot(256) == (16, "H")
+    assert field_module._slot(2 ** 32 - 1) == (32, "I") and field_module._slot(2 ** 64 - 1) == (64, "Q")
+    assert field_module._slot(2 ** 64) is None
+    assert field_module._slot((BIG_P - 1) ** 2 * 64) is not None and field_module._slot((BIG_P - 1) ** 2 * 65) is None
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_multiply_matches_schoolbook_at_every_degree(p):
+    """Every length 0..300 against a partner of length 0..80, so both the
+    packed and the schoolbook routes meet the reference; squares too."""
+    rng = random.Random(f"mul:{p}")
+    for n in range(302):
+        a = _random_poly(rng, p, n)
+        b = _random_poly(rng, p, rng.randrange(min(n, 80) + 1))
+        assert field_module._pmul(a, b, p) == _pmul(a, b, p), (n, len(b))
+        assert field_module._pmul(b, a, p) == _pmul(a, b, p), (n, len(b))
+        if n % 25 == 0:
+            assert field_module._pmul(a, a, p) == _pmul(a, a, p), n
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_divmod_matches_schoolbook_at_every_degree(p):
+    """Dividends of every length 0..300 by divisors of length 1..80, monic or
+    not, so that both long division and the Newton quotient are checked."""
+    rng = random.Random(f"div:{p}")
+    for n in range(302):
+        b = _random_poly(rng, p, rng.randrange(1, 81), monic=n % 2 == 0)
+        a = _random_poly(rng, p, n)
+        got = field_module._pdivmod(a, b, p)
+        if len(a) < len(b):
+            assert got == ((), a), (n, len(b))
+        else:
+            assert got == _pdivmod(a, b, p), (n, len(b))
+    for lq, lb in ((300, 150), (150, 300), (200, 24), (24, 200), (257, 129)):
+        b = _random_poly(rng, p, lb)
+        a = _pmul(_random_poly(rng, p, lq), b, p)
+        a = _padd(a, _random_poly(rng, p, lb - 1), p)
+        assert field_module._pdivmod(a, b, p) == _pdivmod(a, b, p), (lq, lb)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_edge_operands(p):
+    rng = random.Random(f"edge:{p}")
+    kernel_mul, kernel_divmod = field_module._pmul, field_module._pdivmod
+    long = _random_poly(rng, p, 120)
+    assert kernel_mul((), long, p) == kernel_mul(long, (), p) == () == kernel_mul((), (), p)
+    assert kernel_divmod((), long, p) == ((), ())
+    with pytest.raises(ZeroDivisionError):
+        kernel_divmod(long, (), p)
+    with pytest.raises(ZeroDivisionError):
+        field_module._ppowmod(long, 3, (), p)
+    c = rng.randrange(2, p)
+    assert kernel_divmod(long, (c,), p) == (_pmul(long, (pow(c, p - 2, p),), p), ())
+    short = _random_poly(rng, p, 40)
+    assert kernel_divmod(short, long, p) == ((), short)
+    lead = rng.randrange(2, p)  # a non-monic divisor, long enough for the Newton quotient
+    b = _random_poly(rng, p, 60)[:-1] + (lead,)
+    assert kernel_divmod(long, b, p) == _pdivmod(long, b, p)
+    assert field_module._inverse_series((c,), 5, p) == [pow(c, p - 2, p)] + [0] * 4
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_powmod_matches_schoolbook(p):
+    """Moduli on both sides of the one-inverse threshold, monic or not, and a
+    base longer than the modulus."""
+    rng = random.Random(f"powmod:{p}")
+    for lm in (1, 2, 5, 11, 12, 13, 20, 40, 90):
+        m = _random_poly(rng, p, lm, monic=lm % 2 == 0)
+        for la, e in ((0, 3), (1, 0), (lm + 7, 1), (lm, 2), (lm - 1, 5 ** 3), (3 * lm, 7 ** 2 + 3), (lm, 2 ** 40 + 1)):
+            a = _random_poly(rng, p, la)
+            assert field_module._ppowmod(a, e, m, p) == _ref_powmod(a, e, m, p), (lm, la, e)
+
+
+def test_polynomial_routes_prime_fields_through_the_kernel():
+    """Long polynomials over F_7: Polynomial's multiply, divmod and powmod
+    against the references, over the Newton and packed routes."""
+    rng = random.Random("poly")
+    F7 = FiniteField(7)
+    a, b, m = (_random_poly(rng, 7, n) for n in (301, 140, 40))
+    pa, pb, pm = (Polynomial(F7, c) for c in (a, b, m))
+    assert (pa * pb).values == _pmul(a, b, 7)
+    quo, rem = divmod(pa, pb)
+    assert (quo.values, rem.values) == _pdivmod(a, b, 7)
+    assert pa.powmod(7 ** 5, pm).values == _ref_powmod(a, 7 ** 5, m, 7)
+
+
+def test_kernel_runs_under_optimize():
+    """The packed, Newton and fallback routes give the same results with
+    asserts stripped (python -O) as the references do here."""
+    script = (
+        "import random\n"
+        "from pbelyi.field import _pmul, _pdivmod, _ppowmod\n"
+        "rng = random.Random(11)\n"
+        "for p in (7, %d):\n"
+        "    a = tuple(rng.randrange(p) for _ in range(199)) + (1,)\n"
+        "    b = tuple(rng.randrange(p) for _ in range(79)) + (2,)\n"
+        "    print(repr((_pmul(a, b, p), _pdivmod(a, b, p), _ppowmod(a, p + 3, b, p))))\n"
+    ) % BIG_P
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.splitlines()
+    rng = random.Random(11)
+    for p, line in zip((7, BIG_P), out, strict=True):
+        a = tuple(rng.randrange(p) for _ in range(199)) + (1,)
+        b = tuple(rng.randrange(p) for _ in range(79)) + (2,)
+        assert line == repr((_pmul(a, b, p), _pdivmod(a, b, p), _ref_powmod(a, p + 3, b, p)))
 
 
 # -- properties on values

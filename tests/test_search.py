@@ -1,7 +1,11 @@
 import itertools
 import multiprocessing
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -262,23 +266,26 @@ def test_search_exhausts_low_degrees():
     assert res["candidates_tested"] == 3120
 
 
-def test_search_workers_do_not_change_the_answer():
-    # (field, marked, avoided, kind, d_max, normalize, degree, witness, candidates_tested):
-    # a hit and an exhausted search of each kind, the normalized stream, and
-    # a hit in the middle of a row of the last block for both 2 and 3 workers
-    cases = [
-        (F5, ["0", "1", "2", "3"], [], "tame", 2, False, 2, "num=4,4,2/den=0,0,1", 680),
-        (F5, "all", [], "tame", 2, False, None, None, 3120),
-        (F5, ["1"], ["inf"], "wild", 1, False, 1, "num=1/den=4,1", 101),
-        (F3, "all", [], "wild", 3, False, None, None, 2184),
-        (F5, ["0", "1", "2", "3"], [], "tame", 2, True, 2, "num=1,1,4/den=0,0,1", 293),
-        (F5, "all", [], "tame", 2, True, None, None, 520),
-        (F7, ["1", "2", "3"], [], "tame", 1, False, 1, "num=3,2/den=4,1", 225),
-    ]
-    for field, marked, avoided, kind, d_max, normalize, degree, witness, tested in cases:
+# (field, marked, avoided, kind, d_max, normalize, degree, witness, candidates_tested):
+# a hit and an exhausted search of each kind, the normalized stream, and
+# a hit in the middle of a row of the last block for both 2 and 3 workers
+WORKER_CASES = [
+    (F5, ["0", "1", "2", "3"], [], "tame", 2, False, 2, "num=4,4,2/den=0,0,1", 680),
+    (F5, "all", [], "tame", 2, False, None, None, 3120),
+    (F5, ["1"], ["inf"], "wild", 1, False, 1, "num=1/den=4,1", 101),
+    (F3, "all", [], "wild", 3, False, None, None, 2184),
+    (F5, ["0", "1", "2", "3"], [], "tame", 2, True, 2, "num=1,1,4/den=0,0,1", 293),
+    (F5, "all", [], "tame", 2, True, None, None, 520),
+    (F7, ["1", "2", "3"], [], "tame", 1, False, 1, "num=3,2/den=4,1", 225),
+]
+
+
+def run_worker_cases(worker_counts):
+    """Search every case of WORKER_CASES with each worker count and check the answer."""
+    for field, marked, avoided, kind, d_max, normalize, degree, witness, tested in WORKER_CASES:
         inst = BelyiInstance(field, p1_points(field) if marked == "all" else marked, avoided)
         spec = SearchSpec(inst, kind, d_max, fields=[field], normalize=normalize)
-        for workers in (1, 2, 3):
+        for workers in worker_counts:
             res = minimal_belyi_degree(spec, workers=workers)
             w = res["witness"]
             got = (res["degree"], None if w is None else str(w), res["candidates_tested"])
@@ -287,10 +294,70 @@ def test_search_workers_do_not_change_the_answer():
                 assert w.field == field and (w.field is field) == (workers == 1)
                 verify = verify_tame_belyi if kind == "tame" else verify_wild_belyi
                 assert verify(w, inst.S, inst.T).passed
+
+
+def test_search_workers_do_not_change_the_answer():
+    run_worker_cases((1, 2, 3))
     last = parse_ratmap(F7, "num=3,2/den=4,1")
     rows = search._row_count(7, 1)
     for workers in (2, 3):
         assert _row_index(F7, last.den) >= rows * (workers - 1) // workers
+
+
+def test_parallel_searches_do_not_hang():
+    """The worker cases with 2 and 3 workers, 5 times over, in a child process
+    under a timeout, so that a pool that hangs fails here instead of stalling
+    the suite; the child and its workers are killed as one process group."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    script = "import test_search\nfor _ in range(5):\n    test_search.run_worker_cases((2, 3))\n"
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, start_new_session=True, stderr=subprocess.PIPE, text=True
+    )
+    try:
+        _, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("70 parallel searches did not finish in 120 s")
+    assert child.returncode == 0, err
+
+
+def test_a_stopped_block_reports_nothing(monkeypatch):
+    """A worker whose stop flag is set ends its block at the next row, with no
+    result; an unset flag changes nothing."""
+    inst = BelyiInstance(F5, ["0", "1", "2", "3"], [])
+    rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
+    block = range(search._row_count(5, 2))
+    want = rows.scan(2, False, block)
+    assert str(want[0]) == "num=4,4,2/den=0,0,1"
+    stop = multiprocessing.Event()
+    monkeypatch.setattr(search, "_stop_flag", stop)
+    for normalize in (False, True):
+        assert rows.scan(2, normalize, block) is not None
+    assert rows.scan(2, False, block) == want
+    stop.set()
+    for normalize in (False, True):
+        assert rows.scan(2, normalize, block) is None
+
+
+def test_a_prepared_round_scans_its_blocks_with_no_new_cache_entries():
+    """prepare(d) fills the sieve and the interpolation data that every block
+    of degree d reads, so a pickled copy scans each block as a fresh round
+    does without adding to either cache."""
+    for field, marked, kind, d in ((F5, p1_points(F5), "tame", 3), (F3, p1_points(F3), "wild", 3)):
+        inst = BelyiInstance(field, marked, [])
+        screen = search._Screen(field, kind, inst.S, inst.T)
+        rows = search._RowSearch(field, screen)
+        rows.prepare(d)
+        sizes = (len(rows._totients), len(rows._nodes))
+        total = search._row_count(field.q, d)
+        for w in range(3):
+            block = range(total * w // 3, total * (w + 1) // 3)
+            copy = pickle.loads(pickle.dumps(rows))
+            assert copy.scan(d, False, block) == search._RowSearch(field, screen).scan(d, False, block)
+            assert (len(copy._totients), len(copy._nodes)) == sizes
 
 
 def test_search_workers_keep_a_custom_modulus():
