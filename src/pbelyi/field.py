@@ -76,8 +76,9 @@ def is_prime(n: int) -> bool:
 # len b), and the product's slots are read back mod p.  From DIV_CUTOFF a
 # quotient is rev(a) rev(b)^-1 mod x^k, the inverse found by Newton iteration
 # (ibid., 9.1).  When the slot would be wider than a machine word both stay
-# schoolbook.  Over F_7 a 500 by 250 multiply takes 43 us against 8.8 ms by
-# schoolbook, and the divmod of the same operands 0.17 ms against 5.8 ms.
+# schoolbook.  Over F_7 a degree-500 by degree-250 multiply takes 41 us against
+# 8.2 ms by schoolbook, and their divmod 0.15 ms against 5.8 ms (Python 3.11,
+# one core of a 2-CPU x86-64 host).
 
 MUL_CUTOFF = 8  # the shorter factor's length from which _pmul packs
 DIV_CUTOFF = 24  # the quotient's and divisor's length from which _pdivmod inverts
@@ -113,6 +114,7 @@ def _slot(bound: int):
 
 
 def _pmul(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
+    """a*b, trimmed: schoolbook below MUL_CUTOFF coefficients in the shorter factor, else packed."""
     la, lb = len(a), len(b)
     n = min(la, lb)
     slot = _slot((p - 1) ** 2 * n) if n >= MUL_CUTOFF else None

@@ -21,11 +21,11 @@ The rows of a degree are cut into one contiguous block per worker and the
 blocks are scanned in order, the same _RowSearch.scan for any worker count:
 serially one block through map, in parallel through a pool's imap, where each
 worker gets a pickled copy of the round and returns the witness itself.  The
-parent fills a round's caches for the degree before the copies are made.
-After a hit the parent sets the pool's stop flag, which every worker checks
-once per row, so the blocks still running end at once and the pool closes
-and joins; it is never terminated, since a worker killed while it sends a
-result would leave the result queue locked.
+parent extends the round's totient sieve to the degree before the copies are
+made.  After a hit the parent sets the pool's stop flag, which every worker
+checks once per row, so the blocks still running end at once and the pool
+closes and joins; it is never terminated, since a worker killed while it
+sends a result would leave the result queue locked.
 
 Every hit is certified by the exact verifiers.  An exhaustive run that finds
 nothing is a lower bound over the searched coefficient fields only, never
@@ -365,7 +365,12 @@ class _RowSearch:
         self._nonzero = frozenset(map(field.from_code, range(1, field.q)))
 
     def _totient(self, e, code):
-        """Phi(D) for the monic D of degree e with this code.
+        """Phi(D) for the monic D of degree e with this code."""
+        self.sieve(e)
+        return self._totients[code]
+
+    def sieve(self, e):
+        """Extend the totient sieve to the monic D of degree at most e.
 
         Phi(D) = prod (q^k - 1) q^((a - 1) k) over the irreducible factors
         g^a of D, k = deg g, which is q^e prod (1 - q^-k) over the distinct
@@ -390,7 +395,6 @@ class _RowSearch:
                         phi[c] -= 1
                         self._irreducibles.append((_poly_from_code(fld, c, m + 1), m))
             self._sieved += 1
-        return phi[code]
 
     def _interpolation(self, xs, d):
         """Lagrange basis at the points xs, and every multiple of prod (x - s) of degree <= d.
@@ -416,47 +420,29 @@ class _RowSearch:
             out = self._nodes[key] = (basis, multiples)
         return out
 
-    def _row_points(self, d, e, den):
-        """(head, tail) of a row's constrained points as (size, x, allowed values), or None.
+    def numerators(self, d, e, den):
+        """The numerators of a row that meet the point conditions, in code order, as value lists.
 
         Each marked or avoided point x allows a set of values N(x), given by
         D(x); at inf the value is the x^d coefficient.  An empty set skips
-        the row (None).  The head is the up to d + 1 affine points with the
-        fewest allowed values, where N is interpolated; the tail is the rest.
+        the row.  N is interpolated at up to d + 1 constrained affine points,
+        N = L + M H with M the product of x - s over them, and checked at
+        the other points and at inf.
         """
         fld, screen = self.field, self.screen
-        q = fld.q
+        q, zero = fld.q, fld.zero_value
         nodes, at_infinity = [], []
         for x, want in screen.constraints:
             allowed = screen.allowed(_value_at(fld, den.values, d, x), want)
             if not allowed:
-                return None
+                return []
             if len(allowed) < q:
                 (at_infinity if x is None else nodes).append((len(allowed), x, allowed))
         if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
             at_infinity.append((q - 1, None, self._nonzero))
         nodes.sort(key=lambda node: node[0])
-        return nodes[: d + 1], at_infinity + nodes[d + 1 :]
-
-    def prepare(self, d):
-        """Fill the caches that a scan of degree d reads: the sieve, and every row's interpolation data."""
-        self._totient(d, self.field.q ** d)
-        for e, _, den in _rows(self.field, d, 0, _row_count(self.field.q, d)):
-            nodes = self._row_points(d, e, den)
-            if nodes is not None:
-                self._interpolation(tuple(x for _, x, _ in nodes[0]), d)
-
-    def numerators(self, d, e, den):
-        """The numerators of a row that meet the point conditions, in code order, as value lists.
-
-        N is interpolated at the head points of _row_points, N = L + M H with M
-        the product of x - s over them, and checked at the tail points.
-        """
-        nodes = self._row_points(d, e, den)
-        if nodes is None:
-            return []
-        head, tail = nodes
-        fld, zero, k = self.field, self.field.zero_value, len(head)
+        head, tail = nodes[: d + 1], at_infinity + nodes[d + 1 :]
+        k = len(head)
         basis, multiples = self._interpolation(tuple(x for _, x, _ in head), d)
         add, mul = fld.add, fld.mul
         found = []
@@ -572,7 +558,7 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
             for rows in rounds:
                 if exhaustive:
                     if pool is not None and not spec.normalize:
-                        rows.prepare(d)
+                        rows.sieve(d)  # once here, not once in every block's copy
                     witness, tested = _scan_blocks(mapper, rows, d, spec.normalize, workers)
                 else:
                     stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))

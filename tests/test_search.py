@@ -342,22 +342,23 @@ def test_a_stopped_block_reports_nothing(monkeypatch):
         assert rows.scan(2, normalize, block) is None
 
 
-def test_a_prepared_round_scans_its_blocks_with_no_new_cache_entries():
-    """prepare(d) fills the sieve and the interpolation data that every block
-    of degree d reads, so a pickled copy scans each block as a fresh round
-    does without adding to either cache."""
+def test_a_sieved_round_scans_its_blocks_with_no_new_totients():
+    """sieve(d) in the parent gives every block of degree d all the totients
+    it reads, so a pickled copy scans each block as a fresh round does
+    without sieving again."""
     for field, marked, kind, d in ((F5, p1_points(F5), "tame", 3), (F3, p1_points(F3), "wild", 3)):
         inst = BelyiInstance(field, marked, [])
         screen = search._Screen(field, kind, inst.S, inst.T)
         rows = search._RowSearch(field, screen)
-        rows.prepare(d)
-        sizes = (len(rows._totients), len(rows._nodes))
+        rows.sieve(d)
+        sieved = dict(rows._totients)
+        assert len(sieved) == search._row_count(field.q, d)
         total = search._row_count(field.q, d)
         for w in range(3):
             block = range(total * w // 3, total * (w + 1) // 3)
             copy = pickle.loads(pickle.dumps(rows))
             assert copy.scan(d, False, block) == search._RowSearch(field, screen).scan(d, False, block)
-            assert (len(copy._totients), len(copy._nodes)) == sizes
+            assert copy._totients == sieved and copy._sieved == d + 1
 
 
 def test_search_workers_keep_a_custom_modulus():
