@@ -3,11 +3,11 @@
 Coefficients are stored as the field's element values, little-endian with
 trailing zeros stripped, so the zero polynomial has an empty value tuple and
 degree -1.  Over a prime field the values are ints in [0, p), so the
-multiply, divmod and powmod run in field.py's F_p[x] kernel on the value
-tuples themselves; over F_{p^n}, n > 1, and for every other method the
-coefficients go through the field's value ops.  coeffs, coeff(i) and
-leading build FieldElement views on access.  Polynomials are immutable and
-hashable; arithmetic never mutates.
+multiply, divmod, powmod and the Euclid loop of gcd run in field.py's F_p[x]
+kernel on the value tuples themselves; over F_{p^n}, n > 1, and for every
+other method the coefficients go through the field's value ops.  coeffs,
+coeff(i) and leading build FieldElement views on access.  Polynomials are
+immutable and hashable; arithmetic never mutates.
 """
 
 from __future__ import annotations
