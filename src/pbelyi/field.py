@@ -322,9 +322,9 @@ def _value_ops(p: int, n: int, modulus: IntPoly):
     return (
         (0,) * n,
         (1,) + (0,) * (n - 1),
-        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-        lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
-        lambda a: tuple(-x % p for x in a),
+        lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
+        lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
+        lambda a: tuple([-x % p for x in a]),
         mul,
     )
 

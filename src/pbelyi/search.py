@@ -11,9 +11,10 @@ works row by row:
 - The images of the marked and avoided points give each point a set of
   allowed numerator values there.  A row in which some set is empty, which
   D alone decides, is skipped whole.
-- In the other rows only the numerators with allowed values are built, by
-  interpolation at the constrained points, and they go in code order through
-  a cheap exact screen built on the Riemann-Hurwitz count.
+- In the other rows only the numerators with allowed values, nonzero at the
+  roots of D in the field, are built, by interpolation at the constrained
+  points, and they go in code order through a cheap exact screen built on
+  the Riemann-Hurwitz count.
 - The hit's row is counted by gcds up to the hit, so the count is the hit's
   place in the stream of enumerate_candidates.
 
@@ -240,20 +241,37 @@ def _rad_degree(g):
     return sum(h.degree for h, _ in squarefree_decomposition(g))
 
 
+def _tame_root_count(g):
+    """deg g - deg gcd(g, g'): the number of distinct roots of g with multiplicity prime to p.
+
+    A root of multiplicity e divides g' exactly e - 1 times when p does not
+    divide e and at least e times when it does, so it adds 1 or 0.  This is
+    at most _rad_degree(g), with equality when no multiplicity is a multiple
+    of p.
+    """
+    return g.degree - g.gcd(g.derivative()).degree
+
+
 class _Screen:
     """Exact Belyi test for one coefficient field, with no factoring.
 
-    The point sets are validated once, when the screen is built.  For a
-    candidate f = N/D of degree d (reduced, D monic) the steps run from
-    cheap to dear: the images of the marked and avoided points, then
-    separability (the Wronskian W = N'D - ND' is nonzero), then the
-    Riemann-Hurwitz count.
+    The point sets are validated once, when the screen is built.  A
+    candidate f = N/D of degree d (reduced, D monic) passes when it meets
+    the points (meets_points: the images of the marked and avoided points)
+    and is ramified as the kind asks (ramified).  The row search builds only
+    numerators that meet the points, so it calls ramified alone; a screen
+    called on f runs both.
 
     Tame: f is a tame cover branched only over {0, 1, inf} exactly when
     the fibres over those values hold d + 2 points, that is
     deg rad N + deg rad (N - D) + deg rad D + [f(inf) in {0, 1, inf}] = d + 2.
-    Wild: every root of W is a pole, and when f(inf) = beta is affine,
-    inf is unramified: d - deg (N - beta D) <= 1.
+    The count c' that takes deg g - deg gcd(g, g') in place of deg rad g is
+    at most that count, and equal to it for a tame map, so c' != d + 2
+    rejects f before any radical is taken.  An inseparable f has N' = D' = 0 and c' <= 1, so the
+    tame test needs no Wronskian.
+    Wild: the Wronskian W = N'D - ND' is nonzero and every root of W is a
+    pole, and when f(inf) = beta is affine, inf is unramified:
+    d - deg (N - beta D) <= 1.
 
     A candidate passes exactly when verify_*_belyi passes it; certify()
     still runs the verifier on every hit.
@@ -299,16 +317,21 @@ class _Screen:
         return out
 
     def __call__(self, f):
+        """The whole screen, for a candidate from any stream: meets_points, then ramified."""
+        return self.meets_points(f.num.values, f.den.values, f.degree) and self.ramified(f)
+
+    def ramified(self, f):
+        """The Riemann-Hurwitz test of the kind, for f that meets the points."""
         num, den, d = f.num, f.den, f.degree
-        if not self.meets_points(num.values, den.values, d):
-            return False
+        if self.kind == "tame":
+            polys = (num, num - den, den)
+            at_infinity = self._special_at(num.values, den.values, d, None)
+            if sum(map(_tame_root_count, polys)) + at_infinity != d + 2:
+                return False
+            return sum(map(_rad_degree, polys)) + at_infinity == d + 2
         w = wronskian(f)
         if w.is_zero:
             return False
-        if self.kind == "tame":
-            at_infinity = self._special_at(num.values, den.values, d, None)
-            count = _rad_degree(num) + _rad_degree(num - den) + _rad_degree(den) + at_infinity
-            return count == d + 2
         g = w.gcd(den)
         while g.degree > 0:
             w = w // g
@@ -362,7 +385,8 @@ class _RowSearch:
         self._sieved = 0
         self._irreducibles = []  # (g, deg g), the monic irreducibles of degree < self._sieved
         self._nodes = {}
-        self._nonzero = frozenset(map(field.from_code, range(1, field.q)))
+        self._elements = tuple(map(field.from_code, range(field.q)))
+        self._nonzero = frozenset(self._elements[1:])
 
     def _totient(self, e, code):
         """Phi(D) for the monic D of degree e with this code."""
@@ -421,38 +445,43 @@ class _RowSearch:
         return out
 
     def numerators(self, d, e, den):
-        """The numerators of a row that meet the point conditions, in code order, as value lists.
+        """The numerators of a row's candidates that meet the points, in code order, as value lists.
 
         Each marked or avoided point x allows a set of values N(x), given by
         D(x); at inf the value is the x^d coefficient.  An empty set skips
-        the row.  N is interpolated at up to d + 1 constrained affine points,
-        N = L + M H with M the product of x - s over them, and checked at
-        the other points and at inf.
+        the row.  At a root r of D in the field N(r) must be nonzero, since
+        otherwise x - r divides N and D and N/D has a lower degree.  N is
+        interpolated at up to d + 1 constrained affine points, N = L + M H
+        with M the product of x - s over them, and checked at the other
+        points and at inf.  A numerator built may still share with D a
+        factor that has no root in the field; RationalMap drops it.
         """
         fld, screen = self.field, self.screen
-        q, zero = fld.q, fld.zero_value
-        nodes, at_infinity = [], []
+        q, zero, dvals = fld.q, fld.zero_value, den.values
+        allowed_at = {}
         for x, want in screen.constraints:
-            allowed = screen.allowed(_value_at(fld, den.values, d, x), want)
+            allowed = allowed_at[x] = screen.allowed(_value_at(fld, dvals, d, x), want)
             if not allowed:
                 return []
-            if len(allowed) < q:
-                (at_infinity if x is None else nodes).append((len(allowed), x, allowed))
+        if e:
+            # an allowed set at a root of D is all of the field (or empty), so this narrows it
+            allowed_at.update((r, self._nonzero) for r in self._elements if _value_at(fld, dvals, d, r) == zero)
         if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
-            at_infinity.append((q - 1, None, self._nonzero))
-        nodes.sort(key=lambda node: node[0])
-        head, tail = nodes[: d + 1], at_infinity + nodes[d + 1 :]
+            allowed_at[None] = self._nonzero
+        narrow = [(x, allowed) for x, allowed in allowed_at.items() if len(allowed) < q]
+        nodes = sorted((node for node in narrow if node[0] is not None), key=lambda node: len(node[1]))
+        head, tail = nodes[: d + 1], [node for node in narrow if node[0] is None] + nodes[d + 1 :]
         k = len(head)
-        basis, multiples = self._interpolation(tuple(x for _, x, _ in head), d)
+        basis, multiples = self._interpolation(tuple(x for x, _ in head), d)
         add, mul = fld.add, fld.mul
         found = []
-        for vals in itertools.product(*(allowed for _, _, allowed in head)):
+        for vals in itertools.product(*(allowed for _, allowed in head)):
             low = [zero] * k
             for v, ell in zip(vals, basis):
                 low = [add(a, mul(v, b)) for a, b in zip(low, ell)]
             for m in multiples:
                 n = [add(a, b) for a, b in zip(low, m)] + m[k:]
-                if all(_value_at(fld, n, d, x) in allowed for _, x, allowed in tail):
+                if all(_value_at(fld, n, d, x) in allowed for x, allowed in tail):
                     code = _code(fld, n)
                     if code:  # N = 0 lies outside every row
                         found.append((code, n))
@@ -479,7 +508,7 @@ class _RowSearch:
                 continue
             for vals in self.numerators(d, e, den):
                 f = RationalMap(Polynomial._from_values(fld, vals), den)
-                if f.degree == d and screen(f):
+                if f.degree == d and screen.ramified(f):
                     place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
                     return screen.certify(f), tested + place
             tested += _row_total(fld.q, d, e, self._totient(e, code))

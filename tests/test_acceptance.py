@@ -1,4 +1,5 @@
-"""End-to-end acceptance checks: nine criteria, one test and one verdict line each.
+"""End-to-end acceptance checks: nine criteria, one test and one verdict line each,
+and a second, larger search for criterion 7.
 
 Every expected number below was fixed by hand or by an independent oracle
 before the implementation ran; the tests also enforce the stated runtime
@@ -183,6 +184,20 @@ def test_criterion_7_search_finds_the_minimal_degrees():
     res = minimal_belyi_degree(SearchSpec(trivial, "tame", 2, fields=[F5]))
     assert res["degree"] == 1
     _finish(7, 3.0, started)
+
+
+def test_criterion_7_search_exhausts_q7_up_to_degree_4():
+    """No tame Belyi map of degree <= 4 over F_7 sends all of P^1(F_7) into
+    {0, 1, inf}.  Every candidate is counted: there are q^(2d - 1) (q^2 - 1)
+    reduced maps of degree d with monic denominator.  The default guard
+    refuses the q^(2 d_max + 2) = 7^10 pairs, so the guard is raised to that."""
+    started = time.perf_counter()
+    inst = BelyiInstance(F7, p1_points(F7), [])
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 4, fields=[F7]), guard=7 ** 10)
+    assert res["degree"] is None and res["witness"] is None
+    assert res["exhausted"] is True
+    assert res["candidates_tested"] == sum(7 ** (2 * d - 1) * 48 for d in range(1, 5)) == 40353600
+    _finish(7, 10.0, started)
 
 
 def test_criterion_8_collapse_map_regression_and_brute_force():

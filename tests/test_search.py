@@ -136,6 +136,9 @@ def test_row_scan_matches_the_stream_scan(field, d_max, splits):
 
 @pytest.mark.parametrize("field, d_max, splits", GRIDS, ids=GRID_IDS)
 def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_max, splits):
+    """The row filter builds a row's numerators N that meet the points and
+    have N(r) != 0 at every root r of D in the field: the others either fail
+    the points or share x - r with D, so they are no candidate of the row."""
     q = field.q
     for marked, avoided in splits:
         for kind in ("tame", "wild"):
@@ -143,12 +146,13 @@ def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_
             rows = search._RowSearch(field, screen)
             for d in range(1, d_max + 1):
                 for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
+                    roots = [r for r in field.elements() if den.evaluate(r).is_zero]
                     built = [search._code(field, n) for n in rows.numerators(d, e, den)]
-                    meet = [
-                        code
-                        for code in search._row_codes(q, d, e)
-                        if screen.meets_points(search._poly_from_code(field, code, d + 1).values, den.values, d)
-                    ]
+                    meet = []
+                    for code in search._row_codes(q, d, e):
+                        num = search._poly_from_code(field, code, d + 1)
+                        if screen.meets_points(num.values, den.values, d) and not any(num.evaluate(r).is_zero for r in roots):
+                            meet.append(code)
                     assert built == meet, (kind, marked, avoided, str(den))
 
 

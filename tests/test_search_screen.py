@@ -5,21 +5,30 @@ verify_wild_belyi passes it; the search relies on that to keep its
 witnesses and candidate counts.
 """
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pbelyi.factor import squarefree_decomposition
 from pbelyi.field import FiniteField
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import RationalMap, mobius_from_triple, p1_points, wronskian
-from pbelyi.search import _passes, _Screen, enumerate_candidates
+from pbelyi.search import _passes, _rad_degree, _Screen, _tame_root_count, enumerate_candidates
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 FIELDS = (F3, F5, FiniteField(7), FiniteField(3, 2), FiniteField(5, 2))
 
 
-@pytest.mark.parametrize("field, d_max", [(F3, 2), (F5, 1)], ids=["q3", "q5"])
+@pytest.mark.parametrize(
+    "field, d_max",
+    # degree 3 over F_3 holds the first separable candidates with a fibre
+    # point of multiplicity p, such as x^3/(x + 1)
+    [(F3, 2), (F5, 1), (F3, 3), (F5, 2)],
+    ids=["q3", "q5", "q3_d3", "q5_d2"],
+)
 @pytest.mark.parametrize("kind", ["tame", "wild"])
 @pytest.mark.parametrize("marked", ["none", "all"])
 def test_screen_matches_the_verifier_on_whole_streams(field, d_max, kind, marked):
@@ -33,6 +42,29 @@ def test_screen_matches_the_verifier_on_whole_streams(field, d_max, kind, marked
             hits += verdict
     # with no marked points the Moebius maps are Belyi maps of both kinds
     assert hits > 0 or marked == "all"
+
+
+@pytest.mark.parametrize("field, d_max", [(F3, 5), (F5, 4)], ids=["q3", "q5"])
+def test_gcd_count_matches_the_radical_count(field, d_max):
+    """deg g - deg gcd(g, g') is the screen's fast stand-in for deg rad g: it
+    counts the distinct roots whose multiplicity p does not divide, so it is
+    at most deg rad g, with equality exactly when squarefree_decomposition
+    reports no multiplicity divisible by p.  Checked on every monic g of
+    degree <= d_max."""
+    p = field.p
+    values = [field.from_code(c) for c in range(field.q)]
+    exact = 0
+    for m in range(d_max + 1):
+        for low in itertools.product(values, repeat=m):
+            g = Polynomial._from_values(field, list(low) + [field.one_value])
+            parts = squarefree_decomposition(g)
+            fast, rad = _tame_root_count(g), _rad_degree(g)
+            assert fast == sum(h.degree for h, e in parts if e % p), str(g)
+            assert fast <= rad
+            assert (fast == rad) == all(e % p for _, e in parts), str(g)
+            exact += fast == rad
+    # a multiplicity divisible by p needs degree >= p, as in x^p
+    assert (exact < sum(field.q ** m for m in range(d_max + 1))) == (d_max >= p)
 
 
 def _poly(field, codes):
