@@ -40,7 +40,7 @@ from .factor import DEFAULT_SEED
 from .field import parse_field
 from .ramification import is_simple_covering, verify_tame_belyi, verify_wild_belyi
 from .ratmap import parse_point, parse_point_set, parse_ratmap
-from .search import EXHAUSTIVE_GUARD, SearchSpec, minimal_belyi_degree
+from .search import DEFAULT_BUDGET, EXHAUSTIVE_GUARD, SearchSpec, minimal_belyi_degree
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--d-max", type=int, required=True)
         sp.add_argument("--fields", default=None, help="comma list of fields; default q,q^2")
         sp.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
-        sp.add_argument("--budget", type=int, default=2000)
-        sp.add_argument("--normalize", action="store_true")
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     return parser
 
@@ -303,7 +302,6 @@ def _cmd_search(args):
         mode=args.mode,
         seed=args.seed,
         budget=args.budget,
-        normalize=args.normalize,
     )
     guard = EXHAUSTIVE_GUARD if args.guard_override is None else args.guard_override
     res = minimal_belyi_degree(spec, workers=args.workers, guard=guard)
@@ -317,7 +315,7 @@ def _cmd_search(args):
         mode=spec.mode,
         seed=spec.seed,
         budget=spec.budget,
-        normalize=spec.normalize,
+        normalize=False,  # kept so that the pinned search output does not change
     )
     return {
         "degree": res["degree"],

@@ -117,7 +117,8 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     size = curve.q ** m
     if size > guard:
         raise GuardExceededError(
-            f"counting over a field of size {size} exceeds the guard {guard}; raise the guard to proceed"
+            f"counting over a field of size {size} exceeds the guard {guard}; "
+            "raise guard= (--guard-override) to proceed"
         )
     if isinstance(curve, ProjectiveLine):
         return size + 1
@@ -248,7 +249,8 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
     q = curve.q
     if q**max_degree > guard:
         raise GuardExceededError(
-            f"enumerating closed points of degree {max_degree} needs {q**max_degree} candidates, above the guard {guard}"
+            f"enumerating closed points of degree {max_degree} needs {q**max_degree} candidates, "
+            f"above the guard {guard}; raise guard= (--guard-override) to proceed"
         )
     out = {}
     exact = {}  # d -> d * b_d, the points of exact degree d

@@ -18,6 +18,9 @@ works row by row:
 - The hit's row is counted by gcds up to the hit, so the count is the hit's
   place in the stream of enumerate_candidates.
 
+The randomized mode draws candidates of every row at random and runs the
+whole screen on each.
+
 The rows of a degree are cut into one contiguous block per worker and the
 blocks are scanned in order, the same _RowSearch.scan for any worker count:
 serially one block through map, in parallel through a pool's imap, where each
@@ -71,38 +74,18 @@ def _poly_from_code(field, code, length):
     return Polynomial._from_values(field, [field.from_code(c) for c in digits(code, field.q, length)])
 
 
-def _monic_key(num, den):
-    """(den, num) sort keys of num/den once den is scaled to be monic."""
-    if not den.is_monic:
-        inv = den.leading.inverse()
-        num, den = num * inv, den * inv
-    return (den.sort_key(), num.sort_key())
-
-
-def _is_orbit_representative(f):
-    """f is the least of its postcompositions by the Mobius maps permuting {0, 1, inf}.
-
-    The five other images are (d-n)/d, d/n, d/(d-n), (n-d)/n and n/(n-d).
-    f = n/d is reduced, so each of them is reduced too and needs no gcd.
-    """
-    n, d = f.num, f.den
-    key = (d.sort_key(), n.sort_key())
-    images = ((d - n, d), (d, n), (d, d - n), (n - d, n), (n, n - d))
-    return all(key <= _monic_key(top, bottom) for top, bottom in images)
-
-
-def enumerate_candidates(field, d, normalize=False):
+def enumerate_candidates(field, d):
     """Reduced maps of degree exactly d with monic denominator, fixed order.
 
     Order: denominator first by (degree, coefficient code), then numerator
-    by coefficient code, little-endian base-q codes.  With normalize=True
-    only the least member of each orbit under postcomposition with the six
-    Mobius maps permuting {0, 1, inf} is kept.
+    by coefficient code, little-endian base-q codes.  The search counts a
+    hit's place in this stream.
     """
     field = _as_field(field)
     if not isinstance(d, int) or d < 1:
         raise PreconditionError("degree must be a positive integer, got %r" % (d,))
-    yield from _candidates(field, d, normalize, 0, _row_count(field.q, d))
+    for e, _, den in _rows(field, d, 0, _row_count(field.q, d)):
+        yield from _row_stream(field, d, e, den)
 
 
 def _row_count(q, d):
@@ -142,17 +125,6 @@ def _row_stream(field, d, e, den):
             yield f
 
 
-def _candidates(field, d, normalize, lo, hi):
-    """The candidates in the rows with index in [lo, hi), in stream order.
-
-    enumerate_candidates is the whole range of rows.
-    """
-    for e, _, den in _rows(field, d, lo, hi):
-        for f in _row_stream(field, d, e, den):
-            if not normalize or _is_orbit_representative(f):
-                yield f
-
-
 def _row_total(q, d, e, phi):
     """Candidates in a row whose denominator has degree e and totient phi."""
     return (q - 1) * q ** (d - e) * phi if e < d else q * phi
@@ -184,7 +156,6 @@ class SearchSpec:
         mode="exhaustive",
         seed=None,
         budget=DEFAULT_BUDGET,
-        normalize=False,
     ):
         if not isinstance(instance, BelyiInstance):
             raise PreconditionError("instance must be a BelyiInstance")
@@ -196,12 +167,6 @@ class SearchSpec:
             raise PreconditionError("mode must be 'exhaustive' or 'randomized'")
         if not isinstance(budget, int) or budget < 1:
             raise PreconditionError("budget must be a positive integer")
-        if normalize and kind == "wild":
-            raise PreconditionError(
-                "normalization is for tame searches only: the Mobius maps permuting {0, 1, inf} "
-                "move inf, so a wild hit's orbit representative is usually not a hit; "
-                "drop normalize (--normalize)"
-            )
         base = instance.field
         if fields is None:
             fields = (base, FiniteField(base.p, 2 * base.n))
@@ -221,7 +186,6 @@ class SearchSpec:
         self.mode = mode
         self.seed = DEFAULT_SEED if seed is None else seed
         self.budget = budget
-        self.normalize = normalize
 
 
 def _check_guard(spec, cap):
@@ -232,7 +196,8 @@ def _check_guard(spec, cap):
             raise GuardExceededError(
                 f"exhaustive search over {E} at degree {spec.d_max} considers about "
                 f"{E.q}^{2 * spec.d_max + 2} = {work} pairs, over the cap "
-                f"{cap}; use mode='randomized' with a budget instead"
+                f"{cap}; use mode='randomized' (--mode randomized) with a budget, "
+                "or raise guard= (--guard-override)"
             )
 
 
@@ -317,7 +282,7 @@ class _Screen:
         return out
 
     def __call__(self, f):
-        """The whole screen, for a candidate from any stream: meets_points, then ramified."""
+        """The whole screen, for a candidate of the randomized stream: meets_points, then ramified."""
         return self.meets_points(f.num.values, f.den.values, f.degree) and self.ramified(f)
 
     def ramified(self, f):
@@ -488,24 +453,20 @@ class _RowSearch:
         found.sort()
         return [n for _, n in found]
 
-    def scan(self, d, normalize, block):
+    def scan(self, d, block):
         """(first certified hit or None, candidates up to and including it) in a block of rows.
 
-        The block is a range of row indices.  With normalize the rows' orbit
-        representatives are scanned one by one.  In a pool worker whose stop
-        flag is set the block ends at its next row and reports None.
+        The block is a range of row indices.  Each row builds only the
+        numerators that meet the points and screens them by ramification; a
+        row with no hit is counted in closed form, the hit's row by its stream
+        up to the hit.  In a pool worker whose stop flag is set the block ends
+        at its next row and reports None.
         """
         fld, screen, stop = self.field, self.screen, _stop_flag
         tested = 0
         for e, code, den in _rows(fld, d, block.start, block.stop):
             if stop is not None and stop.is_set():
                 return None
-            if normalize:
-                witness, seen = _scan(filter(_is_orbit_representative, _row_stream(fld, d, e, den)), screen)
-                tested += seen
-                if witness is not None:
-                    return witness, tested
-                continue
             for vals in self.numerators(d, e, den):
                 f = RationalMap(Polynomial._from_values(fld, vals), den)
                 if f.degree == d and screen.ramified(f):
@@ -515,7 +476,7 @@ class _RowSearch:
         return None, tested
 
 
-def _scan_blocks(mapper, rows, d, normalize, count):
+def _scan_blocks(mapper, rows, d, count):
     """Cut the rows of degree d into count contiguous blocks and scan them in order through mapper.
 
     mapper is map, or a pool's imap.  Blocks arrive in stream order, so the
@@ -525,7 +486,7 @@ def _scan_blocks(mapper, rows, d, normalize, count):
     total = _row_count(rows.field.q, d)
     blocks = [range(total * w // count, total * (w + 1) // count) for w in range(count)]
     tested = 0
-    for witness, seen in mapper(functools.partial(rows.scan, d, normalize), blocks):
+    for witness, seen in mapper(functools.partial(rows.scan, d), blocks):
         tested += seen
         if witness is not None:
             return witness, tested
@@ -586,9 +547,9 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         for d in range(1, spec.d_max + 1):
             for rows in rounds:
                 if exhaustive:
-                    if pool is not None and not spec.normalize:
+                    if pool is not None:
                         rows.sieve(d)  # once here, not once in every block's copy
-                    witness, tested = _scan_blocks(mapper, rows, d, spec.normalize, workers)
+                    witness, tested = _scan_blocks(mapper, rows, d, workers)
                 else:
                     stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))
                     witness, tested = _scan(stream, rows.screen)

@@ -156,19 +156,25 @@ def test_json_error_paths_keep_stdout_empty():
 def test_guard_errors_name_the_way_out():
     proc = run_cli("search", "tame", "--q", "5", "--S", "all", "--T", "none", "--d-max", "2")
     assert proc.returncode == 2
-    assert "randomized" in proc.stderr
+    assert "randomized" in proc.stderr and "--guard-override" in proc.stderr
     proc = run_cli("bound", "tame", "--g", "9", "--s", "0", "--t", "0", "--q", "3")
     assert proc.returncode == 2
     assert "digit_guard" in proc.stderr
+    for argv in (("points", "--m", "11"), ("divisors", "--r", "9")):  # 5^11 points, 5^9 closed-point candidates
+        proc = run_cli("count", argv[0], "--curve", "p1/5", *argv[1:])
+        assert proc.returncode == 2
+        assert "guard=" in proc.stderr and "--guard-override" in proc.stderr
 
 
 def test_wild_search_with_normalize_exits_2():
+    # there is no --normalize option: argparse rejects it for either kind
     argv = ("search", "wild", "--q", "5", "--S", "1", "--d-max", "2", "--fields", "5")
     assert run_json(*argv)["witness"] == "num=1/den=4,1"
-    proc = run_cli("--json", *argv, "--normalize")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "tame searches only" in proc.stderr and "--normalize" in proc.stderr
+    for kind in ("tame", "wild"):
+        proc = run_cli("--json", "search", kind, *argv[2:], "--normalize")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--normalize" in proc.stderr
 
 
 def test_out_of_range_point_exits_2():

@@ -13,9 +13,8 @@ from pbelyi.bounds import wild_bound
 from pbelyi.constructions import BelyiInstance
 from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from pbelyi.field import FiniteField, embed
-from pbelyi.poly import Polynomial, parse_poly
 from pbelyi.ramification import verify_tame_belyi, verify_wild_belyi
-from pbelyi.ratmap import P1Point, RationalMap, p1_points, parse_ratmap
+from pbelyi.ratmap import P1Point, p1_points, parse_ratmap
 from pbelyi import search
 from pbelyi.ramification import BelyiVerdict
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
@@ -67,7 +66,8 @@ def test_stream_blocks_concatenate_to_the_stream():
     for cuts in ([0, total], [0, 1, 2, total], [0, 3, 4, 9, 12, total], [0, 1, total - 1, total]):
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
-            pieces.extend(search._candidates(F3, 2, False, lo, hi))
+            for e, _, den in search._rows(F3, 2, lo, hi):
+                pieces.extend(search._row_stream(F3, 2, e, den))
         assert pieces == whole
 
 
@@ -126,7 +126,7 @@ def test_row_scan_matches_the_stream_scan(field, d_max, splits):
             rows = search._RowSearch(field, screen)
             for d, stream in streams.items():
                 want = search._scan(stream, screen)
-                assert rows.scan(d, False, range(search._row_count(field.q, d))) == want, (kind, marked, avoided, d)
+                assert rows.scan(d, range(search._row_count(field.q, d))) == want, (kind, marked, avoided, d)
                 if want[0] is not None and 1 < want[1] < len(stream):
                     before, after = stream[want[1] - 2], stream[want[1]]
                     hits_inside_a_row += before.den == want[0].den == after.den
@@ -168,57 +168,6 @@ def test_enumeration_rejects_bad_degree():
         list(enumerate_candidates(F3, 0))
 
 
-def _triple_group(field):
-    x = Polynomial.x(field)
-    one = Polynomial.one(field)
-    return (
-        RationalMap(x, one),
-        RationalMap(one - x, one),
-        RationalMap(one, x),
-        RationalMap(one, one - x),
-        RationalMap(x - one, x),
-        RationalMap(x, x - one),
-    )
-
-
-def test_normalized_stream_is_an_orbit_transversal():
-    full = list(enumerate_candidates(F3, 1))
-    reps = set(enumerate_candidates(F3, 1, normalize=True))
-    assert len(reps) == 4
-    assert reps <= set(full)
-    group = _triple_group(F3)
-    for f in full:
-        orbit = {sigma.compose(f) for sigma in group}
-        assert len(orbit & reps) == 1
-
-
-def _gcd_orbit_filter(field, d):
-    """Reference for normalize=True: the orbit images built as RationalMaps, each reduced by a gcd."""
-
-    def key(f):
-        return (f.den.sort_key(), f.num.sort_key())
-
-    kept = []
-    for f in enumerate_candidates(field, d):
-        n, den = f.num, f.den
-        images = (
-            RationalMap(den - n, den),
-            RationalMap(den, n),
-            RationalMap(den, den - n),
-            RationalMap(n - den, n),
-            RationalMap(n, n - den),
-        )
-        if all(key(f) <= key(g) for g in images):
-            kept.append(f)
-    return kept
-
-
-def test_normalized_stream_matches_the_gcd_reference():
-    for field, d_max in ((F3, 2), (F5, 1)):
-        for d in range(1, d_max + 1):
-            assert list(enumerate_candidates(field, d, normalize=True)) == _gcd_orbit_filter(field, d)
-
-
 def test_search_trivial_instance_is_identity():
     spec = SearchSpec(BelyiInstance(F5, [], []), "tame", 2, fields=[F5])
     res = minimal_belyi_degree(spec)
@@ -251,6 +200,8 @@ def test_search_wild_marked_point_needs_a_pole():
     assert str(res["witness"]) == "num=1/den=2,1"
     assert res["candidates_tested"] == 19
     assert res["degree"] < wild_bound(0, 1, 0, 3).value
+    spec = SearchSpec(BelyiInstance(F5, ["1"], []), "wild", 2, fields=[F5])
+    assert str(minimal_belyi_degree(spec)["witness"]) == "num=1/den=4,1"
 
 
 def test_search_marked_triple_keeps_identity():
@@ -270,30 +221,28 @@ def test_search_exhausts_low_degrees():
     assert res["candidates_tested"] == 3120
 
 
-# (field, marked, avoided, kind, d_max, normalize, degree, witness, candidates_tested):
-# a hit and an exhausted search of each kind, the normalized stream, and
-# a hit in the middle of a row of the last block for both 2 and 3 workers
+# (field, marked, avoided, kind, d_max, degree, witness, candidates_tested):
+# a hit and an exhausted search of each kind, and a hit in the middle of a
+# row of the last block for both 2 and 3 workers
 WORKER_CASES = [
-    (F5, ["0", "1", "2", "3"], [], "tame", 2, False, 2, "num=4,4,2/den=0,0,1", 680),
-    (F5, "all", [], "tame", 2, False, None, None, 3120),
-    (F5, ["1"], ["inf"], "wild", 1, False, 1, "num=1/den=4,1", 101),
-    (F3, "all", [], "wild", 3, False, None, None, 2184),
-    (F5, ["0", "1", "2", "3"], [], "tame", 2, True, 2, "num=1,1,4/den=0,0,1", 293),
-    (F5, "all", [], "tame", 2, True, None, None, 520),
-    (F7, ["1", "2", "3"], [], "tame", 1, False, 1, "num=3,2/den=4,1", 225),
+    (F5, ["0", "1", "2", "3"], [], "tame", 2, 2, "num=4,4,2/den=0,0,1", 680),
+    (F5, "all", [], "tame", 2, None, None, 3120),
+    (F5, ["1"], ["inf"], "wild", 1, 1, "num=1/den=4,1", 101),
+    (F3, "all", [], "wild", 3, None, None, 2184),
+    (F7, ["1", "2", "3"], [], "tame", 1, 1, "num=3,2/den=4,1", 225),
 ]
 
 
 def run_worker_cases(worker_counts):
     """Search every case of WORKER_CASES with each worker count and check the answer."""
-    for field, marked, avoided, kind, d_max, normalize, degree, witness, tested in WORKER_CASES:
+    for field, marked, avoided, kind, d_max, degree, witness, tested in WORKER_CASES:
         inst = BelyiInstance(field, p1_points(field) if marked == "all" else marked, avoided)
-        spec = SearchSpec(inst, kind, d_max, fields=[field], normalize=normalize)
+        spec = SearchSpec(inst, kind, d_max, fields=[field])
         for workers in worker_counts:
             res = minimal_belyi_degree(spec, workers=workers)
             w = res["witness"]
             got = (res["degree"], None if w is None else str(w), res["candidates_tested"])
-            assert got == (degree, witness, tested), (kind, marked, normalize, workers)
+            assert got == (degree, witness, tested), (kind, marked, workers)
             if w is not None:  # a worker's witness comes back as a map over a copy of the field
                 assert w.field == field and (w.field is field) == (workers == 1)
                 verify = verify_tame_belyi if kind == "tame" else verify_wild_belyi
@@ -334,14 +283,13 @@ def test_a_stopped_block_reports_nothing(monkeypatch):
     inst = BelyiInstance(F5, ["0", "1", "2", "3"], [])
     rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
     block = range(search._row_count(5, 2))
-    want = rows.scan(2, False, block)
+    want = rows.scan(2, block)
     assert str(want[0]) == "num=4,4,2/den=0,0,1"
     stop = multiprocessing.Event()
     monkeypatch.setattr(search, "_stop_flag", stop)
-    assert rows.scan(2, False, block) == want and rows.scan(2, True, block) is not None
+    assert rows.scan(2, block) == want
     stop.set()
-    for normalize in (False, True):
-        assert rows.scan(2, normalize, block) is None
+    assert rows.scan(2, block) is None
 
 
 def test_a_sieved_round_scans_its_blocks_with_no_new_totients():
@@ -359,7 +307,7 @@ def test_a_sieved_round_scans_its_blocks_with_no_new_totients():
         for w in range(3):
             block = range(total * w // 3, total * (w + 1) // 3)
             copy = pickle.loads(pickle.dumps(rows))
-            assert copy.scan(d, False, block) == search._RowSearch(field, screen).scan(d, False, block)
+            assert copy.scan(d, block) == search._RowSearch(field, screen).scan(d, block)
             assert copy._totients == sieved and copy._sieved == d + 1
 
 
@@ -380,13 +328,11 @@ def test_a_pickled_round_scans_like_the_original():
     for field, marked, avoided, kind, d in cases:
         inst = BelyiInstance(field, marked, avoided)
         rows = search._RowSearch(field, search._Screen(field, kind, inst.S, inst.T))
-        rows.scan(d - 1 or 1, False, range(search._row_count(field.q, d - 1 or 1)))  # fill the caches
+        rows.scan(d - 1 or 1, range(search._row_count(field.q, d - 1 or 1)))  # fill the caches
         copy = pickle.loads(pickle.dumps(rows))
         assert copy.field == field and copy.screen.field is copy.field is not field
         block = range(search._row_count(field.q, d))
-        assert copy.scan(d, False, block) == rows.scan(d, False, block)
-        if kind == "tame":
-            assert copy.scan(d, True, block) == rows.scan(d, True, block)
+        assert copy.scan(d, block) == rows.scan(d, block)
 
 
 def test_one_pool_serves_every_round(monkeypatch):
@@ -478,33 +424,3 @@ def test_spec_validation():
         SearchSpec(inst, "tame", 2, fields=[])
     with pytest.raises(PreconditionError):
         minimal_belyi_degree(SearchSpec(inst, "tame", 1, fields=[F5]), workers=0)
-
-
-def test_normalization_does_not_change_the_minimum():
-    inst = BelyiInstance(F5, ["0", "1", "inf"], [])
-    plain = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F5]))
-    reduced = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F5], normalize=True))
-    assert plain["degree"] == reduced["degree"] == 1
-    assert reduced["candidates_tested"] <= plain["candidates_tested"]
-    # the six Mobius maps permuting {0, 1, inf} keep a tame hit a hit, so
-    # on every split of P^1(F_3) both searches agree on the minimum
-    degrees = set()
-    for marked, avoided in _splits(F3):
-        inst = BelyiInstance(F3, marked, avoided)
-        plain = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F3]))
-        reduced = minimal_belyi_degree(SearchSpec(inst, "tame", 2, fields=[F3], normalize=True))
-        assert plain["degree"] == reduced["degree"], (marked, avoided)
-        if reduced["witness"] is not None:
-            assert verify_tame_belyi(reduced["witness"], inst.S, inst.T).passed
-        degrees.add(plain["degree"])
-    assert degrees == {1, 2, None}
-
-
-def test_normalization_is_refused_for_wild_searches():
-    # a wild hit's orbit representative is usually not a hit: over F_5 with
-    # S = {1} the plain search finds num=1/den=4,1 at degree 1, and the
-    # normalized stream would exhaust degree 2 and claim a false lower bound
-    inst = BelyiInstance(F5, ["1"], [])
-    with pytest.raises(PreconditionError, match="tame searches only.*--normalize"):
-        SearchSpec(inst, "wild", 2, fields=[F5], normalize=True)
-    assert str(minimal_belyi_degree(SearchSpec(inst, "wild", 2, fields=[F5]))["witness"]) == "num=1/den=4,1"
