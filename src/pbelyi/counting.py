@@ -94,7 +94,7 @@ def parse_curve(text: str):
 
 
 def _count_stripe(field, fvals, start, step):
-    """Affine points of y^2 = f(x) with x in one stripe of the field; f given by its values."""
+    """Affine points of y^2 = f(x) with x in one stripe of the field's codes; f given by its values."""
     add, mul, zero, one = field.add, field.mul, field.zero_value, field.one_value
     half = (field.q - 1) // 2
     total = 0
@@ -105,13 +105,55 @@ def _count_stripe(field, fvals, start, step):
             t = add(mul(t, x), c)
         if t == zero:
             total += 1
-        elif field.pow(t, half) == one:  # Euler's criterion; one lookup on a tabled field
+        elif field.pow(t, half) == one:  # Euler's criterion
+            total += 2
+    return total
+
+
+def _log_stripe(field, fvals, start, step):
+    """The same count on a tabled field, x = g^L for L in one stripe of [0, q - 1); x = 0 goes with start 0.
+
+    Horner runs on logs (None for zero): with t the log of the partial
+    value, t*x has log t + L, and adding a nonzero c = g^l gives
+    l + Z[t + L - l], Z the field's Zech logarithms.  f(x) is a nonzero
+    square exactly when its log is even, since q - 1 is even.
+    """
+    log, zech = field._log, field.zech()
+    qm1 = len(log)
+    logs = [log.get(c) for c in reversed(fvals)]
+    lead, rest = logs[0], logs[1:]
+    total = 0
+    if start == 0:  # x = 0, where f(x) = c_0
+        c0 = logs[-1]
+        total += 1 if c0 is None else 0 if c0 % 2 else 2
+    for L in range(start, qm1, step):
+        t = lead
+        for c in rest:
+            if t is None:
+                t = c
+            elif c is None:
+                t += L
+            else:
+                t = zech[(t + L - c) % qm1]
+                if t is not None:
+                    t += c
+        if t is None:
+            total += 1
+        elif t % 2 == 0:
             total += 2
     return total
 
 
 def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) -> int:
-    """Number of points of the curve over the degree-m extension of its base field."""
+    """Number of points of the curve over the degree-m extension of its base field.
+
+    The extension is the interned canonical field, so the counts over one
+    extension share its tables and the embedding of the base.  On a tabled
+    extension the affine points are counted on logs with Zech's logarithms
+    (`_log_stripe`), on a prime field or one above TABLE_LIMIT by value ops
+    and Euler's criterion (`_count_stripe`).  With workers > 1 a pool splits
+    the same loop into stripes, each worker on its own unpickled copy.
+    """
     if m < 1:
         raise PreconditionError("extension degree m must be at least 1")
     size = curve.q ** m
@@ -125,12 +167,13 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     base = curve.field
     ext = FiniteField(base.p, base.n * m)
     f_ext = curve.f if ext == base else curve.f.map_coefficients(embed(base, ext))
+    stripe = _count_stripe if ext._log is None else _log_stripe
     if workers <= 1:
-        total = _count_stripe(ext, f_ext.values, 0, 1)
+        total = stripe(ext, f_ext.values, 0, 1)
     else:
         jobs = [(ext, f_ext.values, i, workers) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:  # each worker unpickles its own copy of ext
-            total = sum(pool.starmap(_count_stripe, jobs))
+            total = sum(pool.starmap(stripe, jobs))
     if curve.f.degree % 2 == 1:
         total += 1
     else:

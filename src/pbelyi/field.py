@@ -13,7 +13,17 @@ and hashable, and no floating point is used anywhere.
 A field with n > 1 and at most TABLE_LIMIT elements builds log/exp tables for
 a primitive element when it is made, and multiplies, inverts and raises to
 powers by lookup; larger fields multiply int-tuple polynomials and reduce.
-Either way the values are the same coordinate tuples.
+Either way the values are the same coordinate tuples.  Such a tabled field
+also builds Zech's logarithms (`zech`) the first time they are asked for,
+which turn addition in the log domain into one lookup.
+
+FiniteField(p, n) with no modulus is interned: while the canonical modulus
+of (p, n) stays cached, every such call returns the one field built on it,
+tables, Zech logarithms and embeddings (`embed` caches the image of each
+source generator on its target) included.  `_canonical_modulus.cache_clear()`
+drops those fields with the moduli, so a process that clears it builds every
+field afresh.  A field with an explicit modulus, and so every pickled copy,
+is built anew each time.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInconsistencyError, PreconditionError
 
@@ -288,8 +298,7 @@ def digits(k: int, base: int, count: int) -> List[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _canonical_modulus(p: int, n: int) -> IntPoly:
+def _search_modulus(p: int, n: int) -> IntPoly:
     if n == 1:
         return (0, 1)
     from .factor import is_irreducible
@@ -301,6 +310,30 @@ def _canonical_modulus(p: int, n: int) -> IntPoly:
         if is_irreducible(f):
             return f.values
     raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+class _ModulusCache:
+    """_canonical_modulus(p, n): the canonical modulus, searched once per (p, n).
+
+    The search sits in an lru_cache, whose cache_info counts the searches.
+    `fields` interns, per (p, n), the FiniteField built on the cached
+    modulus; cache_clear empties both, so no field outlives its modulus.
+    """
+
+    def __init__(self, search):
+        self._search = lru_cache(maxsize=None)(search)
+        self.cache_info = self._search.cache_info
+        self.fields = {}
+
+    def __call__(self, p: int, n: int) -> IntPoly:
+        return self._search(p, n)
+
+    def cache_clear(self) -> None:
+        self._search.cache_clear()
+        self.fields.clear()
+
+
+_canonical_modulus = _ModulusCache(_search_modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +427,32 @@ class FiniteField:
     """The field with p**n elements, p an odd prime.
 
     On a tabled field (n > 1, q <= TABLE_LIMIT) _exp and _log are the
-    tables from _log_exp_tables; otherwise both are None.
+    tables from _log_exp_tables; otherwise both are None.  _zech holds the
+    Zech logarithms once `zech` has built them, and _embeddings the cached
+    images of source generators under `embed`.
     """
 
-    __slots__ = ("p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul", "_exp", "_log")
+    __slots__ = (
+        "p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul",
+        "_exp", "_log", "_zech", "_embeddings",
+    )
 
-    def __init__(self, p: int, n: int = 1, modulus: Sequence[int] = None):
+    def __new__(cls, p: int, n: int = 1, modulus: Sequence[int] = None):
         if not isinstance(p, int) or not is_prime(p):
             raise PreconditionError(f"characteristic must be prime, got {p}")
         if p == 2:
             raise PreconditionError("characteristic 2 is not supported")
         if not isinstance(n, int) or n < 1:
             raise PreconditionError(f"extension degree must be a positive integer, got {n}")
+        if modulus is None:
+            interned = _canonical_modulus.fields.get((p, n))
+            if interned is not None:
+                return interned
+        return super().__new__(cls)
+
+    def __init__(self, p: int, n: int = 1, modulus: Sequence[int] = None):
+        if modulus is None and _canonical_modulus.fields.get((p, n)) is self:
+            return  # interned, built already
         self.p = p
         self.n = n
         if modulus is None:
@@ -423,10 +470,13 @@ class FiniteField:
         self._hash = hash((self.p, self.n, self.modulus))
         ops = _value_ops(p, n, self.modulus)
         self.zero_value, self.one_value, self.add, self.sub, self.neg, self.mul = ops
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = None
+        self._embeddings = {}  # (p, n, modulus) of a source -> the image value of its generator
         if n > 1 and p ** n <= TABLE_LIMIT:
             self._exp, self._log = _log_exp_tables(p, n, self.modulus, self.mul)
             self.mul = _table_mul(self._exp, self._log, self.zero_value)
+        if modulus is None:
+            _canonical_modulus.fields[p, n] = self
 
     # -- descriptor protocol
 
@@ -461,6 +511,19 @@ class FiniteField:
         return base + "/" + ",".join(str(c) for c in self.modulus)
 
     # -- values
+
+    def zech(self) -> List[Optional[int]]:
+        """Zech's logarithms on a tabled field: Z[k] = log(1 + g^k), None at k = (q - 1)/2.
+
+        Then g^a + g^b = g^(b + Z[a - b]) for a - b taken mod q - 1 (Lidl &
+        Niederreiter, Finite Fields, 9.3), and the sum is zero where Z is
+        None.  Built on the first call, one list of q - 1 entries.
+        """
+        if self._zech is None:
+            log, p = self._log, self.p
+            # 1 + g^k changes only the constant coordinate; 0 = 1 + (-1) has no log
+            self._zech = [log.get(((e[0] + 1) % p,) + e[1:]) for e in self._exp[: len(log)]]
+        return self._zech
 
     def inv(self, a):
         """The inverse of a nonzero value."""
@@ -756,7 +819,11 @@ class EmbeddingMap:
 
 def embed(source: FiniteField, target: FiniteField) -> EmbeddingMap:
     """Deterministic embedding: the generator maps to the lexicographically
-    smallest root (by coordinate sequence) of the source modulus in target."""
+    smallest root (by coordinate sequence) of the source modulus in target.
+
+    The image is found once per target and source description and cached on
+    the target as a value, not as a map, so the target refers to no field.
+    """
     if source.p != target.p:
         raise PreconditionError("fields have different characteristics")
     if target.n % source.n != 0:
@@ -767,14 +834,18 @@ def embed(source: FiniteField, target: FiniteField) -> EmbeddingMap:
         return EmbeddingMap(source, target, target.zero)
     if source == target:
         return EmbeddingMap(source, target, target.gen)
-    from .poly import Polynomial
-    from .factor import split_root
+    key = (source.p, source.n, source.modulus)
+    image = target._embeddings.get(key)
+    if image is None:
+        from .poly import Polynomial
+        from .factor import split_root
 
-    # the source modulus splits in target into one orbit under x -> x**p
-    orbit = [split_root(Polynomial(target, source.modulus))]
-    for _ in range(source.n - 1):
-        orbit.append(frobenius(orbit[-1]))
-    return EmbeddingMap(source, target, min(orbit, key=lambda e: e.coords))
+        # the source modulus splits in target into one orbit under x -> x**p
+        orbit = [split_root(Polynomial(target, source.modulus))]
+        for _ in range(source.n - 1):
+            orbit.append(frobenius(orbit[-1]))
+        image = target._embeddings[key] = min(orbit, key=lambda e: e.coords).value
+    return EmbeddingMap(source, target, FieldElement(target, image))
 
 
 # ---------------------------------------------------------------------------

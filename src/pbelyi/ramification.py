@@ -88,33 +88,27 @@ class RamOrbit:
         }
 
 
+_UNREAD = object()  # a representative not yet worked out
+
+
 class BranchPoint:
     """A Galois orbit of branch values, identified by its minimal polynomial.
 
-    A representative given to the constructor is kept as given.  One made by
-    `on_demand` is found at the first read of `representative` and cached.
+    A representative given to the constructor is kept as given.  Without
+    one it is found at the first read of `representative` and cached.
     """
 
-    __slots__ = ("min_poly", "degree", "_representative", "_fields")
+    __slots__ = ("min_poly", "degree", "_representative")
 
-    def __init__(self, min_poly, degree, representative):
+    def __init__(self, min_poly, degree, representative=_UNREAD):
         self.min_poly = min_poly  # None marks infinity
         self.degree = degree
         self._representative = representative  # P1Point in a canonical field, or None
-        self._fields = None  # the report's display fields while the representative is unread
-
-    @classmethod
-    def on_demand(cls, min_poly, fields):
-        """A non-rational branch orbit; fields (degree -> field, embedding) is shared within a report."""
-        bp = cls(min_poly, min_poly.degree, None)
-        bp._fields = fields
-        return bp
 
     @property
     def representative(self):
-        if self._fields is not None:
-            self._representative = _display_root(self.min_poly, self._fields)
-            self._fields = None
+        if self._representative is _UNREAD:
+            self._representative = _display_root(self.min_poly)
         return self._representative
 
     @property
@@ -244,23 +238,19 @@ def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
     return RamOrbit(None, index, 1, index % base.p == 0, False, bmp, P1Point(base, beta))
 
 
-def _display_root(bmp, fields) -> Optional[P1Point]:
+def _display_root(bmp) -> Optional[P1Point]:
     """The least root of bmp in the canonical F_{q^k}, k = deg bmp, or None above REP_DEGREE_LIMIT."""
     k = bmp.degree
     if k > REP_DEGREE_LIMIT:
         return None
     base = bmp.field
-    if k not in fields:  # a tabled field costs up to a few ms to build
-        fld = FiniteField(base.p, base.n * k)
-        fields[k] = fld, embed(base, fld)
-    fld, eps = fields[k]
-    root = split_root(bmp.map_coefficients(eps))
+    fld = FiniteField(base.p, base.n * k)  # interned: the orbits of one degree share it and its embedding
+    root = split_root(bmp.map_coefficients(embed(base, fld)))
     return P1Point(fld, galois_orbit(root, base)[0])
 
 
 def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
     seen = {}
-    fields = {}  # display fields, one per branch-orbit degree, built when a representative is read
     for orbit in orbits:
         key = orbit.branch_key()
         if key in seen:
@@ -270,7 +260,7 @@ def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
         elif orbit.branch_value is not None:
             seen[key] = BranchPoint(orbit.branch_min_poly, 1, orbit.branch_value)
         else:
-            seen[key] = BranchPoint.on_demand(orbit.branch_min_poly, fields)
+            seen[key] = BranchPoint(orbit.branch_min_poly, orbit.branch_min_poly.degree)
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from pbelyi import counting
+from pbelyi import field as field_module
 from pbelyi.counting import (
     CurvePoint,
     Hyperelliptic,
@@ -104,8 +105,63 @@ def test_counts_match_brute_force_cubic_extension():
 
 
 def test_workers_agree():
-    for curve, m in ((ELLIPTIC5, 2), (GENUS2, 1)):
+    # F_25 and F_125 count on logs, in stripes of log indices; F_3 counts on values
+    for curve, m in ((ELLIPTIC5, 2), (GENUS2, 1), (ELLIPTIC5, 3)):
         assert count_points(curve, m, workers=2) == count_points(curve, m, workers=1)
+
+
+# the tabled fields of the count workloads and more: F_9 .. F_729
+TABLED = [FiniteField(p, n) for p, n in ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (7, 3), (3, 6))]
+
+
+@pytest.mark.parametrize("fld", TABLED, ids=str)
+def test_zech_logarithms_add_one(fld):
+    exp, log, zech = fld._exp, fld._log, fld.zech()
+    half = (fld.q - 1) // 2
+    assert len(zech) == fld.q - 1 and zech[half] is None
+    for k in range(fld.q - 1):
+        if k != half:
+            assert exp[zech[k]] == fld.add(exp[k], fld.one_value)
+
+
+def random_values(fld, degree, rng):
+    """Values of a random f of the given degree: nonzero leading coefficient, the rest uniform."""
+    return [fld.from_code(rng.randrange(fld.q)) for _ in range(degree)] + [fld.from_code(rng.randrange(1, fld.q))]
+
+
+@pytest.mark.parametrize("fld", TABLED, ids=str)
+def test_log_stripe_matches_the_value_stripe(fld):
+    """The count on logs against the Horner/Euler count on values that it
+    replaced, for seeded f of degree 3 to 6, with f(0) = 0 and with zero
+    middle coefficients among them, whole and in stripes of log indices."""
+    rng = random.Random(f"zech:{fld}")
+    zero = fld.zero_value
+    for degree in range(3, 7):
+        for shape in ("random", "f(0) = 0", "sparse", "binomial"):
+            vals = random_values(fld, degree, rng)
+            if shape == "f(0) = 0":
+                vals[0] = zero
+            elif shape == "sparse":
+                vals[1 : degree : 2] = [zero] * len(vals[1 : degree : 2])
+            elif shape == "binomial":
+                vals[1:degree] = [zero] * (degree - 1)
+            expected = counting._count_stripe(fld, vals, 0, 1)
+            assert counting._log_stripe(fld, vals, 0, 1) == expected
+            assert sum(counting._log_stripe(fld, vals, start, 3) for start in range(3)) == expected
+
+
+def test_counts_after_a_clear_run_on_new_tables(cold_fields):
+    curve = Hyperelliptic(F9, Polynomial(F9, (1, 2, 0, 0, 0, 1)))
+    before = count_points(curve, 2)
+    old = FiniteField(3, 4)
+    old_zech, old_embeddings = old._zech, old._embeddings
+    assert old_zech is not None and old_embeddings
+    field_module._canonical_modulus.cache_clear()
+    assert count_points(curve, 2) == before == brute_count(curve, 2)
+    new = FiniteField(3, 4)
+    assert new is not old
+    assert new._zech is not old_zech and new._zech == old_zech
+    assert new._embeddings is not old_embeddings and new._embeddings == old_embeddings
 
 
 def test_count_points_builds_its_field_once(monkeypatch):

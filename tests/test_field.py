@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 import time
@@ -8,6 +9,7 @@ from pbelyi import field as field_module
 from pbelyi.errors import PreconditionError
 from pbelyi.field import (
     EmbeddingMap,
+    FieldElement,
     FiniteField,
     embed,
     frobenius,
@@ -104,6 +106,75 @@ def test_fields_pickle_by_their_description(text):
     a, b = fld.from_code(fld.q - 1), fld.from_code(fld.q // 2)
     assert copy.mul(a, b) == fld.mul(a, b)
     assert copy.inv(a) == fld.inv(a)
+
+
+# -- interning: FiniteField(p, n) is one field per cached canonical modulus
+
+
+def test_canonical_fields_are_interned():
+    assert FiniteField(3, 6) is FiniteField(3, 6)
+    assert FiniteField(5) is FiniteField(5, 1)
+    assert field_module._canonical_modulus.fields[3, 6] is FiniteField(3, 6)
+
+
+def test_clearing_the_moduli_drops_every_interned_field(cold_fields):
+    """No table, Zech table or embedding built before the clear is reused after it."""
+    old = FiniteField(3, 6)
+    eps = embed(FiniteField(3, 2), old)
+    old_exp, old_zech, old_embeddings = old._exp, old.zech(), old._embeddings
+    assert list(old_embeddings.values()) == [eps.image_of_generator.value]
+    field_module._canonical_modulus.cache_clear()
+    assert field_module._canonical_modulus.fields == {}
+    new = FiniteField(3, 6)
+    assert new is not old and new == old
+    assert new._exp is not old_exp and new._exp == old_exp
+    assert new._zech is None and new._embeddings == {}
+    assert new.zech() is not old_zech and new.zech() == old_zech
+    assert embed(FiniteField(3, 2), new).image_of_generator == FieldElement(new, eps.image_of_generator.value)
+    assert new._embeddings is not old_embeddings and new._embeddings == old_embeddings
+    assert FiniteField(3, 6) is new
+
+
+def test_explicit_moduli_are_never_interned():
+    canonical = FiniteField(3, 2)
+    explicit = [FiniteField(3, 2, canonical.modulus) for _ in range(2)]
+    assert explicit == [canonical] * 2
+    assert all(fld is not canonical for fld in explicit) and explicit[0] is not explicit[1]
+    assert FiniteField(3, 2, (2, 2, 1)) is not FiniteField(3, 2, (2, 2, 1))
+    assert FiniteField(3, 2) is canonical
+
+
+@pytest.mark.parametrize("args", [([5],), (4,), (2,), ("5",), (5, 0), (5, [2]), ([5], 2)], ids=repr)
+def test_interning_keeps_the_precondition_errors(args):
+    with pytest.raises(PreconditionError):
+        FiniteField(*args)
+
+
+def test_a_pickled_copy_is_equal_and_leaves_the_interned_field():
+    fld = FiniteField(3, 6)
+    embed(FiniteField(3, 2), fld)
+    copy = pickle.loads(pickle.dumps(fld))
+    assert copy == fld and copy is not fld and hash(copy) == hash(fld)
+    assert copy._exp == fld._exp and copy._embeddings == {}
+    assert FiniteField(3, 6) is fld
+
+
+def test_a_dropped_field_leaves_no_reference_cycle():
+    """A field with cached embeddings and Zech logarithms is freed by its
+    reference count alone, so no field waits for the cyclic collector."""
+    sub = [FiniteField(3, 2), FiniteField(3, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        fld = FiniteField(3, 6, PINNED_MODULI[3, 6])  # not interned: this test holds the only reference
+        for source in sub:
+            embed(source, fld)
+        fld.zech()
+        assert len(fld._embeddings) == 2
+        del fld
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_is_prime_basics():

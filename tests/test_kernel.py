@@ -510,11 +510,15 @@ def test_table_invariants(text, route):
     assert field.pow(zero, 0) == field.one_value and field.pow(zero, 3) == zero
 
 
-def test_no_primitive_element_is_an_internal_error(monkeypatch):
-    """With every order test made to fail the build raises, not asserts, so -O keeps the check."""
+def test_no_primitive_element_is_an_internal_error(monkeypatch, cold_fields):
+    """With every order test made to fail the build raises, not asserts, so -O keeps the check.
+
+    The fields are cold, so FiniteField(3, 2) builds its tables rather than
+    return the interned F_9, and so does the field with its own modulus."""
     monkeypatch.setattr(field_module, "_prime_divisors", lambda n: [1])
-    with pytest.raises(InternalInconsistencyError, match="no primitive element"):
-        FiniteField(3, 2)
+    for modulus in (None, (2, 2, 1)):
+        with pytest.raises(InternalInconsistencyError, match="no primitive element"):
+            FiniteField(3, 2, modulus)
 
 
 def test_tables_follow_the_field_size():
