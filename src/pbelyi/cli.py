@@ -261,25 +261,24 @@ def _cmd_count(args):
     config = _base_config(args)
     config.update(curve=str(curve))
     doc = {"curve": str(curve), "genus": curve.genus}
+    guard = args.guard_override
+    if guard is None:
+        guard = DIVISOR_GUARD if args.variant == "divisors" else POINT_GUARD
     if args.variant == "points":
-        guard = POINT_GUARD if args.guard_override is None else args.guard_override
         config.update(m=args.m)
         counts = point_counts(curve, args.m, guard=guard, workers=args.workers)
         doc["counts"] = {str(m): n for m, n in counts.items()}
     elif args.variant == "zeta":
-        guard = POINT_GUARD if args.guard_override is None else args.guard_override
         config.update(predict=args.predict)
         data = zeta_fit(curve, guard=guard, workers=args.workers)
         doc["zeta"] = data.to_dict()
         doc["predictions"] = {str(m): data.predict_N(m) for m in range(1, args.predict + 1)}
     elif args.variant == "sym":
-        guard = POINT_GUARD if args.guard_override is None else args.guard_override
         config.update(r=args.r)
         counts = point_counts(curve, args.r, guard=guard, workers=args.workers)
         doc["r"] = args.r
         doc["value"] = sym_product_count(counts, args.r)
     else:
-        guard = DIVISOR_GUARD if args.guard_override is None else args.guard_override
         config.update(r=args.r)
         doc["r"] = args.r
         doc["value"] = enumerate_effective_divisors(curve, args.r, guard=guard, workers=args.workers)

@@ -419,9 +419,9 @@ def wild_h_tower(V, base_field=None, degree_limit=TOWER_DEGREE_LIMIT):
     h1 = RationalMap(x ** p * (D + Polynomial.one(base)), D)
     h2 = RationalMap(h1.num ** p + h1.num * h1.den ** (p - 1), h1.den ** p)
     report = analyze(h2)
-    inf = P1Point.infinity(base)
+    h2_ext = h2 if eps is None else h2.map_coefficients(eps)
     for alpha in ordered:
-        img = h2.evaluate(P1Point.of(alpha), eps)
+        img = h2_ext.evaluate(P1Point.of(alpha))
         if alpha == ext.zero:
             if img.is_infinity:
                 raise InternalInconsistencyError("h2 sends 0 to infinity")

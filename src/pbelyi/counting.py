@@ -11,7 +11,7 @@ from math import comb, factorial
 
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from .field import FiniteField, embed, parse_field
-from .poly import Polynomial, parse_poly
+from .poly import Polynomial, parse_poly, value_at
 from .ratmap import P1Point, p1_points
 
 POINT_GUARD = 10**7
@@ -95,14 +95,11 @@ def parse_curve(text: str):
 
 def _count_stripe(field, fvals, start, step):
     """Affine points of y^2 = f(x) with x in one stripe of the field's codes; f given by its values."""
-    add, mul, zero, one = field.add, field.mul, field.zero_value, field.one_value
+    zero, one, d = field.zero_value, field.one_value, len(fvals) - 1
     half = (field.q - 1) // 2
     total = 0
     for k in range(start, field.q, step):
-        x = field.from_code(k)
-        t = zero
-        for c in reversed(fvals):
-            t = add(mul(t, x), c)
+        t = value_at(field, fvals, d, field.from_code(k))
         if t == zero:
             total += 1
         elif field.pow(t, half) == one:  # Euler's criterion

@@ -211,7 +211,7 @@ def _pdivmod(a: IntPoly, b: IntPoly, p: int, binv: Sequence[int] = None) -> Tupl
 
 
 def _ppowmod(a: IntPoly, e: int, m: IntPoly, p: int) -> IntPoly:
-    """a**e mod m for e >= 0 and m nonzero, by repeated squaring.
+    """a**e mod m for e >= 0 and m nonzero, by _pow_by_squaring with a reducing multiply.
 
     The inverse of m reversed is found once, for every reduction of a
     product of two remainders; with it a quotient costs two multiplies, which
@@ -221,15 +221,8 @@ def _ppowmod(a: IntPoly, e: int, m: IntPoly, p: int) -> IntPoly:
     binv = None
     if 2 * k >= DIV_CUTOFF and _slot((p - 1) ** 2 * k) is not None:
         binv = _inverse_series(m[::-1], k, p)
-    result = _pdivmod((1,), m, p)[1]
-    base = _pdivmod(a, m, p)[1]
-    while e > 0:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), m, p, binv)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(_pmul(base, base, p), m, p, binv)[1]
-    return result
+    mulmod = lambda x, y: _pdivmod(_pmul(x, y, p), m, p, binv)[1]
+    return _pow_by_squaring(mulmod, _pdivmod((1,), m, p)[1], _pdivmod(a, m, p)[1], e)
 
 
 def _pext_gcd(a: IntPoly, b: IntPoly, p: int) -> Tuple[IntPoly, IntPoly]:
@@ -363,13 +356,17 @@ def _value_ops(p: int, n: int, modulus: IntPoly):
 
 
 def _pow_by_squaring(mul, one, a, e: int):
-    """a**e for e >= 0 by repeated squaring with the given mul."""
+    """a**e for e >= 0 with the given mul: the one square-and-multiply loop.
+
+    It squares e.bit_length() - 1 times and calls mul(result, power) once per set bit.
+    """
     result = one
     while e > 0:
         if e & 1:
             result = mul(result, a)
-        a = mul(a, a)
         e >>= 1
+        if e:
+            a = mul(a, a)
     return result
 
 
@@ -713,13 +710,10 @@ class FieldElement:
 
 
 def frobenius(a: FieldElement, iterations: int = 1) -> FieldElement:
-    """Apply x -> x**p the given number of times (repeated p-th powering)."""
+    """Apply x -> x**p the given number of times: a**(p**iterations)."""
     if iterations < 0:
         raise PreconditionError("iteration count must be non-negative")
-    p = a.field.p
-    for _ in range(iterations):
-        a = a ** p
-    return a
+    return a ** (a.field.p ** iterations)
 
 
 def galois_orbit(a: FieldElement, base: FiniteField) -> Tuple[FieldElement, ...]:

@@ -5,17 +5,34 @@ trailing zeros stripped, so the zero polynomial has an empty value tuple and
 degree -1.  Over a prime field the values are ints in [0, p), so the
 multiply, divmod, powmod and the Euclid loop of gcd run in field.py's F_p[x]
 kernel on the value tuples themselves; over F_{p^n}, n > 1, and for every
-other method the coefficients go through the field's value ops.  coeffs,
+other method the coefficients go through the field's value ops.  Powers run
+field._pow_by_squaring and evaluation runs value_at, the one Horner loop on
+element values, which the search and the point counts share.  coeffs,
 coeff(i) and leading build FieldElement views on access.  Polynomials are
 immutable and hashable; arithmetic never mutates.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField, _pdivmod, _pmul, _ppowmod, parse_element
+from .field import FieldElement, FiniteField, _pdivmod, _pmul, _pow_by_squaring, _ppowmod, parse_element
+
+
+def value_at(field: FiniteField, vals: Sequence, d: int, x):
+    """The value at x of the polynomial with these values, or its x^d coefficient when x is None.
+
+    For f = N/D of degree d, f(inf) is the quotient of the x^d coefficients.
+    """
+    if x is None:
+        return vals[d] if len(vals) > d else field.zero_value
+    add, mul = field.add, field.mul
+    acc = field.zero_value
+    for c in reversed(vals):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def _stripped(field: FiniteField, vals: Sequence) -> Tuple:
@@ -212,27 +229,13 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise PreconditionError("negative polynomial power")
-        result = Polynomial.one(self.field)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _pow_by_squaring(operator.mul, Polynomial.one(self.field), self, e)
 
     def powmod(self, e: int, mod: "Polynomial") -> "Polynomial":
         fld = self.field
         if fld.n == 1:
             return Polynomial._from_trimmed(fld, _ppowmod(self.values, e, self._coerce(mod).values, fld.p))
-        result = Polynomial.one(self.field) % mod
-        base = self % mod
-        while e > 0:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        return _pow_by_squaring(lambda a, b: a * b % mod, Polynomial.one(fld) % mod, self % mod, e)
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
@@ -260,11 +263,7 @@ class Polynomial:
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         fld = self.field
-        add, mul, xv = fld.add, fld.mul, fld.value_of(x)
-        acc = fld.zero_value
-        for c in reversed(self.values):
-            acc = add(mul(acc, xv), c)
-        return FieldElement(fld, acc)
+        return FieldElement(fld, value_at(fld, self.values, self.degree, fld.value_of(x)))
 
     __call__ = evaluate
 
@@ -277,6 +276,8 @@ class Polynomial:
 
     def map_coefficients(self, embedding) -> "Polynomial":
         """Coefficient-wise push through an EmbeddingMap."""
+        if embedding.source != self.field:
+            raise PreconditionError("embedding does not start at the polynomial's field")
         image = embedding.image_value
         return Polynomial._from_values(embedding.target, [image(c) for c in self.values])
 

@@ -155,20 +155,10 @@ class RationalMap:
 
     # -- evaluation
 
-    def evaluate(self, point: P1Point, eps: Optional[EmbeddingMap] = None) -> P1Point:
-        """Value at a point of P^1, over self.field or an embedded extension.
-
-        Pass eps to evaluate at points of a larger field; coefficients are
-        pushed through it.
-        """
-        if eps is not None:
-            if eps.source != self.field or point.field != eps.target:
-                raise PreconditionError("embedding does not match map and point")
-            return self.map_coefficients(eps).evaluate(point)
+    def evaluate(self, point: P1Point) -> P1Point:
+        """Value at a point of P^1 over self.field; map_coefficients(eps) serves an extension."""
         if point.field != self.field:
-            raise PreconditionError(
-                "point lies in a different field; pass an explicit embedding"
-            )
+            raise PreconditionError("point lies in a different field; map the coefficients first")
         if point.is_infinity:
             dn, dd = self.num.degree, self.den.degree
             if dn > dd:

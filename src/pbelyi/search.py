@@ -52,8 +52,8 @@ from .errors import (
 )
 from .factor import DEFAULT_SEED, squarefree_decomposition
 from .field import FiniteField, digits, embed
-from .poly import Polynomial
-from .ramification import _checked_sets, verify_tame_belyi, verify_wild_belyi
+from .poly import Polynomial, value_at
+from .ramification import _checked_sets, _infinity_orbit, verify_tame_belyi, verify_wild_belyi
 from .ratmap import RationalMap, wronskian
 
 EXHAUSTIVE_GUARD = 10 ** 8
@@ -128,20 +128,6 @@ def _row_stream(field, d, e, den):
 def _row_total(q, d, e, phi):
     """Candidates in a row whose denominator has degree e and totient phi."""
     return (q - 1) * q ** (d - e) * phi if e < d else q * phi
-
-
-def _value_at(field, vals, d, x):
-    """The value at x of the polynomial with these values, or its x^d coefficient when x is None.
-
-    For f = N/D of degree d, f(inf) is the quotient of the x^d coefficients.
-    """
-    if x is None:
-        return vals[d] if len(vals) > d else field.zero_value
-    add, mul = field.add, field.mul
-    acc = field.zero_value
-    for c in reversed(vals):
-        acc = add(mul(acc, x), c)
-    return acc
 
 
 class SearchSpec:
@@ -236,7 +222,7 @@ class _Screen:
     tame test needs no Wronskian.
     Wild: the Wronskian W = N'D - ND' is nonzero and every root of W is a
     pole, and when f(inf) = beta is affine, inf is unramified:
-    d - deg (N - beta D) <= 1.
+    d - deg (N - beta D) <= 1, and ramification._infinity_orbit finds no orbit.
 
     A candidate passes exactly when verify_*_belyi passes it; certify()
     still runs the verifier on every hit.
@@ -265,7 +251,7 @@ class _Screen:
     def _special_at(self, num, den, d, x):
         """num/den, of degree d and given by value tuples, sends x (None for inf) to a special value."""
         fld = self.field
-        return self._special(_value_at(fld, num, d, x), _value_at(fld, den, d, x))
+        return self._special(value_at(fld, num, d, x), value_at(fld, den, d, x))
 
     def meets_points(self, num, den, d):
         """The marked points go to special values and the avoided points do not."""
@@ -303,10 +289,7 @@ class _Screen:
             g = w.gcd(den)
         if w.degree > 0:
             return False
-        if num.degree > den.degree:
-            return True
-        rest = num - den * num.leading if num.degree == den.degree else num
-        return d - rest.degree <= 1
+        return num.degree > den.degree or _infinity_orbit(f) is None
 
     def certify(self, f):
         """Return f once the verifier confirms that it passes."""
@@ -425,12 +408,12 @@ class _RowSearch:
         q, zero, dvals = fld.q, fld.zero_value, den.values
         allowed_at = {}
         for x, want in screen.constraints:
-            allowed = allowed_at[x] = screen.allowed(_value_at(fld, dvals, d, x), want)
+            allowed = allowed_at[x] = screen.allowed(value_at(fld, dvals, d, x), want)
             if not allowed:
                 return []
         if e:
             # an allowed set at a root of D is all of the field (or empty), so this narrows it
-            allowed_at.update((r, self._nonzero) for r in self._elements if _value_at(fld, dvals, d, r) == zero)
+            allowed_at.update((r, self._nonzero) for r in self._elements if value_at(fld, dvals, d, r) == zero)
         if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
             allowed_at[None] = self._nonzero
         narrow = [(x, allowed) for x, allowed in allowed_at.items() if len(allowed) < q]
@@ -446,7 +429,7 @@ class _RowSearch:
                 low = [add(a, mul(v, b)) for a, b in zip(low, ell)]
             for m in multiples:
                 n = [add(a, b) for a, b in zip(low, m)] + m[k:]
-                if all(_value_at(fld, n, d, x) in allowed for x, allowed in tail):
+                if all(value_at(fld, n, d, x) in allowed for x, allowed in tail):
                     code = _code(fld, n)
                     if code:  # N = 0 lies outside every row
                         found.append((code, n))

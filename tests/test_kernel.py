@@ -331,6 +331,30 @@ def test_kernel_powmod_matches_schoolbook(p):
             assert field_module._ppowmod(a, e, m, p) == _ref_powmod(a, e, m, p), (lm, la, e)
 
 
+def test_one_square_and_multiply_loop():
+    """_pow_by_squaring squares once per bit below the top one and multiplies
+    once per set bit; Polynomial powers and powmod over F_7 (the kernel) and
+    F_9 (the value ops) run it and match repeated multiplication."""
+    for e in range(71):
+        counts = {"squarings": 0, "products": 0}
+
+        def mul(x, y):
+            counts["squarings" if x is y else "products"] += 1
+            return [x[0] + y[0]]
+
+        assert field_module._pow_by_squaring(mul, [0], [1], e) == [e]
+        assert counts == {"squarings": max(e.bit_length() - 1, 0), "products": bin(e).count("1")}, e
+    rng = random.Random("pow")
+    for F in (FiniteField(7), FiniteField(3, 2)):
+        elements = list(F.elements())
+        a, m = (Polynomial(F, [rng.choice(elements) for _ in range(k)] + [F.one]) for k in (3, 5))
+        power = Polynomial.one(F)
+        for e in range(41):
+            assert a ** e == power, (F, e)
+            assert a.powmod(e, m) == power % m, (F, e)
+            power = power * a
+
+
 def test_polynomial_routes_prime_fields_through_the_kernel():
     """Long polynomials over F_7: Polynomial's multiply, divmod and powmod
     against the references, over the Newton and packed routes."""

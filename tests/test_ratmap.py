@@ -101,9 +101,11 @@ def test_evaluate_via_embedding():
     f25 = FiniteField(5, 2)
     eps = embed(F5, f25)
     z = f25.gen
-    assert f.evaluate(P1Point(f25, z), eps) == P1Point(f25, z * z)
+    assert f.map_coefficients(eps)(P1Point(f25, z)) == P1Point(f25, z * z)
     with pytest.raises(PreconditionError):
         f.evaluate(P1Point(f25, z))
+    with pytest.raises(PreconditionError):  # an embedding of another field
+        f.map_coefficients(embed(FiniteField(3), FiniteField(3, 2)))
 
 
 def test_compose_examples():
