@@ -265,10 +265,14 @@ def _cmd_count(args):
     if guard is None:
         guard = DIVISOR_GUARD if args.variant == "divisors" else POINT_GUARD
     if args.variant == "points":
+        if args.m < 1:
+            raise PreconditionError(f"--m must be at least 1, got {args.m}")
         config.update(m=args.m)
         counts = point_counts(curve, args.m, guard=guard, workers=args.workers)
         doc["counts"] = {str(m): n for m, n in counts.items()}
     elif args.variant == "zeta":
+        if args.predict < 1:
+            raise PreconditionError(f"--predict must be at least 1, got {args.predict}")
         config.update(predict=args.predict)
         data = zeta_fit(curve, guard=guard, workers=args.workers)
         doc["zeta"] = data.to_dict()

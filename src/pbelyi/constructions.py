@@ -565,18 +565,12 @@ def wild_belyi_compose(instance):
 
 def _branch_partitions(report):
     """Partition of the degree over each branch orbit, from a ramification report."""
-    out = {}
-    for bp in report.branch_points:
-        parts = []
-        for orbit in report.points:
-            if orbit.branch_is_infinity != bp.is_infinity:
-                continue
-            if not bp.is_infinity and orbit.branch_min_poly != bp.min_poly:
-                continue
-            parts.extend([orbit.index] * (orbit.orbit_size // bp.degree))
-        parts.extend([1] * (report.degree - sum(parts)))
-        out[bp.key()] = tuple(sorted(parts, reverse=True))
-    return out
+    parts = {bp.key(): [] for bp in report.branch_points}
+    for orbit in report.points:
+        parts[orbit.branch.key()].extend([orbit.index] * (orbit.orbit_size // orbit.branch.degree))
+    return {
+        key: tuple(sorted(p + [1] * (report.degree - sum(p)), reverse=True)) for key, p in parts.items()
+    }
 
 
 class CoveringDescriptor:

@@ -232,6 +232,8 @@ class Polynomial:
         return _pow_by_squaring(operator.mul, Polynomial.one(self.field), self, e)
 
     def powmod(self, e: int, mod: "Polynomial") -> "Polynomial":
+        if e < 0:
+            raise PreconditionError("negative polynomial power")
         fld = self.field
         if fld.n == 1:
             return Polynomial._from_trimmed(fld, _ppowmod(self.values, e, self._coerce(mod).values, fld.p))

@@ -18,7 +18,7 @@ from .errors import (
 from .factor import factor, split_root
 from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
-from .ratmap import P1Point, RationalMap, three_points, wronskian
+from .ratmap import P1Point, RationalMap, homogenize, three_points, wronskian
 
 # branch orbits of degree up to this get a representative in an extension field when read
 REP_DEGREE_LIMIT = 12
@@ -31,67 +31,31 @@ def _locus_key(min_poly) -> Tuple:
     return tuple(c.int_value for c in min_poly.coeffs)
 
 
-class RamOrbit:
-    """A Galois orbit of points with ramification index at least 2."""
+class _Locus:
+    """A closed point of the line, located by its minimal polynomial `min_poly` (None for infinity)."""
 
-    __slots__ = (
-        "min_poly",
-        "index",
-        "orbit_size",
-        "wild",
-        "branch_is_infinity",
-        "branch_min_poly",
-        "branch_value",
-    )
-
-    def __init__(self, min_poly, index, orbit_size, wild, branch_is_infinity, branch_min_poly, branch_value):
-        self.min_poly = min_poly  # None marks the point at infinity
-        self.index = index
-        self.orbit_size = orbit_size
-        self.wild = wild
-        self.branch_is_infinity = branch_is_infinity
-        self.branch_min_poly = branch_min_poly  # None when the branch value is infinity
-        self.branch_value = branch_value  # P1Point when the branch value is rational
+    __slots__ = ()
 
     @property
     def is_infinity(self) -> bool:
         return self.min_poly is None
 
+    def key(self) -> Tuple:
+        return _locus_key(self.min_poly)
+
     def place_label(self) -> str:
         return "inf" if self.is_infinity else str(self.min_poly)
-
-    def branch_label(self) -> str:
-        if self.branch_is_infinity:
-            return "inf"
-        if self.branch_value is not None:
-            return str(self.branch_value)
-        return "minpoly:" + str(self.branch_min_poly)
-
-    def branch_key(self) -> Tuple:
-        return _locus_key(self.branch_min_poly)
 
     def sort_key(self) -> Tuple:
         if self.is_infinity:
             return (1, ())
         return (0, self.min_poly.sort_key())
 
-    def __repr__(self):
-        return f"RamOrbit({self.place_label()}; e={self.index}, size={self.orbit_size})"
-
-    def to_dict(self) -> dict:
-        return {
-            "min_poly": self.place_label(),
-            "index": self.index,
-            "wild": self.wild,
-            "orbit_size": self.orbit_size,
-            "branch_image": self.branch_label(),
-        }
-
 
 _UNREAD = object()  # a representative not yet worked out
 
 
-class BranchPoint:
+class BranchPoint(_Locus):
     """A Galois orbit of branch values, identified by its minimal polynomial.
 
     A representative given to the constructor is kept as given.  Without
@@ -111,10 +75,6 @@ class BranchPoint:
             self._representative = _display_root(self.min_poly)
         return self._representative
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.min_poly is None
-
     def rational_value(self):
         if self.min_poly is not None and self.degree == 1:
             return -self.min_poly.coeff(0)
@@ -127,14 +87,6 @@ class BranchPoint:
             return str(self.rational_value())
         return "minpoly:" + str(self.min_poly)
 
-    def key(self) -> Tuple:
-        return _locus_key(self.min_poly)
-
-    def sort_key(self) -> Tuple:
-        if self.is_infinity:
-            return (1, ())
-        return (0, self.min_poly.sort_key())
-
     def __repr__(self):
         return f"BranchPoint({self.label()}; degree={self.degree})"
 
@@ -145,10 +97,58 @@ class BranchPoint:
             rep = str(self.representative)
             rep_field = str(self.representative.field)
         return {
-            "min_poly": "inf" if self.is_infinity else str(self.min_poly),
+            "min_poly": self.place_label(),
             "degree": self.degree,
             "representative": rep,
             "representative_field": rep_field,
+        }
+
+
+def _branch(bmp, base) -> BranchPoint:
+    """The branch record of the minimal polynomial bmp over base, None for infinity.
+
+    Infinity and rational values get their point at once; an orbit of higher
+    degree finds its representative when it is first read.
+    """
+    if bmp is None:
+        return BranchPoint(None, 1, P1Point.infinity(base))
+    if bmp.degree == 1:
+        return BranchPoint(bmp, 1, P1Point(base, -bmp.coeff(0)))
+    return BranchPoint(bmp, bmp.degree)
+
+
+class RamOrbit(_Locus):
+    """A Galois orbit of points with ramification index at least 2, and the branch orbit below it."""
+
+    __slots__ = ("min_poly", "index", "orbit_size", "wild", "branch")
+
+    def __init__(self, min_poly, index, orbit_size, branch, p):
+        self.min_poly = min_poly  # None marks the point at infinity
+        self.index = index
+        self.orbit_size = orbit_size
+        self.wild = index % p == 0  # p is the characteristic
+        self.branch = branch  # a BranchPoint, shared with the report's branch_points
+
+    @property
+    def branch_is_infinity(self) -> bool:
+        return self.branch.is_infinity
+
+    @property
+    def branch_value(self):
+        """The branch value as a P1Point when it is rational and affine, else None."""
+        b = self.branch
+        return b.representative if b.degree == 1 and not b.is_infinity else None
+
+    def __repr__(self):
+        return f"RamOrbit({self.place_label()}; e={self.index}, size={self.orbit_size})"
+
+    def to_dict(self) -> dict:
+        return {
+            "min_poly": self.place_label(),
+            "index": self.index,
+            "wild": self.wild,
+            "orbit_size": self.orbit_size,
+            "branch_image": self.branch.label(),
         }
 
 
@@ -210,15 +210,11 @@ def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
         raise InternalInconsistencyError("branch minimal polynomial does not descend to the base field")
     bmp = Polynomial(base, [c.coeff(0) for c in coeffs])
     # sum b_i N^i D^(k-i) = prod (N - beta_j D) is divisible by g exactly e times
-    fibre = dpow = Polynomial.one(base)
-    for c in reversed(bmp.coeffs[:-1]):
-        dpow = dpow * f.den
-        fibre = fibre * f.num + dpow * c
+    (fibre,) = homogenize((bmp,), f.num, f.den, bmp.degree)
     index = fibre.multiplicity(g)
     if index < 2:
         raise InternalInconsistencyError("critical point with ramification index below 2")
-    value = P1Point(base, -bmp.coeff(0)) if bmp.degree == 1 else None
-    return RamOrbit(g, index, d, index % base.p == 0, False, bmp, value)
+    return RamOrbit(g, index, d, _branch(bmp, base), base.p)
 
 
 def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
@@ -232,10 +228,8 @@ def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
         index = den.degree - (num - den * beta).degree
     if index < 2:
         return None
-    if beta is None:
-        return RamOrbit(None, index, 1, index % base.p == 0, True, None, None)
-    bmp = Polynomial(base, (-beta, base.one))
-    return RamOrbit(None, index, 1, index % base.p == 0, False, bmp, P1Point(base, beta))
+    bmp = None if beta is None else Polynomial(base, (-beta, base.one))
+    return RamOrbit(None, index, 1, _branch(bmp, base), base.p)
 
 
 def _display_root(bmp) -> Optional[P1Point]:
@@ -249,18 +243,11 @@ def _display_root(bmp) -> Optional[P1Point]:
     return P1Point(fld, galois_orbit(root, base)[0])
 
 
-def _collect_branches(base, orbits) -> Tuple[BranchPoint, ...]:
+def _collect_branches(orbits) -> Tuple[BranchPoint, ...]:
+    """The first branch record per branch orbit, sorted; every orbit above it is pointed at it."""
     seen = {}
     for orbit in orbits:
-        key = orbit.branch_key()
-        if key in seen:
-            continue
-        if orbit.branch_is_infinity:
-            seen[key] = BranchPoint(None, 1, P1Point.infinity(base))
-        elif orbit.branch_value is not None:
-            seen[key] = BranchPoint(orbit.branch_min_poly, 1, orbit.branch_value)
-        else:
-            seen[key] = BranchPoint(orbit.branch_min_poly, orbit.branch_min_poly.degree)
+        orbit.branch = seen.setdefault(orbit.branch.key(), orbit.branch)
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 
@@ -287,7 +274,7 @@ def analyze(f: RationalMap) -> RamReport:
             index = f.den.multiplicity(g)
             if index < 2:
                 raise InternalInconsistencyError("simple pole detected on the critical locus")
-            orbits.append(RamOrbit(g, index, g.degree, index % base.p == 0, True, None, None))
+            orbits.append(RamOrbit(g, index, g.degree, _branch(None, base), base.p))
         else:
             orbits.append(_affine_orbit(f, g))
     inf_orbit = _infinity_orbit(f)
@@ -301,7 +288,7 @@ def analyze(f: RationalMap) -> RamReport:
         raise InternalInconsistencyError(
             f"ramification totals are inconsistent: defect {defect} with tame={tame}"
         )
-    branch_points = _collect_branches(base, orbits)
+    branch_points = _collect_branches(orbits)
     splitting = 1
     for orbit in orbits:
         splitting = lcm(splitting, orbit.orbit_size)
@@ -446,7 +433,7 @@ def is_simple_covering(f: RationalMap) -> BelyiVerdict:
             violations.append(f"ramification index {orbit.index} at {orbit.place_label()} is not 2")
     by_branch = {}
     for orbit in report.points:
-        by_branch.setdefault(orbit.branch_key(), []).append(orbit)
+        by_branch.setdefault(orbit.branch.key(), []).append(orbit)
     for bp in report.branch_points:
         total = sum(o.orbit_size for o in by_branch[bp.key()])
         if total != bp.degree:

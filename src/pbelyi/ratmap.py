@@ -182,24 +182,7 @@ class RationalMap:
         """The map self(inner(x))."""
         if inner.field != self.field:
             raise PreconditionError("maps over different fields")
-        gn, gd = inner.num, inner.den
-        du, dv = self.num.degree, self.den.degree
-        m = max(du, dv)
-        powers_n = [Polynomial.one(self.field)]
-        powers_d = [Polynomial.one(self.field)]
-        for _ in range(m):
-            powers_n.append(powers_n[-1] * gn)
-            powers_d.append(powers_d[-1] * gd)
-        top = Polynomial(self.field)
-        for i in range(du + 1):
-            c = self.num.coeff(i)
-            if not c.is_zero:
-                top = top + powers_n[i] * powers_d[m - i] * c
-        bottom = Polynomial(self.field)
-        for j in range(dv + 1):
-            c = self.den.coeff(j)
-            if not c.is_zero:
-                bottom = bottom + powers_n[j] * powers_d[m - j] * c
+        top, bottom = homogenize((self.num, self.den), inner.num, inner.den, self.degree)
         if bottom.is_zero:
             raise PreconditionError("composition is degenerate (constant inner map)")
         return RationalMap(top, bottom)
@@ -216,6 +199,28 @@ class RationalMap:
         """The map f(1/x), used to study behaviour at infinity."""
         m = max(self.num.degree, self.den.degree)
         return RationalMap(self.num.reverse(m), self.den.reverse(m))
+
+
+def homogenize(polys, num: Polynomial, den: Polynomial, m: int) -> Tuple[Polynomial, ...]:
+    """Each h in polys as the form sum h_i num^i den^(m - i), for m at least every deg h.
+
+    One table of powers of num and den serves every h.  Zero coefficients
+    are skipped, so a sparse h, such as a tower map of the wild
+    construction, pays only for its terms.
+    """
+    one = Polynomial.one(num.field)
+    powers_n, powers_d = [one], [one]
+    for _ in range(m):
+        powers_n.append(powers_n[-1] * num)
+        powers_d.append(powers_d[-1] * den)
+    forms = []
+    for h in polys:
+        form = Polynomial(num.field)
+        for i, c in enumerate(h.coeffs):
+            if not c.is_zero:
+                form = form + powers_n[i] * powers_d[m - i] * c
+        forms.append(form)
+    return tuple(forms)
 
 
 def wronskian(f: RationalMap) -> Polynomial:

@@ -162,6 +162,8 @@ class SearchSpec:
                 raise PreconditionError("coefficient fields must be FiniteField instances")
             if E.p != base.p or E.n % base.n != 0:
                 raise PreconditionError(f"{E} does not contain the instance field {base}")
+            if E in checked:
+                raise PreconditionError(f"coefficient field {E} is listed twice")
             checked.append(E)
         if not checked:
             raise PreconditionError("need at least one coefficient field")

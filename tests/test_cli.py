@@ -166,6 +166,26 @@ def test_guard_errors_name_the_way_out():
         assert "guard=" in proc.stderr and "--guard-override" in proc.stderr
 
 
+def test_count_flags_below_one_exit_2():
+    for argv, flag in (
+        (("points", "--curve", "hyp/5/0,1,0,1", "--m", "0"), "--m"),
+        (("points", "--curve", "hyp/5/0,1,0,1", "--m", "-2"), "--m"),
+        (("zeta", "--curve", "hyp/5/0,1,0,1", "--predict", "0"), "--predict"),
+        (("zeta", "--curve", "hyp/5/0,1,0,1", "--predict", "-1"), "--predict"),
+    ):
+        proc = run_cli("count", *argv)
+        assert proc.returncode == 2, argv
+        assert flag in proc.stderr and proc.stdout == "", argv
+    # the genus-0 fit asks for no counts and still prints its numerator
+    assert run_json("count", "zeta", "--curve", "p1/5")["zeta"]["a"] == [1]
+
+
+def test_search_with_a_field_listed_twice_exits_2():
+    proc = run_cli("--json", "search", "tame", "--q", "5", "--S", "all", "--d-max", "1", "--fields", "5,5")
+    assert proc.returncode == 2
+    assert "coefficient field 5 is listed twice" in proc.stderr and proc.stdout == ""
+
+
 def test_wild_search_with_normalize_exits_2():
     # there is no --normalize option: argparse rejects it for either kind
     argv = ("search", "wild", "--q", "5", "--S", "1", "--d-max", "2", "--fields", "5")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pbelyi import field as field_module
 from pbelyi.counting import _count_stripe
-from pbelyi.errors import InternalInconsistencyError
+from pbelyi.errors import InternalInconsistencyError, PreconditionError
 from pbelyi.factor import factor
 from pbelyi.field import TABLE_LIMIT, FiniteField, _value_ops, embed, parse_field
 from pbelyi.poly import Polynomial
@@ -353,6 +353,19 @@ def test_one_square_and_multiply_loop():
             assert a ** e == power, (F, e)
             assert a.powmod(e, m) == power % m, (F, e)
             power = power * a
+
+
+def test_negative_polynomial_powers_are_refused():
+    """Over F_7 (the kernel) and F_9 (the value ops) a negative exponent is
+    refused by powmod as by **, where powmod used to return 1."""
+    for F in (FiniteField(7), FiniteField(3, 2)):
+        a = Polynomial(F, [F.one, F.one])
+        m = Polynomial(F, [F.one, F.zero, F.one])
+        for e in (-1, -2):
+            with pytest.raises(PreconditionError, match="negative polynomial power"):
+                a.powmod(e, m)
+            with pytest.raises(PreconditionError, match="negative polynomial power"):
+                a ** e
 
 
 def test_polynomial_routes_prime_fields_through_the_kernel():

@@ -1,11 +1,13 @@
+import functools
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pbelyi import ramification
+from pbelyi.constructions import CoveringDescriptor
 from pbelyi.errors import InseparableMapError, PreconditionError
 from pbelyi.factor import roots, split_root
 from pbelyi.field import FiniteField, embed, galois_orbit
@@ -95,7 +97,7 @@ def test_power_map_report():
 def test_square_map_is_simple():
     f = rmap(F7, (0, 0, 1))
     report = analyze(f)
-    assert [(o.index, o.branch_label()) for o in report.points] == [(2, "0"), (2, "inf")]
+    assert [(o.index, o.branch.label()) for o in report.points] == [(2, "0"), (2, "inf")]
     verdict = is_simple_covering(f)
     assert verdict.passed and not verdict.violations
 
@@ -105,7 +107,7 @@ def test_xi_map_report(monkeypatch):
     report = analyze(xi)
     assert report.tame and report.rh_defect == 0
     assert report.splitting_degree == 2
-    labels = [(o.place_label(), o.index, o.orbit_size, o.branch_label()) for o in report.points]
+    labels = [(o.place_label(), o.index, o.orbit_size, o.branch.label()) for o in report.points]
     assert labels == [
         ("1,1", 2, 1, "3"),
         ("1,4,1", 2, 2, "minpoly:4,3,1"),
@@ -159,7 +161,7 @@ def test_double_pole_map_is_simple():
     f = rmap(F7, (1,), (1, 5, 1))  # 1/(x - 1)^2
     report = analyze(f)
     pole = report.points[0]
-    assert pole.place_label() == "6,1" and pole.index == 2 and pole.branch_label() == "inf"
+    assert pole.place_label() == "6,1" and pole.index == 2 and pole.branch.label() == "inf"
     assert is_simple_covering(f).passed
 
 
@@ -364,8 +366,11 @@ def ext_affine_orbit(f, g):
     index = (num - den * beta).root_multiplicity(root)
     bmp_ext = Polynomial.from_roots(ext, galois_orbit(beta, base))
     bmp = bmp_ext if eps is None else Polynomial(base, [eps.section(c) for c in bmp_ext.coeffs])
-    value = P1Point(base, -bmp.coeff(0)) if bmp.degree == 1 else None
-    return RamOrbit(g, index, d, index % base.p == 0, False, bmp, value)
+    if bmp.degree == 1:
+        branch = BranchPoint(bmp, 1, P1Point(base, -bmp.coeff(0)))
+    else:
+        branch = BranchPoint(bmp, bmp.degree)
+    return RamOrbit(g, index, d, branch, base.p)
 
 
 def reciprocal_infinity_orbit(f):
@@ -375,34 +380,35 @@ def reciprocal_infinity_orbit(f):
     zero = base.zero
     if conj.den.evaluate(zero).is_zero:
         index = conj.den.root_multiplicity(zero)
-        branch_inf, bmp, value = True, None, None
+        branch = BranchPoint(None, 1, P1Point.infinity(base))
     else:
         beta = conj.num.evaluate(zero) / conj.den.evaluate(zero)
         index = (conj.num - conj.den * beta).root_multiplicity(zero)
-        branch_inf = False
-        bmp = Polynomial(base, (-beta, base.one))
-        value = P1Point(base, beta)
+        branch = BranchPoint(Polynomial(base, (-beta, base.one)), 1, P1Point(base, beta))
     if index < 2:
         return None
-    return RamOrbit(None, index, 1, index % base.p == 0, branch_inf, bmp, value)
+    return RamOrbit(None, index, 1, branch, base.p)
 
 
 def all_roots_branches(base, orbits, rep_degree_limit=12):
-    """Branch points whose representative is the least of all roots of the minimal polynomial."""
+    """Branch points whose representative is the least of all roots of the minimal polynomial.
+
+    Every orbit is pointed at the new record of its branch orbit.
+    """
     seen = {}
     for orbit in orbits:
-        key = orbit.branch_key()
-        if key in seen:
-            continue
-        if orbit.branch_is_infinity:
-            seen[key] = BranchPoint(None, 1, P1Point.infinity(base))
-            continue
-        bmp = orbit.branch_min_poly
-        rep = orbit.branch_value
-        if rep is None and bmp.degree <= rep_degree_limit:
-            fld = FiniteField(base.p, base.n * bmp.degree)
-            rep = P1Point(fld, roots(bmp.map_coefficients(embed(base, fld)))[0])
-        seen[key] = BranchPoint(bmp, bmp.degree, rep)
+        key = orbit.branch.key()
+        if key not in seen:
+            bmp = orbit.branch.min_poly
+            if bmp is None:
+                seen[key] = BranchPoint(None, 1, P1Point.infinity(base))
+            else:
+                rep = None
+                if bmp.degree <= rep_degree_limit:
+                    fld = FiniteField(base.p, base.n * bmp.degree)
+                    rep = P1Point(fld, roots(bmp.map_coefficients(embed(base, fld)))[0])
+                seen[key] = BranchPoint(bmp, bmp.degree, rep)
+        orbit.branch = seen[key]
     return tuple(sorted(seen.values(), key=BranchPoint.sort_key))
 
 
@@ -411,7 +417,7 @@ def extension_field_report(f):
         ramification,
         _affine_orbit=ext_affine_orbit,
         _infinity_orbit=reciprocal_infinity_orbit,
-        _collect_branches=all_roots_branches,
+        _collect_branches=functools.partial(all_roots_branches, f.field),
     ):
         return analyze(f)
 
@@ -466,6 +472,44 @@ def test_orbit_indices_match_brute_force_fibres(f):
     assert expand_report(report, ext) == brute_indices(f, ext)
 
 
+@settings(max_examples=60)
+@given(f=separable_maps(fields=(F3, F5, F7, F9), max_degree=5))
+def test_branch_partitions_match_brute_force_fibres(f):
+    """Over the splitting field, the partition that CoveringDescriptor.from_map
+    gives a branch orbit is the fibre partition at each of its geometric points."""
+    s = analyze(f).splitting_degree
+    assume(f.field.q ** s <= 729)
+    ext = f.field if s == 1 else FiniteField(f.field.p, f.field.n * s)
+    eps = None if ext == f.field else embed(f.field, ext)
+    fe = f if eps is None else f.map_coefficients(eps)
+    fibres = {}
+    for key, e in brute_indices(f, ext).items():
+        point = P1Point.infinity(ext) if key == ("inf",) else P1Point(ext, ext.from_int_value(key[1]))
+        fibres.setdefault(fe(point), []).append(e)
+    brute = {b: tuple(sorted(es + [1] * (f.degree - sum(es)), reverse=True)) for b, es in fibres.items()}
+    derived = {}
+    for mp, partition in CoveringDescriptor.from_map(f).branch:
+        if mp is None:
+            derived[P1Point.infinity(ext)] = partition
+        else:
+            for r in roots(mp if eps is None else mp.map_coefficients(eps)):
+                derived[P1Point(ext, r)] = partition
+    assert derived == brute
+
+
+@settings(max_examples=100)
+@given(f=separable_maps())
+@example(f=rmap(F7, (1, 0, 5, 0, 1)))  # (x^2 - 1)^2: the orbits 1 and -1 lie over 0
+@example(f=rmap(F7, (1,), (0, 0, 1, 5, 1)))  # 1 / (x^2 (x - 1)^2): two double poles over inf
+def test_orbits_share_the_report_branch_records(f):
+    report = analyze(f)
+    for orbit in report.points:
+        assert any(orbit.branch is bp for bp in report.branch_points)
+        assert orbit.branch_is_infinity == orbit.branch.is_infinity
+        value = orbit.branch.rational_value()
+        assert orbit.branch_value == (None if value is None else P1Point(f.field, value))
+
+
 @settings(max_examples=150)
 @given(f=separable_maps(max_degree=8))
 def test_infinity_from_degrees_matches_the_reciprocal_map(f):
@@ -474,9 +518,9 @@ def test_infinity_from_degrees_matches_the_reciprocal_map(f):
         assert new is None
         return
     assert new.to_dict() == ref.to_dict()
-    assert (new.branch_is_infinity, new.branch_min_poly, new.branch_value) == (
+    assert (new.branch_is_infinity, new.branch.min_poly, new.branch_value) == (
         ref.branch_is_infinity,
-        ref.branch_min_poly,
+        ref.branch.min_poly,
         ref.branch_value,
     )
 

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -422,5 +423,9 @@ def test_spec_validation():
         SearchSpec(inst, "tame", 2, budget=0)
     with pytest.raises(PreconditionError):
         SearchSpec(inst, "tame", 2, fields=[])
+    F25 = FiniteField(5, 2)
+    for fields, repeated in (([F5, F5], "5"), ([F25, F5, F25], "5^2")):
+        with pytest.raises(PreconditionError, match=re.escape(f"coefficient field {repeated} is listed twice")):
+            SearchSpec(inst, "tame", 1, fields=fields)
     with pytest.raises(PreconditionError):
         minimal_belyi_degree(SearchSpec(inst, "tame", 1, fields=[F5]), workers=0)
