@@ -9,7 +9,7 @@ while the intermediates (thresholds, exponents) are always available.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .field import is_prime, prime_power
 
 DIGIT_GUARD = 100_000
@@ -17,12 +17,8 @@ DIGIT_GUARD = 100_000
 
 def _decimal_digits(value):
     """Number of decimal digits of abs(value), without building a string."""
-    if value < 0:
-        value = -value
-    if value == 0:
-        return 1
-    # 30103/100000 is a lower approximation of log10(2).
-    est = max(1, (value.bit_length() - 1) * 30103 // 100000)
+    value = abs(value)
+    est = max(1, (value.bit_length() - 1) * 30103 // 100000)  # log10(2) to five places; the loops correct it
     while 10 ** est <= value:
         est += 1
     while est > 1 and 10 ** (est - 1) > value:
@@ -67,12 +63,10 @@ def _require_nonneg(**named):
 
 def _check_digit_guard(bits, digit_guard):
     """Refuse a value of about bits + 64 bits once its digits pass digit_guard."""
-    digit_estimate = (bits + 64) * 30103 // 100000 + 2
-    if digit_estimate > digit_guard:
-        raise GuardExceededError(
-            "bound value needs about %d decimal digits, over the guard of %d; "
-            "pass a larger digit_guard to materialize it" % (digit_estimate, digit_guard)
-        )
+    check_size(
+        "the digit count of the bound value is estimated at {}", (bits + 64) * 30103 // 100000 + 2, 1,
+        digit_guard, "pass a larger digit_guard= (--guard-override) to materialize it",
+    )
 
 
 def lcm_up_to(m):
@@ -83,15 +77,17 @@ def lcm_up_to(m):
 
 
 def ceil_log_q(q, threshold):
-    """Smallest m >= 1 with q**m >= threshold, by exact comparison."""
+    """Smallest m >= 1 with q**m >= threshold, by exact comparison from a bit-length estimate."""
     if not isinstance(q, int) or q < 2:
         raise PreconditionError("base q must be an integer at least 2, got %r" % (q,))
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise PreconditionError("threshold must be positive, got %s" % threshold)
-    m = 1
-    power = q
-    while power < threshold:
+    ceiling = -(-threshold.numerator // threshold.denominator)
+    # log2(q) < bits(q**64) / 64, so q**k < 2^(bits(ceiling) - 1) <= ceiling for k up to this estimate
+    m = max(1, (ceiling.bit_length() - 1) * 64 // (q ** 64).bit_length())
+    power = q ** m
+    while power < ceiling:
         m += 1
         power *= q
     if power < threshold or (m > 1 and Fraction(power, q) >= threshold):

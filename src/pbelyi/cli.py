@@ -11,13 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import (
-    DIGIT_GUARD,
-    field_size_check,
-    tame_bound,
-    tame_threshold,
-    wild_bound,
-)
+from .bounds import _decimal_digits, field_size_check, tame_bound, tame_threshold, wild_bound
 from .constructions import (
     BelyiInstance,
     CoveringDescriptor,
@@ -27,20 +21,18 @@ from .constructions import (
     wild_belyi_compose,
 )
 from .counting import (
-    DIVISOR_GUARD,
-    POINT_GUARD,
     enumerate_effective_divisors,
     parse_curve,
     point_counts,
     sym_product_count,
     zeta_fit,
 )
-from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .factor import DEFAULT_SEED
 from .field import parse_field
 from .ramification import is_simple_covering, verify_tame_belyi, verify_wild_belyi
 from .ratmap import parse_point, parse_point_set, parse_ratmap
-from .search import DEFAULT_BUDGET, EXHAUSTIVE_GUARD, SearchSpec, minimal_belyi_degree
+from .search import DEFAULT_BUDGET, SearchSpec, minimal_belyi_degree
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _frac(value: Fraction) -> dict:
+    """A threshold as {num, den}, refused when a part has more digits than str() prints."""
+    digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+    limit = sys.get_int_max_str_digits() or digits  # 0 when the interpreter has no limit
+    check_size(
+        "the threshold has a numerator or denominator of {} decimal digits", digits, 1,
+        limit, "raise the interpreter's int_max_str_digits (-X int_max_str_digits=N or PYTHONINTMAXSTRDIGITS)",
+    )
     return {"num": value.numerator, "den": value.denominator}
+
+
+def _guard(args, name) -> dict:  # the library's default guard unless --guard-override is given
+    return {} if args.guard_override is None else {name: args.guard_override}
 
 
 def _base_config(args) -> dict:
@@ -174,14 +177,13 @@ def _flat_lines(doc, prefix=""):
 
 
 def _cmd_bound(args):
-    digit_guard = DIGIT_GUARD if args.guard_override is None else args.guard_override
     config = _base_config(args)
     if args.variant == "tame":
         config.update(g=args.g, s=args.s, t=args.t, q=args.q)
-        doc = tame_bound(args.g, args.s, args.t, args.q, digit_guard=digit_guard).to_dict()
+        doc = tame_bound(args.g, args.s, args.t, args.q, **_guard(args, "digit_guard")).to_dict()
     elif args.variant == "wild":
         config.update(g=args.g, s=args.s, t=args.t, p=args.p)
-        doc = wild_bound(args.g, args.s, args.t, args.p, digit_guard=digit_guard).to_dict()
+        doc = wild_bound(args.g, args.s, args.t, args.p, **_guard(args, "digit_guard")).to_dict()
     elif args.variant == "threshold":
         config.update(g=args.g, s=args.s, t=args.t)
         doc = {"threshold": _frac(tame_threshold(args.g, args.s, args.t))}
@@ -261,31 +263,29 @@ def _cmd_count(args):
     config = _base_config(args)
     config.update(curve=str(curve))
     doc = {"curve": str(curve), "genus": curve.genus}
-    guard = args.guard_override
-    if guard is None:
-        guard = DIVISOR_GUARD if args.variant == "divisors" else POINT_GUARD
+    guard = _guard(args, "guard")
     if args.variant == "points":
         if args.m < 1:
             raise PreconditionError(f"--m must be at least 1, got {args.m}")
         config.update(m=args.m)
-        counts = point_counts(curve, args.m, guard=guard, workers=args.workers)
+        counts = point_counts(curve, args.m, workers=args.workers, **guard)
         doc["counts"] = {str(m): n for m, n in counts.items()}
     elif args.variant == "zeta":
         if args.predict < 1:
             raise PreconditionError(f"--predict must be at least 1, got {args.predict}")
         config.update(predict=args.predict)
-        data = zeta_fit(curve, guard=guard, workers=args.workers)
+        data = zeta_fit(curve, workers=args.workers, **guard)
         doc["zeta"] = data.to_dict()
         doc["predictions"] = {str(m): data.predict_N(m) for m in range(1, args.predict + 1)}
     elif args.variant == "sym":
         config.update(r=args.r)
-        counts = point_counts(curve, args.r, guard=guard, workers=args.workers)
+        counts = point_counts(curve, args.r, workers=args.workers, **guard)
         doc["r"] = args.r
         doc["value"] = sym_product_count(counts, args.r)
     else:
         config.update(r=args.r)
         doc["r"] = args.r
-        doc["value"] = enumerate_effective_divisors(curve, args.r, guard=guard, workers=args.workers)
+        doc["value"] = enumerate_effective_divisors(curve, args.r, workers=args.workers, **guard)
     doc["config"] = config
     return doc
 
@@ -306,8 +306,7 @@ def _cmd_search(args):
         seed=args.seed,
         budget=args.budget,
     )
-    guard = EXHAUSTIVE_GUARD if args.guard_override is None else args.guard_override
-    res = minimal_belyi_degree(spec, workers=args.workers, guard=guard)
+    res = minimal_belyi_degree(spec, workers=args.workers, **_guard(args, "guard"))
     config = _base_config(args)
     config.update(
         field=str(field),
@@ -346,17 +345,14 @@ def main(argv=None) -> int:
         return 2
     try:
         doc = _HANDLERS[args.command](args)
-    except (PreconditionError, GuardExceededError, ValueError) as exc:
+        text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(_flat_lines(doc))
+    except PreconditionError as exc:  # GuardExceededError and InseparableMapError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ValueError) as exc:  # any other ValueError is a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in _flat_lines(doc):
-            print(line)
+    print(text)
     return 0
 
 

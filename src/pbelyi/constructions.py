@@ -8,16 +8,8 @@ reproducible.
 
 from itertools import islice
 
-from .bounds import (
-    ceil_log_q,
-    decimal_string,
-    lcm_up_to,
-    point_supply_check,
-    tame_threshold,
-    wild_N,
-    wild_bound,
-)
-from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
+from .bounds import decimal_string, point_supply_check, tame_bound_parts, wild_N, wild_bound
+from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError, check_size
 from .factor import is_irreducible, roots
 from .field import FieldElement, FiniteField, embed, galois_orbit, prime_power
 from .poly import Polynomial
@@ -255,11 +247,10 @@ def tame_reduce_recursive(instance, tau):
     cur_tau = tau
     composite = RationalMap.identity(field)
     if len(current) > 3:
-        if field.q > RECURSION_FIELD_LIMIT:
-            raise GuardExceededError(
-                "each collapse step has degree q-1 = %d, over the working limit %d"
-                % (field.q - 1, RECURSION_FIELD_LIMIT)
-            )
+        check_size(
+            "each collapse step has degree q - 1, and q is {}", field.p, field.n,
+            RECURSION_FIELD_LIMIT, "raise constructions.RECURSION_FIELD_LIMIT",
+        )
         if zero not in current or inf not in current:
             srcs = list(current)
             mob = mobius_from_triple(srcs[0], srcs[1], srcs[-1])
@@ -287,11 +278,12 @@ def tame_reduce_recursive(instance, tau):
     return ConstructionResult(composite, verdict, provenance)
 
 
-def fp_span_of_conjugates(base_field, elements, limit=SPAN_LIMIT):
+def fp_span_of_conjugates(base_field, elements):
     """Close the elements under Galois over the base field, then span over F_p.
 
     Returns the full span as a sorted tuple; it always contains 0, is stable
-    under every conjugation used, and its size is a power of p.
+    under every conjugation used, and its size is a power of p.  Raises
+    GuardExceededError before the span grows past SPAN_LIMIT elements.
     """
     gens = list(elements)
     if not gens:
@@ -305,7 +297,7 @@ def fp_span_of_conjugates(base_field, elements, limit=SPAN_LIMIT):
     closure = set()
     for b in gens:
         closure.update(galois_orbit(b, base_field))
-    return tuple(sorted(_fp_span(ext, closure, limit), key=lambda e: e.int_value))
+    return tuple(sorted(_fp_span(ext, closure, SPAN_LIMIT), key=lambda e: e.int_value))
 
 
 def _fp_span(field, gens, limit):
@@ -315,16 +307,10 @@ def _fp_span(field, gens, limit):
     """
     p = field.p
     span = {field.zero}
-    dim = 0
     for gen in sorted(gens, key=lambda e: e.int_value):
         if gen in span:
             continue
-        dim += 1
-        if p ** dim > limit:
-            raise GuardExceededError(
-                "span dimension reached %d (%d elements), over the limit %d"
-                % (dim, p ** dim, limit)
-            )
+        check_size("the F_p-span would have {} elements", len(span) * p, 1, limit, "raise constructions.SPAN_LIMIT")
         bigger = set()
         for v in span:
             w = v
@@ -364,13 +350,14 @@ class HTower:
         }
 
 
-def wild_h_tower(V, base_field=None, degree_limit=TOWER_DEGREE_LIMIT):
+def wild_h_tower(V, base_field=None):
     """Build h0 = prod(x - a) over V, then h1 = x^p (D+1)/D with D = x^p h0 + h0^p,
     and h2 = h1^p + h1.
 
     V must be an F_p-subspace given as a set of elements; h2 then induces a
     map sending V minus 0 to infinity, keeping 0 affine, and ramifying only
     over infinity.  All three facts are checked directly, never assumed.
+    Raises GuardExceededError when h2 would pass degree TOWER_DEGREE_LIMIT.
     """
     members = list(V)
     if not members:
@@ -389,11 +376,10 @@ def wild_h_tower(V, base_field=None, degree_limit=TOWER_DEGREE_LIMIT):
         is_subspace = False
     if not is_subspace:
         raise PreconditionError("the element set is not an F_p-subspace")
-    if len(vset) * p * p > degree_limit:
-        raise GuardExceededError(
-            "the tower map would have degree %d, over the working limit %d"
-            % (len(vset) * p * p, degree_limit)
-        )
+    check_size(
+        "the tower map would have degree {}", len(vset) * p * p, 1,
+        TOWER_DEGREE_LIMIT, "raise constructions.TOWER_DEGREE_LIMIT",
+    )
     ordered = sorted(vset, key=lambda e: e.int_value)
     h0_ext = Polynomial.from_roots(ext, ordered)
     base = base_field if base_field is not None else ext
@@ -533,8 +519,8 @@ def wild_belyi_compose(instance):
             continue
         mp = bp.min_poly.map_coefficients(eps) if eps else bp.min_poly
         gens.extend(roots(mp))
-    V = fp_span_of_conjugates(field, gens, limit=SPAN_LIMIT)
-    tower = wild_h_tower(V, base_field=field, degree_limit=TOWER_DEGREE_LIMIT)
+    V = fp_span_of_conjugates(field, gens)
+    tower = wild_h_tower(V, base_field=field)
     f = tower.h2.compose(phi)
     if f.degree != tower.h2.degree * phi.degree:
         raise InternalInconsistencyError(
@@ -719,15 +705,12 @@ def tame_pipeline(desc, S=0, T=0):
         if {desc.map(pt) for pt in T_pts} != set(desc.zT):
             raise PreconditionError("avoided images disagree with the attached map")
     g = desc.genus
-    threshold = tame_threshold(g, s, t)
-    m = ceil_log_q(field.q, threshold)
-    L = lcm_up_to(6 * g + 2 * t)
-    mL = m * L
-    if field.n * mL > FIELD_DEGREE_LIMIT:
-        raise GuardExceededError(
-            "the working field has degree %d over the prime field, over the limit %d"
-            % (field.n * mL, FIELD_DEGREE_LIMIT)
-        )
+    parts = tame_bound_parts(g, s, t, field.q)
+    mL = parts["m"] * parts["L"]
+    check_size(
+        "the working field has degree {} over the prime field", field.n * mL, 1,
+        FIELD_DEGREE_LIMIT, "raise constructions.FIELD_DEGREE_LIMIT",
+    )
     for mp, _ in desc.branch:
         locus_degree = 1 if mp is None else mp.degree
         if mL % locus_degree != 0:
@@ -775,9 +758,9 @@ def tame_pipeline(desc, S=0, T=0):
         steps.append({"step": "compose with covering", "map": str(f_total)})
         composite = ConstructionResult(f_total, verdict_total, steps)
     return {
-        "m": m,
-        "L": L,
-        "threshold": threshold,
+        "m": parts["m"],
+        "L": parts["L"],
+        "threshold": parts["threshold"],
         "extension_field": ext,
         "s_prime": len(S_prime),
         "S_prime": S_prime,

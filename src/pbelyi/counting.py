@@ -9,13 +9,18 @@ import multiprocessing
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .field import FiniteField, embed, parse_field
 from .poly import Polynomial, parse_poly, value_at
 from .ratmap import P1Point, p1_points
 
 POINT_GUARD = 10**7
 DIVISOR_GUARD = 10**6
+
+
+def _extension_size(curve, m, guard):
+    """q^m, the size of the degree-m extension; GuardExceededError once it passes guard."""
+    return check_size("the count needs a field of {} elements", curve.q, m, guard, "raise guard= (--guard-override)")
 
 
 class ProjectiveLine:
@@ -153,12 +158,7 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     """
     if m < 1:
         raise PreconditionError("extension degree m must be at least 1")
-    size = curve.q ** m
-    if size > guard:
-        raise GuardExceededError(
-            f"counting over a field of size {size} exceeds the guard {guard}; "
-            "raise guard= (--guard-override) to proceed"
-        )
+    size = _extension_size(curve, m, guard)
     if isinstance(curve, ProjectiveLine):
         return size + 1
     base = curve.field
@@ -182,7 +182,9 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
 
 
 def point_counts(curve, max_m: int, guard: int = POINT_GUARD, workers: int = 1) -> dict:
-    """Counts N_1..N_max as a mapping, each validated against the Weil bound."""
+    """Counts N_1..N_max as a mapping, each validated against the Weil bound; guarded at max_m before counting."""
+    if max_m >= 1:
+        _extension_size(curve, max_m, guard)
     out = {}
     for m in range(1, max_m + 1):
         n_m = count_points(curve, m, guard=guard, workers=workers)
@@ -286,12 +288,7 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
 
     Möbius inversion of the point counts: N_d is the sum of e * b_e over e | d.
     """
-    q = curve.q
-    if q**max_degree > guard:
-        raise GuardExceededError(
-            f"enumerating closed points of degree {max_degree} needs {q**max_degree} candidates, "
-            f"above the guard {guard}; raise guard= (--guard-override) to proceed"
-        )
+    _extension_size(curve, max_degree, guard)
     out = {}
     exact = {}  # d -> d * b_d, the points of exact degree d
     for d in range(1, max_degree + 1):

@@ -848,16 +848,19 @@ def embed(source: FiniteField, target: FiniteField) -> EmbeddingMap:
 
 def parse_field(text: str) -> FiniteField:
     """A field "p^n", or "p^n/c0,...,cn" with modulus coordinates in [0, p) and cn = 1."""
-    text = text.strip()
+    text = original = text.strip()
     mod = None
-    if "/" in text:
-        text, modtext = text.split("/", 1)
-        mod = [int(c) for c in modtext.split(",")]
-    if "^" in text:
-        p_str, n_str = text.split("^", 1)
-        p, n = int(p_str), int(n_str)
-    else:
-        p, n = int(text), 1
+    try:
+        if "/" in text:
+            text, modtext = text.split("/", 1)
+            mod = [int(c) for c in modtext.split(",")]
+        if "^" in text:
+            p_str, n_str = text.split("^", 1)
+            p, n = int(p_str), int(n_str)
+        else:
+            p, n = int(text), 1
+    except ValueError:
+        raise PreconditionError(f"field {original!r} is not p^n or p^n/c0,...,cn in integers") from None
     if mod is not None and (mod[-1] != 1 or any(not 0 <= c < p for c in mod)):
         # FiniteField rejects every other count of coordinates by the degree
         raise PreconditionError(f"modulus {modtext!r} must have coordinates in [0, {p}) and end in 1")
@@ -865,7 +868,11 @@ def parse_field(text: str) -> FiniteField:
 
 
 def parse_element(field: FiniteField, text: str) -> FieldElement:
-    coords = [int(c) for c in text.strip().split(",")]
+    text = text.strip()
+    try:
+        coords = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise PreconditionError(f"element {text!r} is not a list of integers") from None
     if any(not 0 <= c < field.p for c in coords):
-        raise PreconditionError(f"element {text.strip()!r} has a coordinate outside [0, {field.p})")
+        raise PreconditionError(f"element {text!r} has a coordinate outside [0, {field.p})")
     return field.element(coords)

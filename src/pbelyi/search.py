@@ -44,12 +44,7 @@ import random
 import signal
 
 from .constructions import BelyiInstance, _as_field
-from .errors import (
-    GuardExceededError,
-    InseparableMapError,
-    InternalInconsistencyError,
-    PreconditionError,
-)
+from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
 from .factor import DEFAULT_SEED, squarefree_decomposition
 from .field import FiniteField, digits, embed
 from .poly import Polynomial, value_at
@@ -179,14 +174,10 @@ class SearchSpec:
 def _check_guard(spec, cap):
     # the largest degree dominates, so checking d_max covers every round
     for E in spec.fields:
-        work = E.q ** (2 * spec.d_max + 2)
-        if work > cap:
-            raise GuardExceededError(
-                f"exhaustive search over {E} at degree {spec.d_max} considers about "
-                f"{E.q}^{2 * spec.d_max + 2} = {work} pairs, over the cap "
-                f"{cap}; use mode='randomized' (--mode randomized) with a budget, "
-                "or raise guard= (--guard-override)"
-            )
+        check_size(
+            f"exhaustive search over {E} at degree {spec.d_max} considers about {{}} pairs", E.q, 2 * spec.d_max + 2,
+            cap, "use mode='randomized' (--mode randomized) with a budget, or raise guard= (--guard-override)",
+        )
 
 
 def _rad_degree(g):

@@ -48,6 +48,30 @@ def test_ceil_log_q_examples():
     assert ceil_log_q(3, 27) == 3
 
 
+def linear_ceil_log_q(q, threshold):
+    """The stepping loop ceil_log_q used to run: multiply by q from m = 1."""
+    m, power = 1, q
+    while power < threshold:
+        m += 1
+        power *= q
+    return m
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS)
+def test_ceil_log_q_matches_the_linear_loop(q):
+    thresholds = [Fraction(1, 7), Fraction(1), Fraction(10 ** 40), Fraction(10 ** 40, 7)]
+    for k in range(1, 84):
+        if q ** (k - 1) > 10 ** 40:
+            break
+        power = q ** k
+        thresholds += [Fraction(power - 1), Fraction(power), Fraction(power + 1), Fraction(power, 2)]
+        thresholds += [Fraction(power * 3 + 1, 3), Fraction(power * 7 - 1, 7)]
+    rng = random.Random(q)
+    thresholds += [Fraction(rng.randrange(1, 10 ** 40), rng.randrange(1, 10 ** 6)) for _ in range(200)]
+    for threshold in thresholds:
+        assert ceil_log_q(q, threshold) == linear_ceil_log_q(q, threshold), threshold
+
+
 def test_ceil_log_q_postcondition():
     for q in (2, 3, 5, 83):
         for num in (1, 7, 250, 3001, 10 ** 6):

@@ -2,21 +2,26 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
 import pbelyi
+from pbelyi.bounds import decimal_string, field_size_check, tame_threshold
 
 GOLDEN = Path(__file__).parent / "golden"
 # the child interpreter imports the same pbelyi as this one
 CHILD_PATH = os.pathsep.join(filter(None, (str(Path(pbelyi.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 
-def run_cli(*argv, python_flags=()):
+def run_cli(*argv, python_flags=(), timeout=None):
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "pbelyi.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=CHILD_PATH),
+        timeout=timeout,
     )
 
 
@@ -164,6 +169,77 @@ def test_guard_errors_name_the_way_out():
         proc = run_cli("count", argv[0], "--curve", "p1/5", *argv[1:])
         assert proc.returncode == 2
         assert "guard=" in proc.stderr and "--guard-override" in proc.stderr
+
+
+HYP5 = "hyp/5/0,1,0,1"
+
+
+@pytest.mark.parametrize(
+    "argv, way_out",
+    [
+        (("search", "tame", "--q", "5", "--S", "all", "--d-max", "4000", "--fields", "5"), "--guard-override"),
+        (("count", "divisors", "--curve", HYP5, "--r", "7000"), "--guard-override"),
+        (("bound", "tame", "--g", "0", "--s", "0", "--t", "6000", "--q", "5"), "digit_guard"),
+        (("bound", "tame", "--g", "0", "--s", "0", "--t", "30000", "--q", "5"), "digit_guard"),
+        (("count", "points", "--curve", HYP5, "--m", "7000"), "--guard-override"),
+        (("count", "sym", "--curve", HYP5, "--r", "7000"), "--guard-override"),
+        (("bound", "threshold", "--g", "0", "--s", "0", "--t", "2000"), "int_max_str_digits"),
+        (("bound", "field-size", "--q", "97", "--A", "3", "--g", "1", "--n", "2000", "--s", "0"), "int_max_str_digits"),
+    ],
+)
+def test_oversized_requests_exit_2_at_once(argv, way_out):
+    start = time.monotonic()
+    proc = run_cli(*argv, timeout=60)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert ", over the limit " in proc.stderr and way_out in proc.stderr
+    assert "Exceeds the limit" not in proc.stderr
+
+
+def test_a_long_threshold_prints_under_a_raised_digit_limit():
+    # the way out named by the refusal above; the interpreter flag is the user's, the program sets none
+    flags = ("-X", "int_max_str_digits=10000")
+    proc = run_cli("bound", "threshold", "--g", "0", "--s", "0", "--t", "2000", python_flags=flags)
+    assert proc.returncode == 0, proc.stderr
+    threshold = tame_threshold(0, 0, 2000)
+    assert f"threshold.num: {decimal_string(threshold.numerator)}\n" in proc.stdout
+    assert f"threshold.den: {decimal_string(threshold.denominator)}\n" in proc.stdout
+    argv = ("bound", "field-size", "--q", "97", "--A", "3", "--g", "1", "--n", "2000", "--s", "0")
+    proc = run_cli(*argv, python_flags=flags)
+    assert proc.returncode == 0, proc.stderr
+    threshold = field_size_check(97, 3, 1, 2000, 0)["threshold"]
+    assert f"threshold.num: {decimal_string(threshold.numerator)}\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "tame", "--q", "x", "--map", "poly=1"), "field 'x' is not p^n"),
+        (("verify", "tame", "--q", "5^x", "--map", "poly=1"), "field '5^x' is not p^n"),
+        (("verify", "tame", "--q", "5", "--map", "poly=1,a"), "element 'a' is not a list of integers"),
+        (("verify", "tame", "--q", "5", "--map", "poly=1", "--S", "1,b"), "element 'b' is not a list of integers"),
+        (("search", "tame", "--q", "5", "--d-max", "1", "--fields", "5,y"), "field 'y' is not p^n"),
+        (("count", "points", "--curve", "hyp/5/0,1,0,x"), "element 'x' is not a list of integers"),
+    ],
+)
+def test_unreadable_integers_exit_2_naming_the_token(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"error: {message}" in proc.stderr
+
+
+def test_a_plain_value_error_is_an_internal_error(monkeypatch, capsys):
+    from pbelyi import cli
+
+    def broken(args):
+        raise ValueError("not a precondition")
+
+    monkeypatch.setitem(cli._HANDLERS, "bound", broken)
+    assert cli.main(["bound", "threshold", "--g", "0", "--s", "0", "--t", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: not a precondition\n"
 
 
 def test_count_flags_below_one_exit_2():

@@ -208,9 +208,10 @@ def test_span_of_imaginary_line():
     assert {(e ** 3).int_value for e in span} == {e.int_value for e in span}
 
 
-def test_span_limit_guard():
-    with pytest.raises(GuardExceededError):
-        fp_span_of_conjugates(F3, [F3.one], limit=2)
+def test_span_limit_guard(monkeypatch):
+    monkeypatch.setattr(constructions, "SPAN_LIMIT", 2)
+    with pytest.raises(GuardExceededError, match="limit 2; raise constructions.SPAN_LIMIT"):
+        fp_span_of_conjugates(F3, [F3.one])
 
 
 def test_span_guard_fires_before_the_span_grows(monkeypatch):
@@ -263,15 +264,16 @@ def test_h_tower_reports_a_coefficient_that_does_not_descend(monkeypatch):
         wild_h_tower(V, base_field=F3)
 
 
-def test_h_tower_validation():
+def test_h_tower_validation(monkeypatch):
     with pytest.raises(PreconditionError):
         wild_h_tower([F3.one])
     with pytest.raises(PreconditionError):
         wild_h_tower([F3.zero, F3.one])
     with pytest.raises(PreconditionError):
         wild_h_tower([])
-    with pytest.raises(GuardExceededError):
-        wild_h_tower(list(F3.elements()), degree_limit=10)
+    monkeypatch.setattr(constructions, "TOWER_DEGREE_LIMIT", 10)
+    with pytest.raises(GuardExceededError, match="degree 27, over the limit 10"):
+        wild_h_tower(list(F3.elements()))
 
 
 def test_composite_guards_read_the_module_limits(monkeypatch):
@@ -470,6 +472,10 @@ def test_pipeline_field_degree_guard():
     desc = CoveringDescriptor(F5, 3, 1)
     with pytest.raises(GuardExceededError):
         tame_pipeline(desc, S=0, T=0)
+    # L = lcm(1..20000) has thousands of digits: refused without printing it
+    desc = CoveringDescriptor(F5, 1, 0, (), (), ["3"])
+    with pytest.raises(GuardExceededError, match=r"degree more than 10\^\d+ over the prime field"):
+        tame_pipeline(desc, S=0, T=10000)
 
 
 def test_pipeline_input_validation():

@@ -321,6 +321,20 @@ def test_sym_equals_divisor_enumeration(curve, r):
 def test_divisor_guard():
     with pytest.raises(GuardExceededError):
         enumerate_effective_divisors(LINE3, 14)
+    with pytest.raises(GuardExceededError, match=r"5\^7000 \(more than 10\^\d+\) elements"):
+        closed_point_counts(ELLIPTIC5, 7000)
+
+
+@pytest.mark.parametrize("max_m", [11, 7000])
+def test_point_counts_refuses_before_counting(monkeypatch, max_m):
+    calls = []
+    real = counting.count_points
+    monkeypatch.setattr(counting, "count_points", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    with pytest.raises(GuardExceededError, match="guard="):
+        point_counts(ELLIPTIC5, max_m)  # 5^11 is past POINT_GUARD
+    assert calls == []
+    assert point_counts(ELLIPTIC5, 3) == {m: real(ELLIPTIC5, m) for m in (1, 2, 3)}
+    assert len(calls) == 3
 
 
 def test_hasse_weil_examples():

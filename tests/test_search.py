@@ -389,6 +389,11 @@ def test_exhaustive_guard_suggests_randomized():
     with pytest.raises(GuardExceededError) as err:
         minimal_belyi_degree(spec)
     assert "randomized" in str(err.value)
+    # q^(2 d_max + 2) = 5^8002 is refused from its bit length, never printed in full
+    spec = SearchSpec(BelyiInstance(F5, list(p1_points(F5)), []), "tame", 4000, fields=[F5])
+    with pytest.raises(GuardExceededError, match=r"5\^8002 \(more than 10\^\d+\) pairs") as err:
+        minimal_belyi_degree(spec)
+    assert "randomized" in str(err.value)
 
 
 def test_witness_round_trips_through_text():

@@ -15,3 +15,19 @@ def test_no_invariant_hangs_on_assert():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_only_the_size_check_raises_guard_errors():
+    """Every guard goes through errors.check_size; other modules may catch GuardExceededError, not build one."""
+    found = []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "GuardExceededError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and found == []
