@@ -131,6 +131,16 @@ def tame_threshold(g, s, t):
     return Fraction(100 * factorial(n) * (2 * g + t + s + 1) ** 2) * Fraction(5, 6) ** n
 
 
+def _check_lcm_floor(g, t, what, cap, way_out):
+    """Refuse by check_size from L = lcm(1..n) >= 2^n, n = 6g + 2t >= 7 (Nair, 1982), before L is built.
+
+    what names a quantity of at least L, so only what the exact check would refuse is refused.
+    """
+    n = 6 * g + 2 * t
+    if n >= 7:
+        check_size(what, 2, n, cap, way_out)
+
+
 def tame_bound_parts(g, s, t, q):
     """Intermediates of the tame degree bound, without materializing the value."""
     _require_nonneg(g=g, s=s, t=t)
@@ -156,6 +166,13 @@ def tame_bound(g, s, t, q, digit_guard=DIGIT_GUARD):
     Raises GuardExceededError instead of materializing values whose digit
     count would exceed digit_guard.
     """
+    _require_nonneg(g=g, s=s, t=t)
+    prime_power(q)
+    # the value is at least (q^L - 1)^(n + 1) with q >= 3 and n = 6g + 2t: more than L digits
+    _check_lcm_floor(
+        g, t, "the bound value has at least {} digits", digit_guard,
+        "pass a larger digit_guard= (--guard-override) to materialize it",
+    )
     parts = tame_bound_parts(g, s, t, q)
     power = parts["m"] * parts["L"]
     _check_digit_guard(parts["exponent"] * power * q.bit_length(), digit_guard)

@@ -31,7 +31,7 @@ from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .factor import DEFAULT_SEED
 from .field import parse_field
 from .ramification import is_simple_covering, verify_tame_belyi, verify_wild_belyi
-from .ratmap import parse_point, parse_point_set, parse_ratmap
+from .ratmap import as_point, parse_point_set, parse_ratmap
 from .search import DEFAULT_BUDGET, SearchSpec, minimal_belyi_degree
 
 
@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _frac(value: Fraction) -> dict:
     """A threshold as {num, den}, refused when a part has more digits than str() prints."""
     digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
-    limit = sys.get_int_max_str_digits() or digits  # 0 when the interpreter has no limit
+    # 0 when the interpreter has no limit; before 3.10.7 there is neither limit nor function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or digits
     check_size(
         "the threshold has a numerator or denominator of {} decimal digits", digits, 1,
         limit, "raise the interpreter's int_max_str_digits (-X int_max_str_digits=N or PYTHONINTMAXSTRDIGITS)",
@@ -155,6 +156,14 @@ def _base_config(args) -> dict:
         "workers": args.workers,
         "guard_override": args.guard_override,
     }
+
+
+def _point_sets(args, field, config):
+    """The --S and --T point sets, echoed into config."""
+    S = parse_point_set(field, args.S)
+    T = parse_point_set(field, args.T)
+    config.update(S=[str(p) for p in S], T=[str(p) for p in T])
+    return S, T
 
 
 def _verdict_doc(verdict) -> dict:
@@ -203,9 +212,7 @@ def _cmd_verify(args):
     if args.variant == "simple":
         verdict = is_simple_covering(f)
     else:
-        S = parse_point_set(field, args.S)
-        T = parse_point_set(field, args.T)
-        config.update(S=[str(p) for p in S], T=[str(p) for p in T])
+        S, T = _point_sets(args, field, config)
         checker = verify_tame_belyi if args.variant == "tame" else verify_wild_belyi
         verdict = checker(f, S, T)
     doc = _verdict_doc(verdict)
@@ -236,18 +243,14 @@ def _cmd_construct(args):
         doc = tame_power_map(field).to_dict()
     elif args.variant == "tame-reduce":
         S = parse_point_set(field, args.S)
-        tau = parse_point(field, args.tau)
+        tau = as_point(field, args.tau)
         config.update(S=[str(p) for p in S], tau=str(tau))
         doc = tame_reduce_recursive(BelyiInstance(field, S, ()), tau).to_dict()
     elif args.variant == "wild":
-        S = parse_point_set(field, args.S)
-        T = parse_point_set(field, args.T)
-        config.update(S=[str(p) for p in S], T=[str(p) for p in T])
+        S, T = _point_sets(args, field, config)
         doc = wild_belyi_compose(BelyiInstance(field, S, T)).to_dict()
     else:
-        S = parse_point_set(field, args.S)
-        T = parse_point_set(field, args.T)
-        config.update(S=[str(p) for p in S], T=[str(p) for p in T])
+        S, T = _point_sets(args, field, config)
         if args.map is None:
             desc = CoveringDescriptor.identity(field, S=S, T=T)
         else:
@@ -292,8 +295,9 @@ def _cmd_count(args):
 
 def _cmd_search(args):
     field = parse_field(args.q)
-    S = parse_point_set(field, args.S)
-    T = parse_point_set(field, args.T)
+    config = _base_config(args)
+    config.update(field=str(field))
+    S, T = _point_sets(args, field, config)
     fields = None
     if args.fields is not None:
         fields = tuple(parse_field(tok) for tok in args.fields.split(",") if tok.strip())
@@ -307,11 +311,7 @@ def _cmd_search(args):
         budget=args.budget,
     )
     res = minimal_belyi_degree(spec, workers=args.workers, **_guard(args, "guard"))
-    config = _base_config(args)
     config.update(
-        field=str(field),
-        S=[str(p) for p in S],
-        T=[str(p) for p in T],
         d_max=args.d_max,
         fields=[str(E) for E in spec.fields],
         mode=spec.mode,

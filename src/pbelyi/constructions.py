@@ -8,13 +8,15 @@ reproducible.
 
 from itertools import islice
 
-from .bounds import decimal_string, point_supply_check, tame_bound_parts, wild_N, wild_bound
+from .bounds import _check_lcm_floor, decimal_string, point_supply_check, tame_bound_parts, wild_N, wild_bound
 from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError, check_size
 from .factor import is_irreducible, roots
 from .field import FieldElement, FiniteField, embed, galois_orbit, prime_power
 from .poly import Polynomial
 from .ramification import BelyiVerdict, _locus_key, analyze, verify_tame_belyi, verify_wild_belyi
-from .ratmap import P1Point, RationalMap, mobius_from_triple, p1_points, p1_points_outside, parse_point, three_points
+from .ratmap import (
+    P1Point, RationalMap, as_point, disjoint, mobius_from_triple, p1_points, p1_points_outside, point_set, three_points,
+)
 
 SPAN_LIMIT = 10 ** 4
 TOWER_DEGREE_LIMIT = 2000
@@ -28,27 +30,8 @@ def _as_field(q):
     return FiniteField(*prime_power(q))
 
 
-def _as_point(field, value):
-    if isinstance(value, P1Point):
-        if value.field != field:
-            raise PreconditionError("point %s lies over %s, expected %s" % (value, value.field, field))
-        return value
-    if isinstance(value, FieldElement):
-        if value.field != field:
-            raise PreconditionError("element %s lies in %s, expected %s" % (value, value.field, field))
-        return P1Point.of(value)
-    if isinstance(value, str):
-        return parse_point(field, value)
-    if isinstance(value, int):
-        if not 0 <= value < field.q:
-            raise PreconditionError("point code %d lies outside [0, %d)" % (value, field.q))
-        return P1Point.of(field.from_int_value(value))
-    raise PreconditionError("cannot read %r as a point on the line" % (value,))
-
-
 def _point_tuple(field, values):
-    pts = {_as_point(field, v) for v in values}
-    return tuple(sorted(pts, key=lambda p: p.sort_key()))
+    return tuple(sorted(point_set(field, values), key=P1Point.sort_key))
 
 
 class BelyiInstance:
@@ -60,10 +43,7 @@ class BelyiInstance:
         self.field = field
         self.S = _point_tuple(field, marked)
         self.T = _point_tuple(field, avoided)
-        overlap = set(self.S) & set(self.T)
-        if overlap:
-            pts = ", ".join(str(p) for p in sorted(overlap, key=lambda p: p.sort_key()))
-            raise PreconditionError("marked and avoided sets share: %s" % pts)
+        disjoint(self.S, self.T)
 
     @property
     def s(self):
@@ -147,10 +127,8 @@ def tame_normalize_small(instance, tau=None):
     field = instance.field
     if instance.s > 3:
         raise PreconditionError("normalization handles at most 3 marked points, got %d" % instance.s)
-    if tau is not None:
-        tau = _as_point(field, tau)
-        if tau in instance.S:
-            raise PreconditionError("the avoided point %s is marked" % tau)
+    avoided = () if tau is None else (as_point(field, tau),)
+    disjoint(instance.S, avoided)
     zero, one, inf = three_points(field)
     srcs = list(instance.S)
     if not srcs:
@@ -163,10 +141,7 @@ def tame_normalize_small(instance, tau=None):
         pairs = [(srcs[0], zero), (srcs[1], one), (srcs[2], inf)]
     taken = {dst for _, dst in pairs}
     free = [dst for dst in (zero, one, inf) if dst not in taken]
-    forbidden = set(instance.S)
-    if tau is not None:
-        forbidden.add(tau)
-    fillers = list(islice(p1_points_outside(field, forbidden), len(free)))
+    fillers = list(islice(p1_points_outside(field, instance.S + avoided), len(free)))
     if len(fillers) < len(free):
         raise PreconditionError(
             "the line over %s has too few rational points to separate the sets" % field
@@ -174,14 +149,14 @@ def tame_normalize_small(instance, tau=None):
     pairs += list(zip(fillers, free))
     src_for = {dst: src for src, dst in pairs}
     mob = mobius_from_triple(src_for[zero], src_for[one], src_for[inf])
-    verdict = verify_tame_belyi(mob, instance.S, (tau,) if tau is not None else ())
+    verdict = verify_tame_belyi(mob, instance.S, avoided)
     entry = {
         "step": "normalize",
         "map": str(mob),
         "assignment": {str(src): str(dst) for src, dst in pairs},
     }
-    if tau is not None:
-        entry["avoided image"] = str(mob(tau))
+    if avoided:
+        entry["avoided image"] = str(mob(avoided[0]))
     return ConstructionResult(mob, verdict, [entry])
 
 
@@ -195,7 +170,7 @@ def collapse_map(q, alpha, S, tau=None):
     """
     field = _as_field(q)
     S = _point_tuple(field, S)
-    alpha = _as_point(field, alpha)
+    alpha = as_point(field, alpha)
     zero, one, inf = three_points(field)
     if zero not in S or inf not in S:
         raise PreconditionError("needs 0 and inf marked; apply a degree-1 move first")
@@ -203,10 +178,8 @@ def collapse_map(q, alpha, S, tau=None):
         raise PreconditionError("alpha must be affine and nonzero, got %s" % alpha)
     if alpha not in S:
         raise PreconditionError("alpha = %s is not marked" % alpha)
-    if tau is not None:
-        tau = _as_point(field, tau)
-        if tau in S:
-            raise PreconditionError("the avoided point %s is marked" % tau)
+    avoided = () if tau is None else (as_point(field, tau),)
+    disjoint(S, avoided)
     x = Polynomial.x(field)
     poly = -(x ** (field.q - 1)) + Polynomial.constant(field, alpha.value.inverse()) * x
     xi = RationalMap.from_polynomial(poly)
@@ -216,17 +189,17 @@ def collapse_map(q, alpha, S, tau=None):
         raise InternalInconsistencyError(
             "collapse produced %d images from %d points" % (len(merged), len(S))
         )
-    if tau is not None and xi(tau) in merged:
+    if any(xi(pt) in merged for pt in avoided):
         raise InternalInconsistencyError("the avoided image collided with a marked image")
-    verdict = verify_tame_belyi(xi, S, (tau,) if tau is not None else ())
+    verdict = verify_tame_belyi(xi, S, avoided)
     entry = {
         "step": "collapse",
         "alpha": str(alpha),
         "map": str(xi),
         "images": {str(src): str(dst) for src, dst in images.items()},
     }
-    if tau is not None:
-        entry["avoided image"] = str(xi(tau))
+    if avoided:
+        entry["avoided image"] = str(xi(avoided[0]))
     return ConstructionResult(xi, verdict, [entry])
 
 
@@ -238,9 +211,8 @@ def tame_reduce_recursive(instance, tau):
     nothing is repaired or hidden.
     """
     field = instance.field
-    tau = _as_point(field, tau)
-    if tau in instance.S:
-        raise PreconditionError("the avoided point %s is marked" % tau)
+    tau = as_point(field, tau)
+    disjoint(instance.S, (tau,))
     zero, one, inf = three_points(field)
     provenance = []
     current = instance.S
@@ -600,8 +572,7 @@ class CoveringDescriptor:
         self.branch = tuple(entries)
         self.zS = _point_tuple(field, zS)
         self.zT = _point_tuple(field, zT)
-        if set(self.zS) & set(self.zT):
-            raise PreconditionError("marked and avoided images overlap")
+        disjoint(self.zS, self.zT)
         if len(self.zT) > 1:
             raise PreconditionError("avoided images must collapse to a single point")
         self.map = map
@@ -667,6 +638,16 @@ class CoveringDescriptor:
         }
 
 
+def _points_or_size(field, value, name):
+    """(points or None, count) for a point set or a plain nonnegative size."""
+    if isinstance(value, int):
+        if value < 0:
+            raise PreconditionError("%s must be nonnegative" % name)
+        return None, value
+    pts = _point_tuple(field, value)
+    return pts, len(pts)
+
+
 def tame_pipeline(desc, S=0, T=0):
     """Extend scalars until the branch locus is rational, then reduce tamely.
 
@@ -676,21 +657,8 @@ def tame_pipeline(desc, S=0, T=0):
     can be formed.
     """
     field = desc.field
-    S_pts = T_pts = None
-    if isinstance(S, int):
-        if S < 0:
-            raise PreconditionError("s must be nonnegative")
-        s = S
-    else:
-        S_pts = _point_tuple(field, S)
-        s = len(S_pts)
-    if isinstance(T, int):
-        if T < 0:
-            raise PreconditionError("t must be nonnegative")
-        t = T
-    else:
-        T_pts = _point_tuple(field, T)
-        t = len(T_pts)
+    S_pts, s = _points_or_size(field, S, "s")
+    T_pts, t = _points_or_size(field, T, "t")
     if len(desc.zS) > s:
         raise PreconditionError("more marked images than marked points")
     if t == 0 and desc.zT:
@@ -705,6 +673,10 @@ def tame_pipeline(desc, S=0, T=0):
         if {desc.map(pt) for pt in T_pts} != set(desc.zT):
             raise PreconditionError("avoided images disagree with the attached map")
     g = desc.genus
+    _check_lcm_floor(
+        g, t, "the working field has degree at least {} over the prime field",
+        FIELD_DEGREE_LIMIT, "raise constructions.FIELD_DEGREE_LIMIT",
+    )
     parts = tame_bound_parts(g, s, t, field.q)
     mL = parts["m"] * parts["L"]
     check_size(
@@ -737,9 +709,7 @@ def tame_pipeline(desc, S=0, T=0):
             "S' has %d points, over the ceiling 6g + s + 2t = %d" % (len(S_prime), ceiling)
         )
     if desc.zT:
-        tau0 = desc.zT[0].embedded(eps)
-        if tau0 in s_prime_set:
-            raise PreconditionError("the avoided image %s lies inside S'" % tau0)
+        tau0 = desc.zT[0].embedded(eps)  # the instance below refuses it inside S'
         drop_avoided = False
     else:
         # q^(mL) >= threshold is far above |S'| + 3, so some point is left

@@ -286,16 +286,12 @@ def sym_product_count(counts, r: int) -> int:
 def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, workers: int = 1) -> dict:
     """Number of closed points of each degree d <= max_degree.
 
-    Möbius inversion of the point counts: N_d is the sum of e * b_e over e | d.
+    Möbius inversion of point_counts, Weil check included: N_d is the sum of e * b_e over e | d.
     """
-    _extension_size(curve, max_degree, guard)
     out = {}
     exact = {}  # d -> d * b_d, the points of exact degree d
-    for d in range(1, max_degree + 1):
-        total = count_points(curve, d, guard=guard, workers=workers)
-        for e in range(1, d):
-            if d % e == 0:
-                total -= exact[e]
+    for d, total in point_counts(curve, max_degree, guard=guard, workers=workers).items():
+        total -= sum(exact[e] for e in range(1, d) if d % e == 0)
         exact[d] = total
         if total % d != 0:
             raise InternalInconsistencyError(f"point counts do not split into degree-{d} orbits")

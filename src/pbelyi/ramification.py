@@ -18,7 +18,7 @@ from .errors import (
 from .factor import factor, split_root
 from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
-from .ratmap import P1Point, RationalMap, homogenize, three_points, wronskian
+from .ratmap import P1Point, RationalMap, disjoint, homogenize, point_set, three_points, wronskian
 
 # branch orbits of degree up to this get a representative in an extension field when read
 REP_DEGREE_LIMIT = 12
@@ -218,17 +218,14 @@ def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
 
 
 def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
-    """The point at infinity, read off the degrees of num and den."""
+    """The point at infinity: over beta = f(inf) = (b0 : b1), with index d - deg(b1 N - b0 D)."""
     base = f.field
-    num, den = f.num, f.den
-    if num.degree > den.degree:
-        index, beta = num.degree - den.degree, None
-    else:
-        beta = num.leading / den.leading if num.degree == den.degree else base.zero
-        index = den.degree - (num - den * beta).degree
+    beta = f(P1Point.infinity(base))
+    b0, b1 = beta.homogeneous()
+    index = f.degree - (f.num * b1 - f.den * b0).degree
     if index < 2:
         return None
-    bmp = None if beta is None else Polynomial(base, (-beta, base.one))
+    bmp = None if beta.is_infinity else Polynomial(base, (-b0, b1))
     return RamOrbit(None, index, 1, _branch(bmp, base), base.p)
 
 
@@ -324,29 +321,6 @@ class BelyiVerdict:
         return {"kind": self.kind, "passed": self.passed, "violations": list(self.violations)}
 
 
-def _checked_sets(base, marked, avoided):
-    """Marked and avoided points on the line over base, deduplicated and disjoint."""
-
-    def clean(pts, label):
-        out = []
-        seen = set()
-        for pt in pts:
-            if not isinstance(pt, P1Point) or pt.field != base:
-                raise PreconditionError(f"{label} point does not lie on the line over {base}")
-            if pt not in seen:
-                seen.add(pt)
-                out.append(pt)
-        return tuple(out)
-
-    marked = clean(marked, "marked")
-    avoided = clean(avoided, "avoided")
-    overlap = set(marked) & set(avoided)
-    if overlap:
-        worst = min(overlap, key=P1Point.sort_key)
-        raise PreconditionError(f"marked and avoided sets overlap at {worst}")
-    return marked, avoided
-
-
 def _branch_in_triple(bp: BranchPoint, field) -> bool:
     if bp.is_infinity:
         return True
@@ -365,7 +339,8 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     """
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
-    marked, avoided = _checked_sets(f.field, marked, avoided)
+    marked, avoided = point_set(f.field, marked), point_set(f.field, avoided)
+    disjoint(marked, avoided)
     violations = []
     std = three_points(f.field)
     for pt in marked:
@@ -403,7 +378,8 @@ def verify_wild_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
     report = analyze(f)  # raises on inseparable input before the sets are checked
-    marked, avoided = _checked_sets(f.field, marked, avoided)
+    marked, avoided = point_set(f.field, marked), point_set(f.field, avoided)
+    disjoint(marked, avoided)
     inf = P1Point.infinity(f.field)
     violations = []
     for pt in marked:

@@ -2,8 +2,10 @@
 
 A map is a reduced fraction num/den with monic denominator, so equality is
 coefficient equality.  Points of P^1 are field elements plus one distinguished
-infinity per field.  Evaluation, composition, Moebius maps, derivatives and
-the separability test (nonvanishing Wronskian) live here.
+infinity per field; `as_point` and `point_set` are the one way to read them
+and `disjoint` the one overlap check of marked and avoided points.
+Evaluation, composition, Moebius maps, derivatives and the separability test
+(nonvanishing Wronskian) live here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .field import EmbeddingMap, FieldElement, FiniteField, parse_element
-from .poly import Polynomial, parse_poly
+from .poly import Polynomial, parse_poly, value_at
 
 
 class P1Point:
@@ -54,6 +56,11 @@ class P1Point:
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
 
+    def homogeneous(self) -> Tuple[FieldElement, FieldElement]:
+        """Coordinates (x0 : x1) with an affine a as (a : 1) and infinity as (1 : 0)."""
+        one = self.field.one
+        return (one, self.field.zero) if self.is_infinity else (self.value, one)
+
     def sort_key(self) -> Tuple[int, int]:
         """Affine points by element order, infinity last."""
         if self.is_infinity:
@@ -64,6 +71,37 @@ class P1Point:
         if self.is_infinity:
             return P1Point.infinity(eps.target)
         return P1Point(eps.target, eps(self.value))
+
+
+def as_point(field: FiniteField, value) -> P1Point:
+    """A point of P^1(field) from a P1Point, an element, a text or an element code in [0, q)."""
+    if isinstance(value, P1Point):
+        if value.field != field:
+            raise PreconditionError("point %s lies over %s, expected %s" % (value, value.field, field))
+        return value
+    if isinstance(value, FieldElement):
+        if value.field != field:
+            raise PreconditionError("element %s lies in %s, expected %s" % (value, value.field, field))
+        return P1Point.of(value)
+    if isinstance(value, str):
+        return parse_point(field, value)
+    if isinstance(value, int):
+        if not 0 <= value < field.q:
+            raise PreconditionError("point code %d lies outside [0, %d)" % (value, field.q))
+        return P1Point.of(field.from_int_value(value))
+    raise PreconditionError("cannot read %r as a point on the line" % (value,))
+
+
+def point_set(field: FiniteField, values) -> Tuple[P1Point, ...]:
+    """The points read by as_point, each once, in the order first seen."""
+    return tuple(dict.fromkeys(as_point(field, v) for v in values))
+
+
+def disjoint(marked, avoided) -> None:
+    """Refuse marked and avoided points that share a point, naming the least shared one."""
+    shared = set(marked).intersection(avoided)
+    if shared:
+        raise PreconditionError("point %s is both marked and avoided" % min(shared, key=P1Point.sort_key))
 
 
 def three_points(field: FiniteField) -> Tuple[P1Point, P1Point, P1Point]:
@@ -156,22 +194,21 @@ class RationalMap:
     # -- evaluation
 
     def evaluate(self, point: P1Point) -> P1Point:
-        """Value at a point of P^1 over self.field; map_coefficients(eps) serves an extension."""
-        if point.field != self.field:
+        """Value at a point of P^1 over self.field; map_coefficients(eps) serves an extension.
+
+        At infinity num and den give their x^d coefficients (value_at's convention), never both
+        zero; elsewhere the reduced fraction has no common root.  Either way a zero den means inf.
+        """
+        fld = self.field
+        if point.field != fld:
             raise PreconditionError("point lies in a different field; map the coefficients first")
-        if point.is_infinity:
-            dn, dd = self.num.degree, self.den.degree
-            if dn > dd:
-                return P1Point.infinity(self.field)
-            if dn < dd:
-                return P1Point(self.field, self.field.zero)
-            return P1Point(self.field, self.num.leading / self.den.leading)
-        top = self.num(point.value)
-        bottom = self.den(point.value)
-        if bottom.is_zero:
-            # reduced fraction: num and den share no root in any extension
-            return P1Point.infinity(self.field)
-        return P1Point(self.field, top / bottom)
+        x = None if point.is_infinity else point.value.value
+        d = self.degree
+        bottom = value_at(fld, self.den.values, d, x)
+        if bottom == fld.zero_value:
+            return P1Point.infinity(fld)
+        top = value_at(fld, self.num.values, d, x)
+        return P1Point.of(FieldElement(fld, fld.mul(top, fld.inv(bottom))))
 
     def __call__(self, point: P1Point) -> P1Point:
         return self.evaluate(point)
@@ -235,33 +272,20 @@ def is_separable(f: RationalMap) -> bool:
 
 
 def mobius_from_triple(a: P1Point, b: P1Point, c: P1Point) -> RationalMap:
-    """The unique degree-1 map sending a -> 0, b -> 1, c -> infinity."""
-    pts = [a, b, c]
+    """The unique degree-1 map sending a -> 0, b -> 1, c -> infinity.
+
+    The cross-ratio (x - a)(b - c) / ((x - c)(b - a)) in homogeneous coordinates: a point
+    (u0 : u1) gives the form u1 x - u0, and u - v becomes u0 v1 - v0 u1.
+    """
+    pts = (a, b, c)
     fld = a.field
     if any(p.field != fld for p in pts):
         raise PreconditionError("points lie in different fields")
-    if len({(p.is_infinity, p.value) for p in pts}) != 3:
+    if len(set(pts)) != 3:
         raise PreconditionError("Moebius map needs three distinct points")
-    one = Polynomial.one(fld)
+    (a0, a1), (b0, b1), (c0, c1) = (p.homogeneous() for p in pts)
     x = Polynomial.x(fld)
-    if a.is_infinity:
-        # (b - c) / (x - c)
-        num = Polynomial.constant(fld, b.value - c.value)
-        den = x - Polynomial.constant(fld, c.value)
-    elif b.is_infinity:
-        num = x - Polynomial.constant(fld, a.value)
-        den = x - Polynomial.constant(fld, c.value)
-    elif c.is_infinity:
-        num = x - Polynomial.constant(fld, a.value)
-        den = Polynomial.constant(fld, b.value - a.value)
-    else:
-        num = (x - Polynomial.constant(fld, a.value)) * Polynomial.constant(
-            fld, b.value - c.value
-        )
-        den = (x - Polynomial.constant(fld, c.value)) * Polynomial.constant(
-            fld, b.value - a.value
-        )
-    m = RationalMap(num, den)
+    m = RationalMap((x * a1 - a0) * (b0 * c1 - c0 * b1), (x * c1 - c0) * (b0 * a1 - a0 * b1))
     for pt, want in zip(pts, three_points(fld)):
         got = m(pt)
         if got != want:

@@ -48,8 +48,8 @@ from .errors import InseparableMapError, InternalInconsistencyError, Preconditio
 from .factor import DEFAULT_SEED, squarefree_decomposition
 from .field import FiniteField, digits, embed
 from .poly import Polynomial, value_at
-from .ramification import _checked_sets, _infinity_orbit, verify_tame_belyi, verify_wild_belyi
-from .ratmap import RationalMap, wronskian
+from .ramification import _infinity_orbit, verify_tame_belyi, verify_wild_belyi
+from .ratmap import RationalMap, disjoint, point_set, wronskian
 
 EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
@@ -222,7 +222,8 @@ class _Screen:
     """
 
     def __init__(self, field, kind, marked, avoided):
-        marked, avoided = _checked_sets(field, marked, avoided)
+        marked, avoided = point_set(field, marked), point_set(field, avoided)
+        disjoint(marked, avoided)
         self.field = field
         self.kind = kind
         self.points = (marked, avoided)

@@ -1,10 +1,12 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from pbelyi import bounds
 from pbelyi.bounds import (
     BoundResult,
     ceil_log_q,
@@ -150,6 +152,29 @@ def test_tame_bound_guard():
     parts = tame_bound_parts(5, 5, 5, 3)
     assert parts["L"] == lcm_up_to(40)
     assert parts["factor"] == 16
+
+
+def test_lcm_up_to_n_is_at_least_2_to_the_n_from_7_on():
+    """Nair (1982): lcm(1..n) >= 2^n for n >= 7; n = 6 is why the floor starts at 7."""
+    assert lcm_up_to(6) < 2 ** 6
+    assert all(lcm_up_to(n) >= 2 ** n for n in range(7, 400))
+
+
+@pytest.mark.parametrize("g, s, t, q", [(0, 0, 4, 5), (0, 3, 7, 3), (1, 0, 1, 25), (2, 1, 0, 7), (0, 0, 9, 83)])
+def test_the_lcm_floor_refuses_only_what_the_exact_guard_refuses(monkeypatch, g, s, t, q):
+    n = 6 * g + 2 * t
+    with pytest.raises(GuardExceededError, match=r"at least 2\^%d = %d digits" % (n, 2 ** n)):
+        tame_bound(g, s, t, q, digit_guard=2 ** n - 1)
+    monkeypatch.setattr(bounds, "_check_lcm_floor", lambda *args: None)
+    with pytest.raises(GuardExceededError, match="estimated at"):
+        tame_bound(g, s, t, q, digit_guard=2 ** n - 1)
+
+
+def test_a_huge_tame_bound_is_refused_before_its_lcm_is_built():
+    start = time.monotonic()
+    with pytest.raises(GuardExceededError, match=r"at least 2\^200000 \(more than 10\^\d+\) digits"):
+        tame_bound(0, 0, 100000, 5)
+    assert time.monotonic() - start < 1
 
 
 def test_tame_bound_input_validation():

@@ -185,6 +185,7 @@ HYP5 = "hyp/5/0,1,0,1"
         (("count", "sym", "--curve", HYP5, "--r", "7000"), "--guard-override"),
         (("bound", "threshold", "--g", "0", "--s", "0", "--t", "2000"), "int_max_str_digits"),
         (("bound", "field-size", "--q", "97", "--A", "3", "--g", "1", "--n", "2000", "--s", "0"), "int_max_str_digits"),
+        (("bound", "tame", "--g", "0", "--s", "0", "--t", "100000", "--q", "5"), "digit_guard"),
     ],
 )
 def test_oversized_requests_exit_2_at_once(argv, way_out):
@@ -240,6 +241,28 @@ def test_a_plain_value_error_is_an_internal_error(monkeypatch, capsys):
     assert cli.main(["bound", "threshold", "--g", "0", "--s", "0", "--t", "0"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: not a precondition\n"
+
+
+def test_a_missing_int_max_str_digits_means_no_limit(monkeypatch, capsys):
+    """Before 3.10.7 sys has no get_int_max_str_digits, and the interpreter has no digit limit."""
+    from pbelyi import cli
+
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert cli.main(["bound", "threshold", "--g", "0", "--s", "0", "--t", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "threshold.num: " in out and "threshold.den: " in out
+
+
+def test_verify_lists_violations_in_the_order_of_the_marked_points(capsys):
+    from pbelyi import cli
+
+    assert cli.main(["--json", "verify", "tame", "--q", "5", "--map", "poly=0,0,1", "--S", "3,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["S"] == ["3", "2"]
+    assert doc["violations"] == [
+        "marked point 3 maps to 4, outside {0, 1, inf}",
+        "marked point 2 maps to 4, outside {0, 1, inf}",
+    ]
 
 
 def test_count_flags_below_one_exit_2():

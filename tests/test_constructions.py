@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -472,10 +473,17 @@ def test_pipeline_field_degree_guard():
     desc = CoveringDescriptor(F5, 3, 1)
     with pytest.raises(GuardExceededError):
         tame_pipeline(desc, S=0, T=0)
-    # L = lcm(1..20000) has thousands of digits: refused without printing it
+    # L = lcm(1..20000) has thousands of digits: refused from L >= 2^20000, without building or printing it
     desc = CoveringDescriptor(F5, 1, 0, (), (), ["3"])
-    with pytest.raises(GuardExceededError, match=r"degree more than 10\^\d+ over the prime field"):
+    with pytest.raises(GuardExceededError, match=r"degree at least 2\^20000 \(more than 10\^\d+\) over the prime field"):
         tame_pipeline(desc, S=0, T=10000)
+
+
+def test_pipeline_refuses_a_huge_avoided_set_before_its_lcm_is_built():
+    start = time.monotonic()
+    with pytest.raises(GuardExceededError, match=r"degree at least 2\^60000 "):
+        tame_pipeline(CoveringDescriptor(F5, 1, 0, (), (), ["3"]), S=0, T=30000)
+    assert time.monotonic() - start < 1
 
 
 def test_pipeline_input_validation():

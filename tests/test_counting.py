@@ -337,6 +337,15 @@ def test_point_counts_refuses_before_counting(monkeypatch, max_m):
     assert len(calls) == 3
 
 
+def test_closed_point_counts_get_the_weil_check(monkeypatch):
+    """Divisor counts read N_m through point_counts, so a count off the Weil bound is a bug, not a total."""
+    monkeypatch.setattr(counting, "count_points", lambda curve, m, **kw: 7 ** m)
+    with pytest.raises(InternalInconsistencyError, match="violates the Weil bound"):
+        closed_point_counts(ELLIPTIC5, 2)
+    with pytest.raises(InternalInconsistencyError, match="violates the Weil bound"):
+        enumerate_effective_divisors(ELLIPTIC5, 2)
+
+
 def test_hasse_weil_examples():
     assert hasse_weil_check(5, 1, 1, 4)
     assert not hasse_weil_check(5, 1, 1, 12)
