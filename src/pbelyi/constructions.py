@@ -659,6 +659,8 @@ def tame_pipeline(desc, S=0, T=0):
     field = desc.field
     S_pts, s = _points_or_size(field, S, "s")
     T_pts, t = _points_or_size(field, T, "t")
+    if S_pts is not None and T_pts is not None:
+        disjoint(S_pts, T_pts)
     if len(desc.zS) > s:
         raise PreconditionError("more marked images than marked points")
     if t == 0 and desc.zT:

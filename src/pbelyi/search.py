@@ -18,18 +18,33 @@ works row by row:
 - The hit's row is counted by gcds up to the hit, so the count is the hit's
   place in the stream of enumerate_candidates.
 
+Only one row per orbit is screened.  Let G be the group of maps
+sigma(x) = bx + a with sigma(S) = S and sigma(T) = T for the marked set S and
+the avoided set T.  Every such sigma fixes inf, so N/D -> N(sigma)/D(sigma) sends
+the row of D onto the row of D(sigma)/b^e, e = deg D, and keeps the degree,
+reducedness, tameness or wildness, and which points are marked or avoided: a
+row has a hit exactly when every row of its G-orbit has one.  Rows of an orbit
+share their degree, so the first row with a hit comes before the rest of its
+orbit and is the least code in it.  The search therefore builds numerators
+only in the rows whose code leads its orbit, counts every row in closed form
+as before, and finds the same witness at the same place.  The orbits of the
+denominators of one degree are found by one sweep over their codes, the first
+time a row of that degree meets the points; G is built then too.  A trivial G
+makes every row a leader.
+
 The randomized mode draws candidates of every row at random and runs the
 whole screen on each.
 
-The rows of a degree are cut into one contiguous block per worker and the
-blocks are scanned in order, the same _RowSearch.scan for any worker count:
-serially one block through map, in parallel through a pool's imap, where each
-worker gets a pickled copy of the round and returns the witness itself.  The
-parent extends the round's totient sieve to the degree before the copies are
-made.  After a hit the parent sets the pool's stop flag, which every worker
-checks once per row, so the blocks still running end at once and the pool
-closes and joins; it is never terminated, since a worker killed while it
-sends a result would leave the result queue locked.
+The rows of a degree are cut into one contiguous block per worker, each with
+an equal share of the orbit leaders, and the blocks are scanned in order, the
+same _RowSearch.scan for any worker count: serially one block through map, in
+parallel through a pool's imap, where each worker gets a pickled copy of the
+round and returns the witness itself.  The parent extends the round's totient
+sieve and its orbit sweep to the degree before the copies are made.  After a
+hit the parent sets the pool's stop flag, which every worker checks once per
+row, so the blocks still running end at once and the pool closes and joins;
+it is never terminated, since a worker killed while it sends a result would
+leave the result queue locked.
 
 Every hit is certified by the exact verifiers.  An exhaustive run that finds
 nothing is a lower bound over the searched coefficient fields only, never
@@ -40,6 +55,7 @@ cannot misread the claim.
 import functools
 import itertools
 import multiprocessing
+import operator
 import random
 import signal
 
@@ -316,8 +332,9 @@ def _scan(candidates, screen):
 class _RowSearch:
     """The exhaustive search over one coefficient field, row by row.
 
-    Phi(D) does not depend on the degree, so the totients are kept for the
-    whole search; so are the interpolation data of each set of nodes.
+    Phi(D) and the orbits of the denominators of a degree do not depend on
+    the degree of the maps, so both are kept for the whole search; so are
+    the interpolation data of each set of nodes.
     """
 
     def __init__(self, field, screen):
@@ -327,8 +344,85 @@ class _RowSearch:
         self._sieved = 0
         self._irreducibles = []  # (g, deg g), the monic irreducibles of degree < self._sieved
         self._nodes = {}
+        self._group = None  # the affine stabiliser of the points, built when a degree is first swept
+        self._leaders = {}  # e -> the degree's leader flags (see leads), or None when the group is trivial
         self._elements = tuple(map(field.from_code, range(field.q)))
         self._nonzero = frozenset(self._elements[1:])
+
+    def group(self):
+        """The maps x -> bx + a that keep the marked and the avoided points, as (b, a) values, identity first.
+
+        Every such map fixes inf, so only the affine points are checked; a
+        map of a finite set into itself is onto.
+        """
+        if self._group is None:
+            add, mul = self.field.add, self.field.mul
+            kept = [{x for x, want in self.screen.constraints if want == side and x is not None} for side in (True, False)]
+            self._group = [
+                (b, a) for b in self._elements[1:] for a in self._elements
+                if all(add(mul(b, x), a) in pts for pts in kept for x in pts)
+            ]
+        return self._group
+
+    def _moves(self, e):
+        """The action of each map of the group but the identity on the monic D of degree e.
+
+        x -> bx + a sends D to D(bx + a)/b^e, which is F_p-affine in the
+        base-p digits of D's index, code - q^e: digit j of the image's index
+        is c_j + <digits, col_j> mod p.  Each move lists its (c_j, col_j)
+        from the top digit down, so the index builds by Horner.
+        """
+        fld = self.field
+        add, mul, zero = fld.add, fld.mul, fld.zero_value
+        units = [fld.from_code(fld.p ** t) for t in range(fld.n)]  # a basis of the field over F_p
+        moves = []
+        for b, a in self.group()[1:]:
+            power = [fld.pow(b, -e)] + [zero] * e  # (bx + a)^i / b^e, from i = 0 up
+            rows = []
+            for _ in range(e):
+                rows.extend([c for v in power[:e] for c in fld.coords(mul(u, v))] for u in units)
+                power = [add(mul(a, v), mul(b, w)) for v, w in zip(power, [zero] + power)]
+            moves.append(list(zip([c for v in power[:e] for c in fld.coords(v)], zip(*rows)))[::-1])
+        return moves
+
+    def leads(self, e, code):
+        """Whether the monic D of degree e with this code is the least in its orbit under the group."""
+        flags = self._flags(e)
+        return flags is None or flags[code - self.field.q ** e]
+
+    def _flags(self, e):
+        """The degree's leader flags, by code - q^e, or None when the group is trivial.
+
+        The first call for a degree sweeps its codes once, in order: a code
+        that no earlier code moved to leads its orbit and clears the flags
+        of the rest of the orbit.
+        """
+        if e not in self._leaders:
+            moves = self._moves(e)
+            flags = None
+            if moves:
+                p, width, size = self.field.p, self.field.n * e, self.field.q ** e
+                flags = bytearray(b"\x01") * size
+                for i in range(size):
+                    if flags[i]:
+                        ds = digits(i, p, width)
+                        for move in moves:
+                            j = 0
+                            for c, col in move:
+                                j = j * p + (c + sum(map(operator.mul, ds, col))) % p
+                            if j != i:
+                                flags[j] = 0
+            self._leaders[e] = flags
+        return self._leaders[e]
+
+    def leader_rows(self, d):
+        """The indices of the rows at degree d whose denominators lead their orbits, in order."""
+        q, base, out = self.field.q, 0, []
+        for e in range(d + 1):
+            indices, flags = range(base, base + q ** e), self._flags(e)
+            out.extend(indices if flags is None else itertools.compress(indices, flags))
+            base += q ** e
+        return out
 
     def _totient(self, e, code):
         """Phi(D) for the monic D of degree e with this code."""
@@ -366,50 +460,68 @@ class _RowSearch:
         """Lagrange basis at the points xs, and every multiple of prod (x - s) of degree <= d.
 
         Both are value lists, the basis polynomials of length len(xs) and
-        the multiples of length d + 1.
+        the multiples of length d + 1.  M = prod (x - s) is built one factor
+        at a time, each basis polynomial is M / (x - s) by synthetic division
+        over its value at s, and the multiples M H in the code order of H by
+        adding c x^j M digit by digit, lowest digit fastest.
         """
         key = (xs, d)
         out = self._nodes.get(key)
         if out is None:
             fld = self.field
+            add, sub, mul, zero = fld.add, fld.sub, fld.mul, fld.zero_value
             k = len(xs)
-
-            def padded(poly, length):
-                return list(poly.values) + [fld.zero_value] * (length - len(poly.values))
-
+            m = [fld.one_value]
+            for s in xs:
+                m = [sub(a, mul(s, b)) for a, b in zip([zero] + m, m + [zero])]
             basis = []
             for s in xs:
-                ell = Polynomial.from_roots(fld, [t for t in xs if t != s])
-                basis.append(padded(ell * ell.evaluate(s).inverse(), k))
-            m = Polynomial.from_roots(fld, xs)
-            multiples = [padded(m * _poly_from_code(fld, h, d + 1 - k), d + 1) for h in range(fld.q ** (d + 1 - k))]
+                ell = [m[k]]  # top coefficient first
+                for c in m[k - 1 : 0 : -1]:
+                    ell.append(add(c, mul(s, ell[-1])))
+                ell.reverse()
+                scale = fld.inv(value_at(fld, ell, k - 1, s))
+                basis.append([mul(scale, c) for c in ell])
+            multiples = [[zero] * (d + 1)]
+            for j in range(d + 1 - k):  # digit j of the code of H
+                shifted = [zero] * j + m + [zero] * (d - k - j)
+                scaled = [[mul(c, b) for b in shifted] for c in self._elements]
+                multiples = [[add(a, b) for a, b in zip(v, cm)] for cm in scaled for v in multiples]
             out = self._nodes[key] = (basis, multiples)
         return out
 
-    def numerators(self, d, e, den):
-        """The numerators of a row's candidates that meet the points, in code order, as value lists.
+    def allowed_values(self, d, e, den):
+        """The values N(x) allowed at each constrained point x of a row, or None when a point allows none.
 
         Each marked or avoided point x allows a set of values N(x), given by
         D(x); at inf the value is the x^d coefficient.  An empty set skips
         the row.  At a root r of D in the field N(r) must be nonzero, since
-        otherwise x - r divides N and D and N/D has a lower degree.  N is
-        interpolated at up to d + 1 constrained affine points, N = L + M H
-        with M the product of x - s over them, and checked at the other
-        points and at inf.  A numerator built may still share with D a
-        factor that has no root in the field; RationalMap drops it.
+        otherwise x - r divides N and D and N/D has a lower degree.
         """
         fld, screen = self.field, self.screen
-        q, zero, dvals = fld.q, fld.zero_value, den.values
+        zero, dvals = fld.zero_value, den.values
         allowed_at = {}
         for x, want in screen.constraints:
             allowed = allowed_at[x] = screen.allowed(value_at(fld, dvals, d, x), want)
             if not allowed:
-                return []
+                return None
         if e:
             # an allowed set at a root of D is all of the field (or empty), so this narrows it
             allowed_at.update((r, self._nonzero) for r in self._elements if value_at(fld, dvals, d, r) == zero)
         if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
             allowed_at[None] = self._nonzero
+        return allowed_at
+
+    def numerators(self, d, allowed_at):
+        """The numerators of a row's candidates with the allowed values, in code order, as value lists.
+
+        N is interpolated at up to d + 1 constrained affine points, N = L + M H
+        with M the product of x - s over them, and checked at the other
+        points and at inf.  A numerator built may still share with D a
+        factor that has no root in the field; RationalMap drops it.
+        """
+        fld = self.field
+        q, zero = fld.q, fld.zero_value
         narrow = [(x, allowed) for x, allowed in allowed_at.items() if len(allowed) < q]
         nodes = sorted((node for node in narrow if node[0] is not None), key=lambda node: len(node[1]))
         head, tail = nodes[: d + 1], [node for node in narrow if node[0] is None] + nodes[d + 1 :]
@@ -433,37 +545,55 @@ class _RowSearch:
     def scan(self, d, block):
         """(first certified hit or None, candidates up to and including it) in a block of rows.
 
-        The block is a range of row indices.  Each row builds only the
-        numerators that meet the points and screens them by ramification; a
-        row with no hit is counted in closed form, the hit's row by its stream
-        up to the hit.  In a pool worker whose stop flag is set the block ends
-        at its next row and reports None.
+        The block is a range of row indices.  A row whose denominator leads
+        its orbit builds only the numerators that meet the points and screens
+        them by ramification; every other row has a hit exactly when its
+        orbit's leader has one, which comes earlier in the stream.  A row with
+        no hit is counted in closed form, the hit's row by its stream up to
+        the hit.  In a pool worker whose stop flag is set the block ends at
+        its next row and reports None.
         """
         fld, screen, stop = self.field, self.screen, _stop_flag
         tested = 0
         for e, code, den in _rows(fld, d, block.start, block.stop):
             if stop is not None and stop.is_set():
                 return None
-            for vals in self.numerators(d, e, den):
-                f = RationalMap(Polynomial._from_values(fld, vals), den)
-                if f.degree == d and screen.ramified(f):
-                    place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
-                    return screen.certify(f), tested + place
+            # a degree is swept when one of its rows first meets the points; from then on the
+            # leader test comes first, so rows that lead no orbit are not evaluated
+            if e not in self._leaders or self.leads(e, code):
+                allowed_at = self.allowed_values(d, e, den)
+                if allowed_at is not None and self.leads(e, code):
+                    for vals in self.numerators(d, allowed_at):
+                        f = RationalMap(Polynomial._from_values(fld, vals), den)
+                        if f.degree == d and screen.ramified(f):
+                            place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
+                            return screen.certify(f), tested + place
             tested += _row_total(fld.q, d, e, self._totient(e, code))
         return None, tested
 
 
+def _blocks(rows, d, count):
+    """The rows of degree d in count contiguous blocks, each with an equal share of the orbit leaders.
+
+    Leaders are least codes, so equal ranges of row indices would give the
+    first block most of them.  One block needs no leaders, so a serial
+    search sweeps a degree only when one of its rows meets the points.
+    """
+    total = _row_count(rows.field.q, d)
+    leaders = rows.leader_rows(d) if count > 1 else [0]
+    cuts = [leaders[len(leaders) * w // count] for w in range(count)] + [total]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _scan_blocks(mapper, rows, d, count):
-    """Cut the rows of degree d into count contiguous blocks and scan them in order through mapper.
+    """Scan the count blocks of the rows of degree d in order through mapper.
 
     mapper is map, or a pool's imap.  Blocks arrive in stream order, so the
     first hit seen is the stream's first, and the blocks after it need not
-    finish.
+    finish.  Every block counts all of its rows, leaders or not.
     """
-    total = _row_count(rows.field.q, d)
-    blocks = [range(total * w // count, total * (w + 1) // count) for w in range(count)]
     tested = 0
-    for witness, seen in mapper(functools.partial(rows.scan, d), blocks):
+    for witness, seen in mapper(functools.partial(rows.scan, d), _blocks(rows, d, count)):
         tested += seen
         if witness is not None:
             return witness, tested
@@ -525,7 +655,7 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
             for rows in rounds:
                 if exhaustive:
                     if pool is not None:
-                        rows.sieve(d)  # once here, not once in every block's copy
+                        rows.sieve(d)  # once here, not once in every block's copy; _blocks sweeps the orbits
                     witness, tested = _scan_blocks(mapper, rows, d, workers)
                 else:
                     stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))

@@ -1,5 +1,5 @@
 """End-to-end acceptance checks: nine criteria, one test and one verdict line each,
-and a second, larger search for criterion 7.
+and two larger searches for criterion 7.
 
 Every expected number below was fixed by hand or by an independent oracle
 before the implementation ran; the tests also enforce the stated runtime
@@ -197,6 +197,24 @@ def test_criterion_7_search_exhausts_q7_up_to_degree_4():
     assert res["degree"] is None and res["witness"] is None
     assert res["exhausted"] is True
     assert res["candidates_tested"] == sum(7 ** (2 * d - 1) * 48 for d in range(1, 5)) == 40353600
+    _finish(7, 10.0, started)
+
+
+def test_criterion_7_search_finds_the_minimal_tame_degree_over_f7():
+    """The least degree of a tame Belyi map over F_7 that sends all of
+    P^1(F_7) into {0, 1, inf} is 6, and x^6 is the first such map: every
+    candidate of degree <= 5 is exhausted and x^6 heads the degree-6 stream,
+    so the count is the q^(2d - 1) (q^2 - 1) maps of each degree below 6
+    plus one.  The guard is raised to the q^(2 d_max + 2) = 7^14 pairs."""
+    started = time.perf_counter()
+    inst = BelyiInstance(F7, p1_points(F7), [])
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 6, fields=[F7]), guard=7 ** 14)
+    assert res["degree"] == 6
+    assert res["exhausted"] is True
+    witness = res["witness"]
+    assert str(witness) == "poly=0,0,0,0,0,0,1"
+    assert res["candidates_tested"] == sum(7 ** (2 * d - 1) * 48 for d in range(1, 6)) + 1 == 1977326737
+    assert verify_tame_belyi(witness, inst.S, ()).passed
     _finish(7, 10.0, started)
 
 

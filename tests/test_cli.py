@@ -151,6 +151,14 @@ def test_inseparable_wild_map_exits_2():
     assert proc.stderr == "error: map is inseparable, its critical locus is not finite\n"
 
 
+def test_pipeline_with_overlapping_point_sets_exits_2():
+    for extra in ((), ("--map", "poly=0,0,1")):
+        proc = run_cli("construct", "pipeline", "--q", "5", "--S", "1,4", "--T", "1", *extra)
+        assert proc.returncode == 2, extra
+        assert proc.stdout == ""
+        assert proc.stderr == "error: point 1 is both marked and avoided\n"
+
+
 def test_json_error_paths_keep_stdout_empty():
     proc = run_cli("--json", "construct", "wild", "--q", "3", "--S", "0,1,2", "--T", "none")
     assert proc.returncode == 2

@@ -497,6 +497,17 @@ def test_pipeline_input_validation():
         tame_pipeline(bare, S=0, T=0)
 
 
+def test_pipeline_refuses_overlapping_point_sets():
+    bare = CoveringDescriptor(F5, 1, 0, (), (), ["3"])
+    with pytest.raises(PreconditionError, match="^point 1 is both marked and avoided$"):
+        tame_pipeline(bare, S=["1"], T=["1"])
+    with pytest.raises(PreconditionError, match="^point 1 is both marked and avoided$"):
+        tame_pipeline(bare, S=["4", "inf", "1"], T=["1", "2"])
+    # plain sizes name no points, so they cannot overlap
+    assert tame_pipeline(bare, S=1, T=1)["total_degree"] == 1
+    assert tame_pipeline(bare, S=["1"], T=["2"])["total_degree"] == 1
+
+
 def test_construction_results_serialize():
     res = tame_power_map(3)
     json.dumps(res.to_dict())

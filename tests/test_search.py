@@ -15,7 +15,8 @@ from pbelyi.constructions import BelyiInstance
 from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
 from pbelyi.field import FiniteField, embed
 from pbelyi.ramification import verify_tame_belyi, verify_wild_belyi
-from pbelyi.ratmap import P1Point, p1_points, parse_ratmap
+from pbelyi.poly import Polynomial
+from pbelyi.ratmap import P1Point, RationalMap, p1_points, parse_ratmap
 from pbelyi import search
 from pbelyi.ramification import BelyiVerdict
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
@@ -148,13 +149,122 @@ def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_
             for d in range(1, d_max + 1):
                 for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
                     roots = [r for r in field.elements() if den.evaluate(r).is_zero]
-                    built = [search._code(field, n) for n in rows.numerators(d, e, den)]
+                    allowed = rows.allowed_values(d, e, den)
+                    built = [] if allowed is None else [search._code(field, n) for n in rows.numerators(d, allowed)]
                     meet = []
                     for code in search._row_codes(q, d, e):
                         num = search._poly_from_code(field, code, d + 1)
                         if screen.meets_points(num.values, den.values, d) and not any(num.evaluate(r).is_zero for r in roots):
                             meet.append(code)
                     assert built == meet, (kind, marked, avoided, str(den))
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=["q3", "q5", "q9"])
+def test_interpolation_data_match_their_polynomials(field):
+    """The Lagrange basis at the nodes and every multiple M H of M = prod (x - s),
+    in the code order of H, equal the polynomials from_roots and * build."""
+    rows = search._RowSearch(field, None)
+    values = [x.value for x in field.elements()]
+    for d in range(4):
+        for k in range(min(d + 1, field.q) + 1):
+            for xs in itertools.islice(itertools.permutations(values, k), 12):
+                basis, multiples = rows._interpolation(xs, d)
+                for s, ell in zip(xs, basis):
+                    want = Polynomial.from_roots(field, [t for t in xs if t != s])
+                    assert Polynomial._from_values(field, ell) == want * want.evaluate(s).inverse()
+                    assert len(ell) == k
+                m = Polynomial.from_roots(field, xs)
+                assert len(multiples) == field.q ** (d + 1 - k)
+                for h, vals in enumerate(multiples):
+                    assert len(vals) == d + 1
+                    assert Polynomial._from_values(field, vals) == m * search._poly_from_code(field, h, d + 1 - k)
+
+
+def _affine_maps(field):
+    """Every map x -> bx + a over the field, as ((b, a) values, the map)."""
+    for b in field.elements():
+        if not b.is_zero:
+            for a in field.elements():
+                yield (b.value, a.value), Polynomial(field, [a, b])
+
+
+def _trivial_round(field, screen):
+    """A row search whose group is forced to the identity alone, so every row leads its orbit."""
+    rows = search._RowSearch(field, screen)
+    rows._group = [(field.one_value, field.zero_value)]
+    return rows
+
+
+@pytest.mark.parametrize("field, d_max", [(F3, 3), (F5, 2)], ids=["q3", "q5"])
+def test_orbit_scan_matches_a_scan_with_a_trivial_group(field, d_max):
+    """Scanning one row per orbit finds the same witness at the same place as
+    scanning every row, for every split of P^1 into marked and avoided points."""
+    total = {d: search._row_count(field.q, d) for d in range(1, d_max + 1)}
+    skipped = 0
+    for marked, avoided in _splits(field):
+        for kind in ("tame", "wild"):
+            screen = search._Screen(field, kind, marked, avoided)
+            rows, every = search._RowSearch(field, screen), _trivial_round(field, screen)
+            for d in range(1, d_max + 1):
+                want = every.scan(d, range(total[d]))
+                assert rows.scan(d, range(total[d])) == want, (kind, marked, avoided, d)
+                if want[0] is not None:
+                    break
+            skipped += sum(flags.count(0) for flags in rows._leaders.values() if flags is not None)
+            assert all(flags is None for flags in every._leaders.values())
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("field, splits", [(F3, None), (F5, 40), (F9, 12)], ids=["q3", "q5", "q9"])
+def test_the_group_is_the_affine_stabiliser_of_the_points(field, splits):
+    """group() holds exactly the maps x -> bx + a that send the marked points
+    onto themselves and the avoided points onto themselves, by brute force."""
+    orders = set()
+    for marked, avoided in [(p1_points(field), []), ([], [])] + list(_splits(field, sample=splits)):
+        rows = search._RowSearch(field, search._Screen(field, "tame", marked, avoided))
+        want = []
+        for key, line in _affine_maps(field):
+            sigma = RationalMap.from_polynomial(line)
+            if all({sigma.evaluate(pt) for pt in pts} == set(pts) for pts in (marked, avoided)):
+                want.append(key)
+        assert sorted(rows.group()) == sorted(want), (marked, avoided)
+        assert rows.group()[0] == (field.one_value, field.zero_value)
+        orders.add(len(want))
+    assert len(orders) > 2 and field.q * (field.q - 1) in orders
+
+
+# (field, marked, avoided, order of the group, top degree)
+ORBIT_CASES = [
+    (F3, p1_points(F3), [], 6, 3),
+    (F3, ["0", "2"], ["inf"], 2, 3),
+    (F3, ["0"], ["1"], 1, 3),
+    (F5, p1_points(F5), [], 20, 3),
+    (F5, ["0", "1", "2", "3"], [], 4, 3),
+    (F5, ["0", "1"], ["inf"], 2, 3),
+    (F5, ["0", "1"], ["2"], 1, 3),
+    (F9, p1_points(F9), [], 72, 2),
+    (F9, ["0,0"], [], 8, 2),
+]
+
+
+@pytest.mark.parametrize("field, marked, avoided, order, top", ORBIT_CASES)
+def test_orbit_leaders_meet_every_orbit_once(field, marked, avoided, order, top):
+    """For every degree e the leaders are the least codes of the orbits of
+    D -> D(bx + a)/b^e, one in each orbit, with the orbits found by compose."""
+    inst = BelyiInstance(field, marked, avoided)
+    rows = search._RowSearch(field, search._Screen(field, "tame", inst.S, inst.T))
+    group = [Polynomial._from_values(field, [a, b]) for b, a in rows.group()]
+    assert len(group) == order
+    q = field.q
+    for e in range(top + 1):
+        orbits = set()
+        for code in range(q ** e, 2 * q ** e):
+            den = search._poly_from_code(field, code, e + 1)
+            orbits.add(frozenset(search._code(field, den.compose(line).monic().values) for line in group))
+        leaders = [code for code in range(q ** e, 2 * q ** e) if rows.leads(e, code)]
+        assert sorted(min(orbit) for orbit in orbits) == leaders, e
+        base = search._row_count(q, e - 1)
+        assert rows.leader_rows(e)[-len(leaders):] == [base + code - q ** e for code in leaders]
 
 
 def test_screen_hit_rejected_by_the_verifier_is_an_internal_error(monkeypatch):
@@ -231,6 +341,7 @@ WORKER_CASES = [
     (F5, ["1"], ["inf"], "wild", 1, 1, "num=1/den=4,1", 101),
     (F3, "all", [], "wild", 3, None, None, 2184),
     (F7, ["1", "2", "3"], [], "tame", 1, 1, "num=3,2/den=4,1", 225),
+    (F5, "all", [], "tame", 4, 4, "poly=0,0,0,0,1", 78121),
 ]
 
 
@@ -253,9 +364,25 @@ def run_worker_cases(worker_counts):
 def test_search_workers_do_not_change_the_answer():
     run_worker_cases((1, 2, 3))
     last = parse_ratmap(F7, "num=3,2/den=4,1")
-    rows = search._row_count(7, 1)
+    inst = BelyiInstance(F7, ["1", "2", "3"], [])
+    rows = search._RowSearch(F7, search._Screen(F7, "tame", inst.S, inst.T))
     for workers in (2, 3):
-        assert _row_index(F7, last.den) >= rows * (workers - 1) // workers
+        assert _row_index(F7, last.den) in search._blocks(rows, 1, workers)[-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_blocks_share_the_orbit_leaders_equally(workers):
+    """The blocks of a degree are contiguous, cover every row once and hold
+    equal shares of the rows that lead their orbits, up to one row."""
+    for marked, d in ((p1_points(F5), 4), (["0", "1", "2", "3"], 3), ([], 3)):
+        inst = BelyiInstance(F5, marked, [])
+        rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
+        blocks = search._blocks(rows, d, workers)
+        assert [i for block in blocks for i in block] == list(range(search._row_count(5, d)))
+        leaders = set(rows.leader_rows(d))
+        shares = [len(leaders.intersection(block)) for block in blocks]
+        assert max(shares) - min(shares) <= 1, (marked, shares)
+        assert len(leaders) < search._row_count(5, d)
 
 
 def test_parallel_searches_do_not_hang():
@@ -325,6 +452,7 @@ def test_a_pickled_round_scans_like_the_original():
         (F5, ["0", "1", "2", "3"], [], "tame", 2),
         (F3, p1_points(F3), [], "wild", 3),
         (F9_CUSTOM, ["0,1", "1,1", "2,2"], [], "tame", 1),
+        (F5, p1_points(F5), [], "tame", 4),
     ]
     for field, marked, avoided, kind, d in cases:
         inst = BelyiInstance(field, marked, avoided)
@@ -332,8 +460,10 @@ def test_a_pickled_round_scans_like_the_original():
         rows.scan(d - 1 or 1, range(search._row_count(field.q, d - 1 or 1)))  # fill the caches
         copy = pickle.loads(pickle.dumps(rows))
         assert copy.field == field and copy.screen.field is copy.field is not field
+        assert copy._leaders == rows._leaders and copy._group == rows._group
         block = range(search._row_count(field.q, d))
         assert copy.scan(d, block) == rows.scan(d, block)
+    assert len(rows.group()) == 20 and rows._leaders[3].count(1) < 5 ** 3
 
 
 def test_one_pool_serves_every_round(monkeypatch):
