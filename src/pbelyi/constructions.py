@@ -711,7 +711,17 @@ def tame_pipeline(desc, S=0, T=0):
             "S' has %d points, over the ceiling 6g + s + 2t = %d" % (len(S_prime), ceiling)
         )
     if desc.zT:
-        tau0 = desc.zT[0].embedded(eps)  # the instance below refuses it inside S'
+        tau0 = desc.zT[0].embedded(eps)
+        if tau0 in s_prime_set:
+            which = "avoided image %s" % desc.zT[0]
+            if desc.map is not None:
+                plural = len(T_pts) > 1
+                which = "avoided point%s %s map%s to %s, which" % (
+                    "s" if plural else "", ", ".join(map(str, T_pts)), "" if plural else "s", desc.zT[0],
+                )
+            raise PreconditionError(
+                "%s lies in S', the images of the marked points plus the branch values of the map" % which
+            )
         drop_avoided = False
     else:
         # q^(mL) >= threshold is far above |S'| + 3, so some point is left

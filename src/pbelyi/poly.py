@@ -15,10 +15,11 @@ immutable and hashable; arithmetic never mutates.
 from __future__ import annotations
 
 import operator
+from math import comb
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField, _pdivmod, _pmul, _pow_by_squaring, _ppowmod, parse_element
+from .field import FieldElement, FiniteField, _pdivmod, _pext_gcd, _pmul, _pow_by_squaring, _ppowmod, parse_element
 
 
 def value_at(field: FiniteField, vals: Sequence, d: int, x):
@@ -258,10 +259,43 @@ class Polynomial:
             a, b = b, a % b
         return a.monic()
 
+    def inverse_mod(self, mod: "Polynomial") -> "Polynomial":
+        """The u with u*self = 1 modulo mod, by extended Euclid, for self prime to mod."""
+        fld = self.field
+        mod = self._coerce(mod)
+        a = self % mod
+        if fld.n == 1:  # the kernel's Euclid loop on the value tuples
+            g, u = _pext_gcd(a.values, mod.values, fld.p)
+            if g != (1,):
+                raise PreconditionError("polynomial is not a unit modulo the modulus")
+            return Polynomial._from_trimmed(fld, u)
+        r0, r1 = a, mod
+        s0, s1 = Polynomial.one(fld), Polynomial(fld)
+        while not r1.is_zero:
+            quo, rem = divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - quo * s1
+        if r0.degree != 0:
+            raise PreconditionError("polynomial is not a unit modulo the modulus")
+        return s0 * r0.leading.inverse()
+
     def derivative(self) -> "Polynomial":
         fld = self.field
         mul, value_of = fld.mul, fld.value_of
         return Polynomial._from_values(fld, [mul(c, value_of(i)) for i, c in enumerate(self.values) if i])
+
+    def hasse_derivative(self, j: int) -> "Polynomial":
+        """The j-th Hasse derivative sum C(i, j) a_i x^(i - j), for j >= 0.
+
+        Its value at a point a is the x^j coefficient of the Taylor expansion
+        self(a + x), also where p divides j!, which the j-th derivative loses.
+        """
+        fld = self.field
+        mul, value_of, zero, p = fld.mul, fld.value_of, fld.zero_value, fld.p
+        return Polynomial._from_values(fld, [
+            mul(c, value_of(comb(i, j) % p)) if c != zero else zero  # skips comb on sparse maps
+            for i, c in enumerate(self.values[j:], j)
+        ])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         fld = self.field
@@ -297,6 +331,8 @@ class Polynomial:
         """The largest m with g**m dividing self, for g of positive degree."""
         if self.is_zero:
             raise PreconditionError("the zero polynomial is divisible by every power")
+        if self._coerce(g).degree < 1:
+            raise PreconditionError("multiplicity needs a divisor of positive degree, got %s" % g)
         count = 0
         quo, rem = divmod(self, g)
         while rem.is_zero:

@@ -2,9 +2,11 @@
 
 Ramification data is grouped into Galois orbits over the base field, so a
 report never depends on a choice of extension field.  Orbits are located by
-their minimal polynomials, and `analyze` builds no field.  A branch orbit of
-degree 2 to REP_DEGREE_LIMIT gets a display representative in an extension
-field the first time its `representative` is read.
+their minimal polynomials, and `analyze` builds no field.  Each index is
+read off the multiplicity of its orbit in the Wronskian, confirmed by a few
+Hasse derivatives (`_index`).  A branch orbit of degree 2 to
+REP_DEGREE_LIMIT gets a display representative in an extension field the
+first time its `representative` is read.
 """
 
 from math import lcm
@@ -18,7 +20,7 @@ from .errors import (
 from .factor import factor, split_root
 from .field import FiniteField, embed, galois_orbit
 from .poly import Polynomial
-from .ratmap import P1Point, RationalMap, disjoint, homogenize, point_set, three_points, wronskian
+from .ratmap import P1Point, RationalMap, disjoint, point_set, three_points, wronskian
 
 # branch orbits of degree up to this get a representative in an extension field when read
 REP_DEGREE_LIMIT = 12
@@ -190,13 +192,38 @@ class RamReport:
         }
 
 
-def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
-    """The orbit of the roots of g, worked out in K = F_q[x]/(g): no extension field is built."""
+def _index(f: RationalMap, g: Polynomial, m: int, beta: Polynomial = None) -> int:
+    """The ramification index e at the roots of g, which divides W = N'D - ND' exactly m times.
+
+    With H_j the j-th Hasse derivative and W_j = (H_j N) D - N (H_j D), so
+    that W_1 = W, e is the least j with g not dividing W_j.  At an affine
+    orbit beta is N/D in K = F_q[x]/(g) and W_j = D (H_j N - beta H_j D)
+    in K, D a unit; at a pole (beta None) W_j = -N H_j D in K, N a unit.
+    Since ord W = e - 1 when p does not divide e, and ord W >= e when it
+    does, e is m + 1 or a multiple of p up to m; only those j are tried.
+    """
+    num, den, p = f.num, f.den, f.field.p
+    for j in [*range(p, m + 1, p), m + 1]:
+        rest = den.hasse_derivative(j) % g
+        if beta is not None:
+            rest = (num.hasse_derivative(j) - beta * rest) % g
+        if not rest.is_zero:
+            return j
+    raise InternalInconsistencyError(
+        f"no ramification index at the roots of {g} fits their Wronskian multiplicity {m}"
+    )
+
+
+def _affine_orbit(f: RationalMap, g: Polynomial, m: int) -> RamOrbit:
+    """The orbit of the roots of g, worked out in K = F_q[x]/(g): no extension field is built.
+
+    m is the multiplicity of g in the Wronskian, which fixes the index.
+    """
     base = f.field
     q, d = base.q, g.degree
     zero = Polynomial(base)
     # f at a root of g; D is a unit of K since g does not divide it
-    beta = (f.num % g) * f.den.powmod(q ** d - 2, g) % g
+    beta = (f.num % g) * f.den.inverse_mod(g) % g
     conjugates = [beta]
     for _ in range(d - 1):
         nxt = conjugates[-1].powmod(q, g)
@@ -209,12 +236,7 @@ def _affine_orbit(f: RationalMap, g: Polynomial) -> RamOrbit:
     if any(c.degree > 0 for c in coeffs):
         raise InternalInconsistencyError("branch minimal polynomial does not descend to the base field")
     bmp = Polynomial(base, [c.coeff(0) for c in coeffs])
-    # sum b_i N^i D^(k-i) = prod (N - beta_j D) is divisible by g exactly e times
-    (fibre,) = homogenize((bmp,), f.num, f.den, bmp.degree)
-    index = fibre.multiplicity(g)
-    if index < 2:
-        raise InternalInconsistencyError("critical point with ramification index below 2")
-    return RamOrbit(g, index, d, _branch(bmp, base), base.p)
+    return RamOrbit(g, _index(f, g, m, beta), d, _branch(bmp, base), base.p)
 
 
 def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
@@ -251,12 +273,14 @@ def _collect_branches(orbits) -> Tuple[BranchPoint, ...]:
 def analyze(f: RationalMap) -> RamReport:
     """Group the ramification of f into Galois orbits over its base field.
 
-    Critical orbits dividing the denominator are read off from pole orders,
-    which keeps large wild examples cheap; the others are worked out in
-    F_q[x]/(g) and infinity from the degrees, so no field is built; the
-    representative of a branch orbit of degree <= REP_DEGREE_LIMIT builds
-    one when it is first read.  Raises InseparableMapError when the
-    Wronskian vanishes, since the critical locus is then not finite.
+    Each irreducible factor g of the Wronskian is one critical orbit, and
+    its index comes from the multiplicity of g there and a few Hasse
+    derivatives (`_index`).  An orbit of poles lies over infinity; the
+    branch orbit of any other is worked out in F_q[x]/(g), and infinity is
+    read off the degrees, so no field is built; the representative of a
+    branch orbit of degree <= REP_DEGREE_LIMIT builds one when it is first
+    read.  Raises InseparableMapError when the Wronskian vanishes, since
+    the critical locus is then not finite.
     """
     base = f.field
     if f.is_constant:
@@ -266,14 +290,11 @@ def analyze(f: RationalMap) -> RamReport:
         raise InseparableMapError("map is inseparable, its critical locus is not finite")
     orbits = []
     _unit, parts = factor(w)
-    for g, _mult in parts:
+    for g, m in parts:
         if (f.den % g).is_zero:
-            index = f.den.multiplicity(g)
-            if index < 2:
-                raise InternalInconsistencyError("simple pole detected on the critical locus")
-            orbits.append(RamOrbit(g, index, g.degree, _branch(None, base), base.p))
+            orbits.append(RamOrbit(g, _index(f, g, m), g.degree, _branch(None, base), base.p))
         else:
-            orbits.append(_affine_orbit(f, g))
+            orbits.append(_affine_orbit(f, g, m))
     inf_orbit = _infinity_orbit(f)
     if inf_orbit is not None:
         orbits.append(inf_orbit)

@@ -159,6 +159,17 @@ def test_pipeline_with_overlapping_point_sets_exits_2():
         assert proc.stderr == "error: point 1 is both marked and avoided\n"
 
 
+def test_pipeline_names_an_avoided_point_whose_image_lies_in_s_prime():
+    # 0 is avoided, and its image 0 is a branch value of x^2, so it lies in S'
+    proc = run_cli("construct", "pipeline", "--q", "5", "--map", "poly=0,0,1", "--S", "1", "--T", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: avoided point 0 maps to 0, which lies in S', "
+        "the images of the marked points plus the branch values of the map\n"
+    )
+
+
 def test_json_error_paths_keep_stdout_empty():
     proc = run_cli("--json", "construct", "wild", "--q", "3", "--S", "0,1,2", "--T", "none")
     assert proc.returncode == 2

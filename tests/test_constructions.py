@@ -508,6 +508,22 @@ def test_pipeline_refuses_overlapping_point_sets():
     assert tame_pipeline(bare, S=["1"], T=["2"])["total_degree"] == 1
 
 
+def test_pipeline_names_an_avoided_image_in_s_prime(monkeypatch):
+    x2 = CoveringDescriptor.from_map(RationalMap.from_polynomial(parse_poly(F5, "0,0,1")), S=["1"], T=["0"])
+    with pytest.raises(PreconditionError, match="^avoided point 0 maps to 0, which lies in S', the images"):
+        tame_pipeline(x2, S=["1"], T=["0"])
+    # x^3 - x^2 sends both avoided points 0 and 1 to its branch value 0; two avoided
+    # points need a working field of degree 72 over F_5
+    monkeypatch.setattr(constructions, "FIELD_DEGREE_LIMIT", 72)
+    cubic = CoveringDescriptor.from_map(RationalMap.from_polynomial(parse_poly(F5, "0,0,4,1")), S=["2"], T=["0", "1"])
+    with pytest.raises(PreconditionError, match="^avoided points 0, 1 map to 0, which lies in S', the images"):
+        tame_pipeline(cubic, S=["2"], T=["0", "1"])
+    # an abstract descriptor names the image it declares; infinity is a branch value here
+    bare = CoveringDescriptor(F5, 2, 0, [(None, [2]), (parse_poly(F5, "0,1"), [2])], (), ["inf"])
+    with pytest.raises(PreconditionError, match="^avoided image inf lies in S', the images of the marked points"):
+        tame_pipeline(bare, S=0, T=1)
+
+
 def test_construction_results_serialize():
     res = tame_power_map(3)
     json.dumps(res.to_dict())

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbelyi
 from pbelyi.errors import PreconditionError
 from pbelyi.factor import (
     equal_degree,
@@ -106,6 +112,53 @@ def test_root_multiplicity():
     assert f.root_multiplicity(F5(0)) == 2
     assert f.root_multiplicity(F5(1)) == 3
     assert f.root_multiplicity(F5(2)) == 0
+
+
+def test_hasse_derivatives_are_taylor_coefficients():
+    """H_j f(a) is the t^j coefficient of f(a + t); j! H_j f is the j-th derivative,
+    which is zero for j >= p while H_j f need not be."""
+    rng = random.Random(7)
+    for fld in (F3, F5, F9):
+        for _ in range(20):
+            f = Polynomial(fld, [fld.from_int_value(rng.randrange(fld.q)) for _ in range(rng.randrange(1, 12))])
+            for a in fld.elements():
+                shifted = f.compose(Polynomial(fld, [a, fld.one]))
+                assert [f.hasse_derivative(j)(a) for j in range(f.degree + 2)] == [
+                    shifted.coeff(j) for j in range(f.degree + 2)
+                ]
+            nth = f
+            for j in range(f.degree + 2):
+                assert f.hasse_derivative(j) * factorial(j) == nth
+                nth = nth.derivative()
+    assert P(F3, 0, 0, 0, 1).hasse_derivative(3) == P(F3, 1)  # x^3 has H_3 = 1 but zero derivative
+    assert P(F5, 1, 2).hasse_derivative(0) == P(F5, 1, 2)
+    assert all(P(F5, *([0] * 9), 1).hasse_derivative(j) == P(F5, *([0] * (9 - j)), comb(9, j)) for j in range(10))
+
+
+def test_multiplicity_refuses_a_divisor_of_degree_below_1():
+    """A nonzero constant divides every polynomial, so the division loop never
+    ended; zero raised a bare ZeroDivisionError.  Run in a child interpreter
+    with a timeout, so that a regression fails the test instead of hanging the suite."""
+    code = (
+        "from pbelyi.errors import PreconditionError\n"
+        "from pbelyi.field import FiniteField\n"
+        "from pbelyi.poly import Polynomial\n"
+        "for F in (FiniteField(5), FiniteField(3, 2)):\n"
+        "    for g in ([2], [], [1]):\n"
+        "        try:\n"
+        "            Polynomial(F, [1, 1]).multiplicity(Polynomial(F, g))\n"
+        "        except PreconditionError as exc:\n"
+        "            print(exc)\n"
+    )
+    # the child interpreter imports the same pbelyi as this one
+    path = os.pathsep.join(filter(None, (str(Path(pbelyi.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "multiplicity needs a divisor of positive degree, got " + g for g in ("2", "0", "1", "2,0", "0", "1,0")
+    ]
 
 
 def test_reverse():

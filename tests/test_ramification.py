@@ -1,16 +1,19 @@
 import functools
+import importlib.util
 import random
+from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pbelyi import ramification
-from pbelyi.constructions import CoveringDescriptor
-from pbelyi.errors import InseparableMapError, PreconditionError
-from pbelyi.factor import roots, split_root
-from pbelyi.field import FiniteField, embed, galois_orbit
+from pbelyi import poly, ramification, ratmap
+from pbelyi.constructions import BelyiInstance, CoveringDescriptor, wild_belyi_compose
+from pbelyi.errors import InseparableMapError, InternalInconsistencyError, PreconditionError
+from pbelyi.factor import factor, is_irreducible, roots, split_root
+from pbelyi.field import FiniteField, digits, embed, galois_orbit
 from pbelyi.poly import Polynomial
 from pbelyi.ramification import (
     BranchPoint,
@@ -66,9 +69,14 @@ def brute_indices(f, ext):
 
 def expand_report(report, ext):
     """Geometric points of every report orbit over a splitting extension."""
-    eps = None if ext == report.field else embed(report.field, ext)
+    return expand_orbits(report.points, report.field, ext)
+
+
+def expand_orbits(orbits, base, ext):
+    """Geometric points of these orbits over an extension in which each of them splits."""
+    eps = None if ext == base else embed(base, ext)
     out = {}
-    for orbit in report.points:
+    for orbit in orbits:
         if orbit.is_infinity:
             out[("inf",)] = orbit.index
             continue
@@ -415,7 +423,7 @@ def all_roots_branches(base, orbits, rep_degree_limit=12):
 def extension_field_report(f):
     with mock.patch.multiple(
         ramification,
-        _affine_orbit=ext_affine_orbit,
+        _affine_orbit=lambda f, g, _m: ext_affine_orbit(f, g),
         _infinity_orbit=reciprocal_infinity_orbit,
         _collect_branches=functools.partial(all_roots_branches, f.field),
     ):
@@ -608,3 +616,183 @@ def test_lazy_representatives_are_invisible(f):
     for verdict in (verify_tame_belyi(f), verify_wild_belyi(f), is_simple_covering(f)):
         assert verdict.report.to_dict() == first
         assert verdict.report.to_dict() == first
+
+
+# -- indices from the Wronskian multiplicity and Hasse derivatives
+
+
+F27 = FiniteField(3, 3)
+BRUTE_LIMIT = 729  # the largest field that brute force scans point by point
+
+
+def assert_indices_match_brute_force(f, k):
+    """Every report orbit whose points lie in F_{q^k} against brute force at every point there.
+
+    An orbit of size d has its points in F_{q^k} exactly when d divides k.
+    """
+    report = analyze(f)
+    base = f.field
+    ext = base if k == 1 else FiniteField(base.p, base.n * k)
+    split = [o for o in report.points if o.is_infinity or k % o.orbit_size == 0]
+    assert expand_orbits(split, base, ext) == brute_indices(f, ext), str(f)
+    return report
+
+
+def _largest_scan(f):
+    """The largest k dividing the splitting degree with q^k at most BRUTE_LIMIT."""
+    s, q = analyze(f).splitting_degree, f.field.q
+    return max(k for k in range(1, s + 1) if s % k == 0 and q ** k <= BRUTE_LIMIT)
+
+
+def _random_separable(field, rng, den_factors=False):
+    """A random separable map of degree 2 to 6; with den_factors its denominator has repeated factors."""
+    while True:
+        d = rng.randrange(2, 7)
+        num = _random_poly(field, [rng.randrange(field.q) for _ in range(d + 1)])
+        if den_factors:
+            den = Polynomial.one(field)
+            while den.degree < 2:
+                g = _random_poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, 3))] + [1])
+                den = den * g ** rng.randrange(2, field.p + 2)
+        else:
+            den = _random_poly(field, [rng.randrange(field.q) for _ in range(rng.randrange(1, d + 2))])
+        if den.is_zero:
+            continue
+        f = RationalMap(num, den)
+        if not f.is_constant and not wronskian(f).is_zero:
+            return f
+
+
+@pytest.mark.parametrize("field", (F3, F5, F7, F9, F25, F27), ids=str)
+def test_indices_match_brute_force_on_random_maps_and_poles(field):
+    """Random maps, and maps whose denominators have factors of multiplicity 2 to
+    p + 1, so that poles of every index up to p + 1 come up, wild ones included."""
+    rng = random.Random(f"hasse:{field}")
+    poles = 0
+    for den_factors in (False, True):
+        for _ in range(6):
+            f = _random_separable(field, rng, den_factors)
+            report = assert_indices_match_brute_force(f, _largest_scan(f))
+            poles += sum(1 for o in report.points if o.branch.is_infinity and not o.is_infinity)
+    assert poles >= 6
+
+
+WILD_AFFINE = [
+    # (field, num, den, index at 0): p | e and e < m + 1, m the Wronskian multiplicity at 0
+    (F3, (0, 0, 0, 1, 0, 0, 0, 1), (1,), 3),  # x^3 + x^7: m = 6
+    (F5, (0, 0, 0, 0, 0, 1, 1), (1,), 5),  # x^5 + x^6: m = 5
+    (F3, (0,) * 9 + (1, 1), (1,), 9),  # x^9 + x^10: m = 9, tries j = 3, 6, 9
+    (F3, (1,), (0, 0, 0, 1, 0, 0, 0, 1), 3),  # 1 / (x^3 + x^7): a wild pole, m = 6
+    (F9, (0, 0, 0, 1, 0, 0, 0, [0, 1]), (1, 1), 3),  # x^3 + z x^7 over (x + 1)
+    (F25, (0, 0, 0, 0, 0, 1, 0, [1, 1]), (1,), 5),  # x^5 + (1 + z) x^7
+]
+
+
+@pytest.mark.parametrize("field,num,den,index", WILD_AFFINE)
+def test_wild_indices_below_the_wronskian_order_match_brute_force(field, num, den, index):
+    f = rmap(field, num, den)
+    x = Polynomial.x(field)
+    (m,) = [m for g, m in factor(wronskian(f))[1] if g == x]
+    assert index % field.p == 0 and index < m + 1
+    report = assert_indices_match_brute_force(f, 1)
+    assert [o.index for o in report.points if o.min_poly == x] == [index]
+
+
+@pytest.mark.parametrize(
+    "inst,ks",
+    [(BelyiInstance(F3, [], ["0"]), (1, 2)), (BelyiInstance(F5, ["2"], []), (1, 2))],
+    ids=["q3", "q5"],
+)
+def test_wild_composite_indices_match_brute_force(inst, ks):
+    f = wild_belyi_compose(inst).map
+    for k in ks:
+        report = assert_indices_match_brute_force(f, k)
+    assert not report.tame and any(o.wild and not o.is_infinity for o in report.points)
+
+
+def _poly_of_code(field, code, length):
+    return Polynomial(field, [field.from_code(c) for c in digits(code, field.q, length)])
+
+
+def _irreducibles(field, degree, count):
+    """The first count monic irreducibles of this degree, in code order."""
+    monics = (_poly_of_code(field, code, degree) + Polynomial.x(field) ** degree for code in range(field.q ** degree))
+    return list(islice(filter(is_irreducible, monics), count))
+
+
+UNDERSTATED = [
+    # (field, num, den, the min_poly of the orbit, its index and Wronskian multiplicity)
+    (F7, (0, 0, 0, 0, 0, 0, 1), (1,), (0, 1), 6, 5),  # x^6 at 0
+    (F7, (1,), (0, 0, 0, 0, 0, 0, 1), (0, 1), 6, 5),  # 1 / x^6: a pole
+    (F3, (0, 0, 0, 1, 0, 0, 0, 1), (1,), (0, 1), 3, 6),  # x^3 + x^7: wild at 0
+    (F5, (1, 0, 2, 0, 4, 0, 3, 0, 1), (1,), (2, 0, 1), 4, 3),  # (x^2 + 2)^4: an orbit of size 2
+    (F5, (1,), (1, 0, 2, 0, 4, 0, 3, 0, 1), (2, 0, 1), 4, 3),  # its reciprocal: a pole orbit
+]
+
+
+def test_index_refuses_an_understated_wronskian_multiplicity():
+    """_index reads e off m; with m below e - 1 no candidate fits, and it raises."""
+    for field, num, den, gv, index, m in UNDERSTATED:
+        f, g = rmap(field, num, den), Polynomial(field, gv)
+        assert [mm for h, mm in factor(wronskian(f))[1] if h == g] == [m]
+        beta = None if (f.den % g).is_zero else (f.num % g) * f.den.inverse_mod(g) % g
+        assert ramification._index(f, g, m, beta) == index
+        for low in range(1, index - 1):
+            with pytest.raises(InternalInconsistencyError, match="Wronskian multiplicity"):
+                ramification._index(f, g, low, beta)
+
+
+@pytest.mark.parametrize("field,degrees", [(F5, (1, 2, 3, 4)), (F9, (1, 2, 3))], ids=str)
+def test_euclid_inverse_matches_the_fermat_inverse(field, degrees):
+    """Every unit a modulo an irreducible g of degree d: a^(q^d - 2) is its inverse in F_q[x]/(g)."""
+    for d in degrees:
+        for g in _irreducibles(field, d, 2):
+            one = Polynomial.one(field)
+            for code in range(1, field.q ** d):
+                a = _poly_of_code(field, code, d)
+                inv = a.inverse_mod(g)
+                assert inv == a.powmod(field.q ** d - 2, g), (g, a)
+                assert inv.degree < d and a * inv % g == one
+    # a multiple of the modulus, or of a factor of a reducible one, is no unit
+    x = Polynomial.x(field)
+    for a, mod in ((Polynomial(field), x + 1), (x * (x + 1), (x + 1) * (x + 2)), (x, x ** 2)):
+        with pytest.raises(PreconditionError, match="not a unit"):
+            a.inverse_mod(mod)
+
+
+def _benchmark_base_maps():
+    """The base maps of the benchmark's verify list, read from perfbench/workloads.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.base_maps()
+
+
+def test_analyze_forms_no_fibre_divides_no_pole_and_raises_no_fermat_power():
+    """analyze reads every index off the Wronskian multiplicity: it calls no
+    homogenize, no multiplicity and no powmod with an exponent above q.
+
+    factor's equal-degree split raises to (q^d - 1)/2 on purpose, so each
+    Wronskian is factored before the patches and handed to analyze.
+    """
+    maps = _benchmark_base_maps()
+    maps += [wild_belyi_compose(inst).map for inst in (BelyiInstance(F3, [], ["0"]), BelyiInstance(F5, ["2"], []))]
+    factored = {wronskian(f): factor(wronskian(f)) for f in maps}
+    expected = [analyze(f).to_dict() for f in maps]
+    real_powmod = Polynomial.powmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze called a slow path")
+
+    def small_powmod(self, e, mod):
+        if e > self.field.q:
+            raise AssertionError(f"analyze raised to the power {e}")
+        return real_powmod(self, e, mod)
+
+    with mock.patch.object(ratmap, "homogenize", refuse), mock.patch.object(
+        poly.Polynomial, "multiplicity", refuse
+    ), mock.patch.object(poly.Polynomial, "powmod", small_powmod), mock.patch.object(
+        ramification, "factor", factored.__getitem__
+    ):
+        assert [analyze(f).to_dict() for f in maps] == expected
