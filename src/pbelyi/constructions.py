@@ -34,6 +34,11 @@ def _point_tuple(field, values):
     return tuple(sorted(point_set(field, values), key=P1Point.sort_key))
 
 
+def _named(side, pts):
+    """'avoided point 0' or 'avoided points 0, 1', for refusals that name the user's points."""
+    return "%s point%s %s" % (side, "s" * (len(pts) > 1), ", ".join(map(str, pts)))
+
+
 class BelyiInstance:
     """A base field with disjoint marked and avoided sets of rational points."""
 
@@ -601,8 +606,14 @@ class CoveringDescriptor:
         field = map_.field
         S = _point_tuple(field, S)
         T = _point_tuple(field, T)
+        disjoint(S, T)
         zS = {map_(pt) for pt in S}
         zT = {map_(pt) for pt in T}
+        shared = zS.intersection(zT)
+        if shared:
+            z = min(shared, key=P1Point.sort_key)
+            names = [_named(side, [pt for pt in pts if map_(pt) == z]) for side, pts in (("marked", S), ("avoided", T))]
+            raise PreconditionError("%s and %s both map to %s" % (*names, z))
         branch = []
         if map_.degree > 1:
             report = analyze(map_)
@@ -715,10 +726,7 @@ def tame_pipeline(desc, S=0, T=0):
         if tau0 in s_prime_set:
             which = "avoided image %s" % desc.zT[0]
             if desc.map is not None:
-                plural = len(T_pts) > 1
-                which = "avoided point%s %s map%s to %s, which" % (
-                    "s" if plural else "", ", ".join(map(str, T_pts)), "" if plural else "s", desc.zT[0],
-                )
+                which = "%s map%s to %s, which" % (_named("avoided", T_pts), "s" * (len(T_pts) == 1), desc.zT[0])
             raise PreconditionError(
                 "%s lies in S', the images of the marked points plus the branch values of the map" % which
             )

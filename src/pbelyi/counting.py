@@ -5,7 +5,6 @@ in odd characteristic.  Everything is exact integer or rational arithmetic;
 brute-force loops sit behind explicit size guards.
 """
 
-import multiprocessing
 from fractions import Fraction
 from math import comb, factorial
 
@@ -168,6 +167,8 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     if workers <= 1:
         total = stripe(ext, f_ext.values, 0, 1)
     else:
+        import multiprocessing  # here, not at the top: importing pbelyi leaves it unloaded
+
         jobs = [(ext, f_ext.values, i, workers) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:  # each worker unpickles its own copy of ext
             total = sum(pool.starmap(stripe, jobs))

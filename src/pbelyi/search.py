@@ -5,9 +5,6 @@ fixed order: denominators by (degree, code), then numerators by code.  One
 denominator D with its numerator range is a row, and the exhaustive search
 works row by row:
 
-- A row is counted in closed form, with no gcds: (q - 1) q^(d - e) Phi(D)
-  candidates when deg D = e < d and q Phi(D) when e = d, where Phi is the
-  polynomial totient.
 - The images of the marked and avoided points give each point a set of
   allowed numerator values there.  A row in which some set is empty, which
   D alone decides, is skipped whole.
@@ -15,8 +12,11 @@ works row by row:
   roots of D in the field, are built, by interpolation at the constrained
   points, and they go in code order through a cheap exact screen built on
   the Riemann-Hurwitz count.
-- The hit's row is counted by gcds up to the hit, so the count is the hit's
-  place in the stream of enumerate_candidates.
+- A block reports only its first hit, with the hit's row and place there,
+  and the count is closed form: q^(2d - 1) (q^2 - 1), the number of maps of
+  degree d, for a degree with no hit; for a hit, the bands of lower-degree
+  denominators, the rows of its own band before it by the polynomial totient
+  Phi(D), and its place, which is its place in enumerate_candidates.
 
 Only one row per orbit is screened.  Let G be the group of maps
 sigma(x) = bx + a with sigma(S) = S and sigma(T) = T for the marked set S and
@@ -26,8 +26,8 @@ reducedness, tameness or wildness, and which points are marked or avoided: a
 row has a hit exactly when every row of its G-orbit has one.  Rows of an orbit
 share their degree, so the first row with a hit comes before the rest of its
 orbit and is the least code in it.  The search therefore builds numerators
-only in the rows whose code leads its orbit, counts every row in closed form
-as before, and finds the same witness at the same place.  The orbits of the
+only in the rows whose code leads its orbit, counts in closed form, and
+finds the same witness at the same place as a scan of every row.  The orbits of the
 denominators of one degree are found by one sweep over their codes, the first
 time a row of that degree meets the points; G is built then too.  A trivial G
 makes every row a leader.
@@ -39,8 +39,8 @@ The rows of a degree are cut into one contiguous block per worker, each with
 an equal share of the orbit leaders, and the blocks are scanned in order, the
 same _RowSearch.scan for any worker count: serially one block through map, in
 parallel through a pool's imap, where each worker gets a pickled copy of the
-round and returns the witness itself.  The parent extends the round's totient
-sieve and its orbit sweep to the degree before the copies are made.  After a
+round and returns its hit, row and place, or None.  The parent extends the
+round's orbit sweep to the degree before the copies are made, and counts.  After a
 hit the parent sets the pool's stop flag, which every worker checks once per
 row, so the blocks still running end at once and the pool closes and joins;
 it is never terminated, since a worker killed while it sends a result would
@@ -54,14 +54,13 @@ cannot misread the claim.
 
 import functools
 import itertools
-import multiprocessing
 import operator
 import random
 import signal
 
 from .constructions import BelyiInstance, _as_field
 from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
-from .factor import DEFAULT_SEED, squarefree_decomposition
+from .factor import DEFAULT_SEED, distinct_degree, squarefree_decomposition
 from .field import FiniteField, digits, embed
 from .poly import Polynomial, value_at
 from .ramification import _infinity_orbit, verify_tame_belyi, verify_wild_belyi
@@ -139,6 +138,27 @@ def _row_stream(field, d, e, den):
 def _row_total(q, d, e, phi):
     """Candidates in a row whose denominator has degree e and totient phi."""
     return (q - 1) * q ** (d - e) * phi if e < d else q * phi
+
+
+def _band_total(q, d, e):
+    """Candidates in band e, the rows of the D of degree e; Phi sums to q^(2e) - q^(2e - 1) over them for e > 0."""
+    return _row_total(q, d, e, q ** (2 * e) - q ** (2 * e - 1) if e else 1)
+
+
+def _totient(den):
+    """Phi(D), the number of residues mod the monic D that are prime to D.
+
+    Phi(D) = q^e prod (1 - q^-k) over the distinct irreducible factors of D,
+    e = deg D and k their degrees.  A stage (h, k) of distinct_degree on a
+    squarefree part of D is a product of deg h / k of them, so no
+    equal-degree split is needed.
+    """
+    q = den.field.q
+    phi = q ** den.degree
+    for part, _ in squarefree_decomposition(den):
+        for h, k in distinct_degree(part):
+            phi = phi // q ** h.degree * (q ** k - 1) ** (h.degree // k)
+    return phi
 
 
 class SearchSpec:
@@ -332,17 +352,14 @@ def _scan(candidates, screen):
 class _RowSearch:
     """The exhaustive search over one coefficient field, row by row.
 
-    Phi(D) and the orbits of the denominators of a degree do not depend on
-    the degree of the maps, so both are kept for the whole search; so are
-    the interpolation data of each set of nodes.
+    The orbits of the denominators of a degree do not depend on the degree
+    of the maps, so they are kept for the whole search; so are the
+    interpolation data of each set of nodes.
     """
 
     def __init__(self, field, screen):
         self.field = field
         self.screen = screen
-        self._totients = {}  # Phi(D) by the code of D, for D of degree < self._sieved
-        self._sieved = 0
-        self._irreducibles = []  # (g, deg g), the monic irreducibles of degree < self._sieved
         self._nodes = {}
         self._group = None  # the affine stabiliser of the points, built when a degree is first swept
         self._leaders = {}  # e -> the degree's leader flags (see leads), or None when the group is trivial
@@ -423,38 +440,6 @@ class _RowSearch:
             out.extend(indices if flags is None else itertools.compress(indices, flags))
             base += q ** e
         return out
-
-    def _totient(self, e, code):
-        """Phi(D) for the monic D of degree e with this code."""
-        self.sieve(e)
-        return self._totients[code]
-
-    def sieve(self, e):
-        """Extend the totient sieve to the monic D of degree at most e.
-
-        Phi(D) = prod (q^k - 1) q^((a - 1) k) over the irreducible factors
-        g^a of D, k = deg g, which is q^e prod (1 - q^-k) over the distinct
-        g.  A sieve over the monic codes finds it, one degree m at a time:
-        every D of degree m starts at q^m and takes one factor 1 - q^-k for
-        each irreducible g of degree k < m that divides it, as D = g h.  The
-        D of degree m > 0 that no g divides are the irreducibles.
-        """
-        fld, q = self.field, self.field.q
-        phi = self._totients
-        while self._sieved <= e:
-            m = self._sieved
-            for c in range(q ** m, 2 * q ** m):
-                phi[c] = q ** m
-            for g, k in self._irreducibles:
-                for h in range(q ** (m - k), 2 * q ** (m - k)):
-                    c = _code(fld, (g * _poly_from_code(fld, h, m - k + 1)).values)
-                    phi[c] = phi[c] // q ** k * (q ** k - 1)
-            if m:
-                for c in range(q ** m, 2 * q ** m):
-                    if phi[c] == q ** m:
-                        phi[c] -= 1
-                        self._irreducibles.append((_poly_from_code(fld, c, m + 1), m))
-            self._sieved += 1
 
     def _interpolation(self, xs, d):
         """Lagrange basis at the points xs, and every multiple of prod (x - s) of degree <= d.
@@ -543,19 +528,18 @@ class _RowSearch:
         return [n for _, n in found]
 
     def scan(self, d, block):
-        """(first certified hit or None, candidates up to and including it) in a block of rows.
+        """(first certified hit, its row index, its place in the row) in a block of rows, or None.
 
         The block is a range of row indices.  A row whose denominator leads
         its orbit builds only the numerators that meet the points and screens
         them by ramification; every other row has a hit exactly when its
-        orbit's leader has one, which comes earlier in the stream.  A row with
-        no hit is counted in closed form, the hit's row by its stream up to
-        the hit.  In a pool worker whose stop flag is set the block ends at
-        its next row and reports None.
+        orbit's leader has one, which comes earlier in the stream.  The place
+        counts the hit's row stream up to and including the hit.  In a pool
+        worker whose stop flag is set the block ends at its next row and
+        reports None.
         """
         fld, screen, stop = self.field, self.screen, _stop_flag
-        tested = 0
-        for e, code, den in _rows(fld, d, block.start, block.stop):
+        for index, (e, code, den) in enumerate(_rows(fld, d, block.start, block.stop), block.start):
             if stop is not None and stop.is_set():
                 return None
             # a degree is swept when one of its rows first meets the points; from then on the
@@ -567,9 +551,8 @@ class _RowSearch:
                         f = RationalMap(Polynomial._from_values(fld, vals), den)
                         if f.degree == d and screen.ramified(f):
                             place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
-                            return screen.certify(f), tested + place
-            tested += _row_total(fld.q, d, e, self._totient(e, code))
-        return None, tested
+                            return screen.certify(f), index, place
+        return None
 
 
 def _blocks(rows, d, count):
@@ -586,18 +569,24 @@ def _blocks(rows, d, count):
 
 
 def _scan_blocks(mapper, rows, d, count):
-    """Scan the count blocks of the rows of degree d in order through mapper.
+    """(first certified hit or None, candidates up to and including it) at degree d.
 
-    mapper is map, or a pool's imap.  Blocks arrive in stream order, so the
-    first hit seen is the stream's first, and the blocks after it need not
-    finish.  Every block counts all of its rows, leaders or not.
+    The count blocks of the rows go in order through mapper, which is map or
+    a pool's imap.  Blocks arrive in stream order, so the first hit seen is
+    the stream's first, and the blocks after it need not finish.  Blocks
+    report only their hit, and the count is closed form (see the module
+    docstring): only the rows of the hit's band before it need Phi.
     """
-    tested = 0
-    for witness, seen in mapper(functools.partial(rows.scan, d), _blocks(rows, d, count)):
-        tested += seen
-        if witness is not None:
-            return witness, tested
-    return None, tested
+    fld, q = rows.field, rows.field.q
+    for hit in mapper(functools.partial(rows.scan, d), _blocks(rows, d, count)):
+        if hit is not None:
+            witness, index, place = hit
+            e = next(e for e in range(d + 1) if index < _row_count(q, e))
+            prefix = _rows(fld, d, _row_count(q, e - 1), index)  # the rows of the hit's band before its row
+            before = sum(_band_total(q, d, b) for b in range(e))
+            before += sum(_row_total(q, d, e, _totient(den)) for _, _, den in prefix)
+            return witness, before + place
+    return None, q ** (2 * d - 1) * (q * q - 1)
 
 
 def _random_candidate(field, d, rng):
@@ -647,6 +636,8 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
 
     pool = None
     if exhaustive and workers > 1:
+        import multiprocessing  # here, not at the top: importing pbelyi leaves it unloaded
+
         stop = multiprocessing.Event()
         pool = multiprocessing.Pool(workers, _init_worker, (stop,))
     mapper = map if pool is None else pool.imap
@@ -654,8 +645,6 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         for d in range(1, spec.d_max + 1):
             for rows in rounds:
                 if exhaustive:
-                    if pool is not None:
-                        rows.sieve(d)  # once here, not once in every block's copy; _blocks sweeps the orbits
                     witness, tested = _scan_blocks(mapper, rows, d, workers)
                 else:
                     stream = (_random_candidate(rows.field, d, rng) for _ in range(spec.budget))

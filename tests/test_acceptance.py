@@ -1,5 +1,5 @@
 """End-to-end acceptance checks: nine criteria, one test and one verdict line each,
-and two larger searches for criterion 7.
+and three larger searches for criterion 7.
 
 Every expected number below was fixed by hand or by an independent oracle
 before the implementation ran; the tests also enforce the stated runtime
@@ -215,6 +215,23 @@ def test_criterion_7_search_finds_the_minimal_tame_degree_over_f7():
     assert str(witness) == "poly=0,0,0,0,0,0,1"
     assert res["candidates_tested"] == sum(7 ** (2 * d - 1) * 48 for d in range(1, 6)) + 1 == 1977326737
     assert verify_tame_belyi(witness, inst.S, ()).passed
+    _finish(7, 10.0, started)
+
+
+def test_criterion_7_search_exhausts_q9_up_to_degree_5():
+    """No tame Belyi map of degree <= 5 over F_9 sends all of P^1(F_9) into
+    {0, 1, inf}; x^8 does, so the least degree over F_9 is 7 or 8.  With no
+    hit, every degree counts its q^(2d - 1) (q^2 - 1) maps in closed form.
+    The claim holds over F_9 alone, not over its algebraic closure.  The
+    guard is raised to the q^(2 d_max + 2) = 9^12 pairs."""
+    started = time.perf_counter()
+    F9 = FiniteField(3, 2)
+    inst = BelyiInstance(F9, p1_points(F9), [])
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 5, fields=[F9]), guard=9 ** 12)
+    assert res["degree"] is None and res["witness"] is None
+    assert res["exhausted"] is True and res["fields_searched"] == ["3^2"]
+    assert res["candidates_tested"] == sum(9 ** (2 * d - 1) * 80 for d in range(1, 6)) == 31381059600
+    assert verify_tame_belyi(RationalMap.from_polynomial(Polynomial.x(F9) ** 8), inst.S, ()).passed
     _finish(7, 10.0, started)
 
 

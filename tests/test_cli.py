@@ -159,6 +159,14 @@ def test_pipeline_with_overlapping_point_sets_exits_2():
         assert proc.stderr == "error: point 1 is both marked and avoided\n"
 
 
+def test_pipeline_names_the_given_points_whose_images_meet():
+    # 1 is marked and 4 avoided, and x^2 sends both to 1; 2 and 3 share the image 4, which no avoided point has
+    proc = run_cli("construct", "pipeline", "--q", "5", "--map", "poly=0,0,1", "--S", "1,2,3", "--T", "0,4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: marked point 1 and avoided point 4 both map to 1\n"
+
+
 def test_pipeline_names_an_avoided_point_whose_image_lies_in_s_prime():
     # 0 is avoided, and its image 0 is a branch value of x^2, so it lies in S'
     proc = run_cli("construct", "pipeline", "--q", "5", "--map", "poly=0,0,1", "--S", "1", "--T", "0")

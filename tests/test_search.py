@@ -81,18 +81,20 @@ def _row_index(field, den):
 
 @pytest.mark.parametrize("field, d_max", [(F3, 3), (F5, 2), (F7, 2), (F9, 2)], ids=["q3", "q5", "q7", "q9"])
 def test_row_counts_match_a_gcd_count(field, d_max):
+    """Phi(D) from the factoring counts each row as its gcds do, and the band
+    and degree closed forms are the sums of those rows."""
     q = field.q
-    rows = search._RowSearch(field, search._Screen(field, "tame", (), ()))
     for d in range(1, d_max + 1):
-        total = 0
-        for e, code, den in search._rows(field, d, 0, search._row_count(q, d)):
+        bands = [0] * (d + 1)
+        for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
             numerators = (search._poly_from_code(field, c, d + 1) for c in search._row_codes(q, d, e))
             by_gcd = sum(1 for num in numerators if num.gcd(den).degree == 0)
-            closed = search._row_total(q, d, e, rows._totient(e, code))
+            closed = search._row_total(q, d, e, search._totient(den))
             assert closed == by_gcd, (str(den), d)
-            total += closed
+            bands[e] += closed
+        assert bands == [search._band_total(q, d, e) for e in range(d + 1)]
         # one candidate per map of degree d, and there are q^(2d-1) (q^2 - 1) of them
-        assert total == q ** (2 * d - 1) * (q * q - 1)
+        assert sum(bands) == q ** (2 * d - 1) * (q * q - 1)
 
 
 def _splits(field, sample=None, seed=0):
@@ -119,20 +121,26 @@ GRID_IDS = ["q3", "q5", "q9_custom"]
 
 @pytest.mark.parametrize("field, d_max, splits", GRIDS, ids=GRID_IDS)
 def test_row_scan_matches_the_stream_scan(field, d_max, splits):
+    """The parent's path, one block through map, finds the first hit of the
+    stream and counts it at its place there, also when rows of the hit's band
+    come before it and are counted by Phi."""
     streams = {d: list(enumerate_candidates(field, d)) for d in range(1, d_max + 1)}
     inf = P1Point.infinity(field)
-    hits_inside_a_row = 0
+    hits_inside_a_row = hits_after_a_band_prefix = 0
     for marked, avoided in splits:
         for kind in ("tame", "wild"):
             screen = search._Screen(field, kind, marked, avoided)
             rows = search._RowSearch(field, screen)
             for d, stream in streams.items():
                 want = search._scan(stream, screen)
-                assert rows.scan(d, range(search._row_count(field.q, d))) == want, (kind, marked, avoided, d)
+                assert search._scan_blocks(map, rows, d, 1) == want, (kind, marked, avoided, d)
                 if want[0] is not None and 1 < want[1] < len(stream):
                     before, after = stream[want[1] - 2], stream[want[1]]
                     hits_inside_a_row += before.den == want[0].den == after.den
-    assert hits_inside_a_row > 0
+                if want[0] is not None:
+                    den = want[0].den
+                    hits_after_a_band_prefix += search._code(field, den.values) > field.q ** den.degree
+    assert hits_inside_a_row > 0 and hits_after_a_band_prefix > 0
     assert any(inf in marked for marked, _ in splits) and any(inf in avoided for _, avoided in splits)
 
 
@@ -208,7 +216,7 @@ def test_orbit_scan_matches_a_scan_with_a_trivial_group(field, d_max):
             for d in range(1, d_max + 1):
                 want = every.scan(d, range(total[d]))
                 assert rows.scan(d, range(total[d])) == want, (kind, marked, avoided, d)
-                if want[0] is not None:
+                if want is not None:
                     break
             skipped += sum(flags.count(0) for flags in rows._leaders.values() if flags is not None)
             assert all(flags is None for flags in every._leaders.values())
@@ -420,25 +428,6 @@ def test_a_stopped_block_reports_nothing(monkeypatch):
     assert rows.scan(2, block) is None
 
 
-def test_a_sieved_round_scans_its_blocks_with_no_new_totients():
-    """sieve(d) in the parent gives every block of degree d all the totients
-    it reads, so a pickled copy scans each block as a fresh round does
-    without sieving again."""
-    for field, marked, kind, d in ((F5, p1_points(F5), "tame", 3), (F3, p1_points(F3), "wild", 3)):
-        inst = BelyiInstance(field, marked, [])
-        screen = search._Screen(field, kind, inst.S, inst.T)
-        rows = search._RowSearch(field, screen)
-        rows.sieve(d)
-        sieved = dict(rows._totients)
-        total = search._row_count(field.q, d)
-        assert len(sieved) == total
-        for w in range(3):
-            block = range(total * w // 3, total * (w + 1) // 3)
-            copy = pickle.loads(pickle.dumps(rows))
-            assert copy.scan(d, block) == search._RowSearch(field, screen).scan(d, block)
-            assert copy._totients == sieved and copy._sieved == d + 1
-
-
 def test_search_workers_keep_a_custom_modulus():
     E = FiniteField(3, 2, (2, 2, 1))  # x^2 + 2x + 2, not the canonical x^2 + 1
     spec = SearchSpec(BelyiInstance(E, ["0,1", "1,1", "2,2"], []), "tame", 1, fields=[E])
@@ -468,13 +457,13 @@ def test_a_pickled_round_scans_like_the_original():
 
 def test_one_pool_serves_every_round(monkeypatch):
     built = []
-    real_pool = search.multiprocessing.Pool
+    real_pool = multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         built.append(args)
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     # no degree-1 map sends four points into {0, 1, inf}, so the search runs
     # three rounds: degree 1 over F_3 and F_9, then degree 2 over F_3 (x^2)
     F9 = FiniteField(3, 2)

@@ -1,6 +1,8 @@
 """Rules on the library source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pbelyi
@@ -31,3 +33,11 @@ def test_only_the_size_check_raises_guard_errors():
                 if name == "GuardExceededError":
                     found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and found == []
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    """The search and the point count import multiprocessing only when they start a pool."""
+    src = str(Path(pbelyi.__file__).parent.parent)
+    script = f"import sys; sys.path.insert(0, {src!r}); import pbelyi; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
