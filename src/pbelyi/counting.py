@@ -6,7 +6,7 @@ brute-force loops sit behind explicit size guards.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .field import FiniteField, embed, parse_field
@@ -334,28 +334,6 @@ def hasse_weil_check(q: int, g: int, m: int, count: int) -> bool:
     return (count - q**m - 1) ** 2 <= 4 * g * g * q**m
 
 
-def sym_count_bounds_check(q: int, A: int, r: int, value) -> bool:
-    """Strict two-sided envelope for a symmetric-product count.
-
-    Checks (1/(7 r!)) (3 - 2/A)^r q^r < value < (5/3 + 4/(3A))^r q^r exactly.
-    """
-    if not isinstance(A, int) or A < 3:
-        raise PreconditionError("the envelope parameter A must be an integer at least 3")
-    if q < 2 or r < 1:
-        raise PreconditionError("need q at least 2 and r at least 1")
-    qr = q**r
-    lower = Fraction(1, 7 * factorial(r)) * Fraction(3 * A - 2, A) ** r * qr
-    upper = Fraction(5 * A + 4, 3 * A) ** r * qr
-    return lower < value < upper
-
-
-def projective_space_count(q: int, L: int) -> int:
-    """Number of points of L-dimensional projective space over a q-element field."""
-    if q < 2 or L < 0:
-        raise PreconditionError("need q at least 2 and L at least 0")
-    return (q ** (L + 1) - 1) // (q - 1)
-
-
 class CurvePoint:
     """A rational point on a hyperelliptic model: affine (x, y) or a labeled infinity."""
 
@@ -415,38 +393,3 @@ def curve_points(curve):
             pts.append(CurvePoint(y=branches[0], label="inf+"))
             pts.append(CurvePoint(y=branches[1], label="inf-"))
     return tuple(pts)
-
-
-def _in_prime_subfield(elem) -> bool:
-    return all(c == 0 for c in elem.coords[1:])
-
-
-def _point_in_prime_subfield(point) -> bool:
-    if isinstance(point, P1Point):
-        return point.is_infinity or _in_prime_subfield(point.value)
-    if point.label == "inf":
-        return True
-    if point.label is not None:
-        return _in_prime_subfield(point.y)
-    return _in_prime_subfield(point.x) and _in_prime_subfield(point.y)
-
-
-def pick_points(curve, avoid=(), count: int = 0, subfield: bool = False):
-    """Deterministically select rational points outside the avoided set.
-
-    Points come smallest-first in the display order; with the subfield flag
-    only points with prime-field coordinates are eligible.
-    """
-    if count < 0:
-        raise PreconditionError("cannot pick a negative number of points")
-    avoided = set(avoid)
-    pool = [
-        point
-        for point in curve_points(curve)
-        if point not in avoided and (not subfield or _point_in_prime_subfield(point))
-    ]
-    if len(pool) < count:
-        raise PreconditionError(
-            f"only {len(pool)} points available outside the avoided set, need {count}"
-        )
-    return tuple(pool[:count])

@@ -187,11 +187,3 @@ def roots(f: Polynomial, rng=None) -> List[FieldElement]:
 def is_irreducible(f: Polynomial) -> bool:
     """Ben-Or's test: the first distinct-degree stage of an irreducible f is f itself."""
     return f.degree >= 1 and next(distinct_degree(f.monic()))[1] == f.degree
-
-
-def squarefree_part(f: Polynomial) -> Polynomial:
-    """The radical: product of the distinct monic irreducible factors."""
-    out = Polynomial.one(f.field)
-    for g, _ in squarefree_decomposition(f):
-        out = out * g
-    return out

@@ -10,12 +10,13 @@ reduced coordinate tuple in the power basis otherwise; the field's ops act on
 values, and FieldElement is a view of one value.  Everything here is immutable
 and hashable, and no floating point is used anywhere.
 
-A field with n > 1 and at most TABLE_LIMIT elements builds log/exp tables for
-a primitive element when it is made, and multiplies, inverts and raises to
-powers by lookup; larger fields multiply int-tuple polynomials and reduce.
-Either way the values are the same coordinate tuples.  Such a tabled field
-also builds Zech's logarithms (`zech`) the first time they are asked for,
-which turn addition in the log domain into one lookup.
+A field picks its arithmetic once, when it is made, and binds value ops and
+a kernel on trimmed value tuples (pmul, pdivmod, ppowmod) for Polynomial: the
+F_p[x] kernel when n == 1, else schoolbook loops on the value ops.  With n > 1
+and at most TABLE_LIMIT elements it builds log/exp tables for a primitive
+element and multiplies, inverts and powers by lookup (and builds Zech's
+logarithms, `zech`, when first asked); larger fields multiply int-tuple
+polynomials and invert by the one extended Euclid over F_p.
 
 FiniteField(p, n) with no modulus is interned: while the canonical modulus
 of (p, n) stays cached, every such call returns the one field built on it,
@@ -31,7 +32,8 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInconsistencyError, PreconditionError
@@ -74,10 +76,10 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # int-tuple polynomials over F_p (little-endian, trailing zeros stripped): the
-# one F_p[x] kernel.  Polynomial multiplies, divides and powers modulo here
-# when n == 1, where its values are these ints already; F_{p^n}, n > 1,
-# multiplies and inverts its elements here above TABLE_LIMIT and in the table
-# build.
+# F_p[x] kernel.  A prime field binds it as its pmul, pdivmod and ppowmod, so
+# Polynomial over F_p multiplies, divides and powers modulo here on its value
+# tuples; F_{p^n}, n > 1, multiplies its elements here above TABLE_LIMIT and
+# in the table build.
 #
 # Short operands go through schoolbook loops.  From MUL_CUTOFF coefficients a
 # product is one bigint product (Kronecker substitution, von zur Gathen &
@@ -95,24 +97,12 @@ DIV_CUTOFF = 24  # the quotient's and divisor's length from which _pdivmod inver
 _SLOTS = [(array(code).itemsize * 8, code) for code in "BHIQ"]  # (bits, array typecode), narrow first
 
 
-def _trim(c: Sequence[int]) -> IntPoly:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
+def _trim(values: Sequence, zero) -> Tuple:
+    """values as a tuple without its trailing zeros: the one trim, for ints and element values alike."""
+    i = len(values)
+    while i and values[i - 1] == zero:
         i -= 1
-    return tuple(c[:i])
-
-
-def _padd(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, cb in enumerate(b):
-        out[i] = (out[i] + cb) % p
-    return _trim(out)
-
-
-def _pneg(a: IntPoly, p: int) -> IntPoly:
-    return tuple((-c) % p for c in a)
+    return tuple(values[:i])
 
 
 def _slot(bound: int):
@@ -123,7 +113,7 @@ def _slot(bound: int):
     return None
 
 
-def _pmul(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
+def _pmul(p: int, a: IntPoly, b: IntPoly) -> IntPoly:
     """a*b, trimmed: schoolbook below MUL_CUTOFF coefficients in the shorter factor, else packed."""
     la, lb = len(a), len(b)
     n = min(la, lb)
@@ -136,23 +126,23 @@ def _pmul(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] = (out[j] + ca * cb) % p
-        return _trim(out)
+        return _trim(out, 0)
     bits, code = slot
     order = sys.byteorder
     pa = int.from_bytes(array(code, a).tobytes(), order)
     prod = pa * pa if a is b else pa * int.from_bytes(array(code, b).tobytes(), order)
     out = array(code)
     out.frombytes(prod.to_bytes((la + lb - 1) * bits // 8, order))
-    return _trim([c % p for c in out])
+    return _trim([c % p for c in out], 0)
 
 
-def _mul_low(a: Sequence[int], b: Sequence[int], k: int, p: int) -> List[int]:
+def _mul_low(p: int, a: Sequence[int], b: Sequence[int], k: int) -> List[int]:
     """The k lowest coefficients of a*b mod p, zeros included."""
-    out = list(_pmul(a[:k], b[:k], p)[:k])
+    out = list(_pmul(p, a[:k], b[:k])[:k])
     return out + [0] * (k - len(out))
 
 
-def _inverse_series(f: Sequence[int], k: int, p: int) -> List[int]:
+def _inverse_series(p: int, f: Sequence[int], k: int) -> List[int]:
     """g with f*g = 1 mod x^k, for f[0] nonzero mod p.
 
     The first MUL_CUTOFF coefficients come one by one from g_i = -(f_1 g_(i-1)
@@ -168,16 +158,16 @@ def _inverse_series(f: Sequence[int], k: int, p: int) -> List[int]:
         g.append(-sum(map(operator.mul, f[i:0:-1], g)) * inv0 % p)
     while n < k:
         m = min(2 * n, k)
-        e = _mul_low(f, g, m, p)[n:]
-        g += [-c % p for c in _mul_low(g, e, m - n, p)]
+        e = _mul_low(p, f, g, m)[n:]
+        g += [-c % p for c in _mul_low(p, g, e, m - n)]
         n = m
     return g
 
 
-def _pdivmod(a: IntPoly, b: IntPoly, p: int, binv: Sequence[int] = None) -> Tuple[IntPoly, IntPoly]:
+def _pdivmod(p: int, a: IntPoly, b: IntPoly, binv: Sequence[int] = None) -> Tuple[IntPoly, IntPoly]:
     """(quotient, remainder) of a by b, both trimmed.
 
-    binv, when given, is _inverse_series(b reversed, k, p) for some k; it
+    binv, when given, is _inverse_series(p, b reversed, k) for some k; it
     serves every a whose quotient has at most k coefficients.  Long
     division takes mod p of a remainder coefficient only when it reads it.
     """
@@ -203,14 +193,14 @@ def _pdivmod(a: IntPoly, b: IntPoly, p: int, binv: Sequence[int] = None) -> Tupl
             del rem[db:]
             for j in range(db):
                 rem[j] %= p
-            return tuple(quo), _trim(rem)
-        binv = _inverse_series(b[::-1], k, p)
-    quo = _mul_low(a[: -k - 1 : -1], binv, k, p)[::-1]
-    low = _mul_low(b, quo, db, p)
-    return tuple(quo), _trim([(x - y) % p for x, y in zip(a, low)])
+            return tuple(quo), _trim(rem, 0)
+        binv = _inverse_series(p, b[::-1], k)
+    quo = _mul_low(p, a[: -k - 1 : -1], binv, k)[::-1]
+    low = _mul_low(p, b, quo, db)
+    return tuple(quo), _trim([(x - y) % p for x, y in zip(a, low)], 0)
 
 
-def _ppowmod(a: IntPoly, e: int, m: IntPoly, p: int) -> IntPoly:
+def _ppowmod(p: int, a: IntPoly, e: int, m: IntPoly) -> IntPoly:
     """a**e mod m for e >= 0 and m nonzero, by _pow_by_squaring with a reducing multiply.
 
     The inverse of m reversed is found once, for every reduction of a
@@ -220,21 +210,25 @@ def _ppowmod(a: IntPoly, e: int, m: IntPoly, p: int) -> IntPoly:
     k = len(m) - 1  # the longest quotient of such a product
     binv = None
     if 2 * k >= DIV_CUTOFF and _slot((p - 1) ** 2 * k) is not None:
-        binv = _inverse_series(m[::-1], k, p)
-    mulmod = lambda x, y: _pdivmod(_pmul(x, y, p), m, p, binv)[1]
-    return _pow_by_squaring(mulmod, _pdivmod((1,), m, p)[1], _pdivmod(a, m, p)[1], e)
+        binv = _inverse_series(p, m[::-1], k)
+    mulmod = lambda x, y: _pdivmod(p, _pmul(p, x, y), m, binv)[1]
+    return _pow_by_squaring(mulmod, _pdivmod(p, (1,), m)[1], _pdivmod(p, a, m)[1], e)
 
 
-def _pext_gcd(a: IntPoly, b: IntPoly, p: int) -> Tuple[IntPoly, IntPoly]:
-    """Return (g, u) with u*a = g mod b and g monic; a and b are not both zero."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
+def _ext_gcd(fld: "FiniteField", a: Tuple, b: Tuple) -> Tuple[Tuple, Tuple]:
+    """(g, u) with u*a = g mod b and g monic, on trimmed value tuples of fld; a and b are not both zero.
+
+    The one extended Euclid: Polynomial.inverse_mod runs it over any field,
+    and F_{p^n} above TABLE_LIMIT inverts its elements with it over F_p.
+    """
+    zero, sub, pmul, pdivmod = fld.zero_value, fld.sub, fld.pmul, fld.pdivmod
+    r0, r1, s0, s1 = a, b, (fld.one_value,), ()
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1, p), p), p)
-    scale = (pow(r0[-1], p - 2, p),)
-    return _pmul(r0, scale, p), _pmul(s0, scale, p)
+        s0, s1 = s1, _trim([sub(x, y) for x, y in zip_longest(s0, pmul(q, s1), fillvalue=zero)], zero)
+    scale = (fld.inv(r0[-1]),)
+    return pmul(r0, scale), pmul(s0, scale)
 
 
 def _prime_divisors(n: int) -> List[int]:
@@ -330,28 +324,44 @@ _canonical_modulus = _ModulusCache(_search_modulus)
 
 
 # ---------------------------------------------------------------------------
-# element values: ops bound once per field, so kernels call them directly
+# element values and polynomials on them, one route per field.  The bound ops
+# capture values and tables, never the field, so a dropped field is freed by
+# its reference count; partial binds the F_p kernel with no Python frame.
 
 
 def _value_ops(p: int, n: int, modulus: IntPoly):
-    """zero, one, add, sub, neg and mul on the values of F_p[x]/(modulus)."""
+    """zero, one, add, sub, neg, mul, inv and pow on the values of F_p[x]/(modulus), by arithmetic.
+
+    inv needs a nonzero value and pow a non-negative exponent.
+    """
     if n == 1:
         add, sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
-        return 0, 1, add, sub, (lambda a: -a % p), (lambda a, b: a * b % p)
+        mul = lambda a, b: a * b % p
+        inv, pow_ = (lambda a: pow(a, p - 2, p)), (lambda a, e: pow(a, e, p))
+        return 0, 1, add, sub, (lambda a: -a % p), mul, inv, pow_
 
     def mul(a, b):
-        prod = _pmul(_trim(a), _trim(b), p)
+        prod = _pmul(p, _trim(a, 0), _trim(b, 0))
         if len(prod) > n:
-            prod = _pdivmod(prod, modulus, p)[1]
+            prod = _pdivmod(p, prod, modulus)[1]
         return prod + (0,) * (n - len(prod))
 
+    prime = FiniteField(p)
+
+    def inv(a):
+        u = _ext_gcd(prime, _trim(a, 0), modulus)[1]  # the gcd is 1: the modulus is irreducible
+        return u + (0,) * (n - len(u))
+
+    one = (1,) + (0,) * (n - 1)
     return (
         (0,) * n,
-        (1,) + (0,) * (n - 1),
+        one,
         lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
         lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
         lambda a: tuple([-x % p for x in a]),
         mul,
+        inv,
+        partial(_pow_by_squaring, mul, one),
     )
 
 
@@ -408,13 +418,62 @@ def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
     return exp + exp, log
 
 
-def _table_mul(exp, log, zero):
+def _table_ops(exp, log, zero, one):
+    """mul, inv and pow on a tabled field's values, by lookup in its (exp, log) tables."""
+    order = len(log)  # q - 1
+
     def mul(a, b):
         if a == zero or b == zero:
             return zero
         return exp[log[a] + log[b]]
 
-    return mul
+    def pow_(a, e):
+        if a == zero:
+            return one if e == 0 else a
+        return exp[log[a] * e % order]
+
+    return mul, (lambda a: exp[order - log[a]]), pow_
+
+
+def _poly_ops(p: int, n: int, zero, one, add, sub, mul, inv):
+    """pmul, pdivmod and ppowmod on trimmed value tuples; a zero divisor or modulus raises ZeroDivisionError.
+
+    The F_p[x] kernel when n == 1, else schoolbook loops on the value ops.
+    """
+    if n == 1:
+        return partial(_pmul, p), partial(_pdivmod, p), partial(_ppowmod, p)
+
+    def pmul(a, b):
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == zero:
+                continue
+            for j, cb in enumerate(b):
+                if cb != zero:
+                    out[i + j] = add(out[i + j], mul(ca, cb))
+        return _trim(out, zero)
+
+    def pdivmod(a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        inv_lead = inv(b[-1])
+        rem = list(a)
+        db = len(b) - 1
+        quo = [zero] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem[i]
+            if c != zero:
+                qc = mul(c, inv_lead)
+                quo[i - db] = qc
+                for j, cb in enumerate(b):
+                    rem[i - db + j] = sub(rem[i - db + j], mul(qc, cb))
+        return tuple(quo), _trim(rem[:db], zero)
+
+    def ppowmod(a, e, m):
+        mulmod = lambda x, y: pdivmod(pmul(x, y), m)[1]
+        return _pow_by_squaring(mulmod, pdivmod((one,), m)[1], pdivmod(a, m)[1], e)
+
+    return pmul, pdivmod, ppowmod
 
 
 TABLE_LIMIT = 4096  # the largest q whose F_{p^n}, n > 1, gets log/exp tables
@@ -430,8 +489,8 @@ class FiniteField:
     """
 
     __slots__ = (
-        "p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul",
-        "_exp", "_log", "_zech", "_embeddings",
+        "p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul", "_inv", "_pow",
+        "pmul", "pdivmod", "ppowmod", "_exp", "_log", "_zech", "_embeddings",
     )
 
     def __new__(cls, p: int, n: int = 1, modulus: Sequence[int] = None):
@@ -465,13 +524,15 @@ class FiniteField:
                 raise PreconditionError("modulus is reducible over the prime field")
             self.modulus = f.values
         self._hash = hash((self.p, self.n, self.modulus))
-        ops = _value_ops(p, n, self.modulus)
-        self.zero_value, self.one_value, self.add, self.sub, self.neg, self.mul = ops
+        zero, one, add, sub, self.neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
         self._exp = self._log = self._zech = None
         self._embeddings = {}  # (p, n, modulus) of a source -> the image value of its generator
         if n > 1 and p ** n <= TABLE_LIMIT:
-            self._exp, self._log = _log_exp_tables(p, n, self.modulus, self.mul)
-            self.mul = _table_mul(self._exp, self._log, self.zero_value)
+            self._exp, self._log = _log_exp_tables(p, n, self.modulus, mul)
+            mul, inv, pow_ = _table_ops(self._exp, self._log, zero, one)
+        self.zero_value, self.one_value, self.add, self.sub = zero, one, add, sub
+        self.mul, self._inv, self._pow = mul, inv, pow_
+        self.pmul, self.pdivmod, self.ppowmod = _poly_ops(p, n, zero, one, add, sub, mul, inv)
         if modulus is None:
             _canonical_modulus.fields[p, n] = self
 
@@ -526,26 +587,13 @@ class FiniteField:
         """The inverse of a nonzero value."""
         if a == self.zero_value:
             raise ZeroDivisionError("inverse of zero")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        log = self._log
-        if log is not None:
-            return self._exp[len(log) - log[a]]  # len(log) = q - 1
-        u = _pext_gcd(_trim(a), self.modulus, self.p)[1]  # the gcd is 1: the modulus is irreducible
-        return u + (0,) * (self.n - len(u))
+        return self._inv(a)
 
     def pow(self, a, e: int):
         """a**e for a value a; a negative e needs a nonzero a."""
         if e < 0:
             a, e = self.inv(a), -e
-        if self.n == 1:
-            return pow(a, e, self.p)
-        log = self._log
-        if log is None:
-            return _pow_by_squaring(self.mul, self.one_value, a, e)
-        if a == self.zero_value:
-            return self.one_value if e == 0 else a
-        return self._exp[log[a] * e % len(log)]
+        return self._pow(a, e)
 
     def code(self, a) -> int:
         """Base-p value of the coordinate vector; the canonical element order."""

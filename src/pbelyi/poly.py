@@ -1,15 +1,15 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored as the field's element values, little-endian with
-trailing zeros stripped, so the zero polynomial has an empty value tuple and
-degree -1.  Over a prime field the values are ints in [0, p), so the
-multiply, divmod, powmod and the Euclid loop of gcd run in field.py's F_p[x]
-kernel on the value tuples themselves; over F_{p^n}, n > 1, and for every
-other method the coefficients go through the field's value ops.  Powers run
-field._pow_by_squaring and evaluation runs value_at, the one Horner loop on
-element values, which the search and the point counts share.  coeffs,
-coeff(i) and leading build FieldElement views on access.  Polynomials are
-immutable and hashable; arithmetic never mutates.
+trailing zeros stripped (field._trim), so the zero polynomial has an empty
+value tuple and degree -1.  The multiply, divmod, powmod, the Euclid loop of
+gcd and the extended Euclid of inverse_mod (field._ext_gcd) run on the value
+tuples in the polynomial kernel that the field bound when it was made, so no
+method here asks which field it is over; every other method goes through the
+field's value ops.  Powers run field._pow_by_squaring and evaluation runs
+value_at, the one Horner loop on element values, which the search and the
+point counts share.  coeffs, coeff(i) and leading build FieldElement views on
+access.  Polynomials are immutable and hashable; arithmetic never mutates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField, _pdivmod, _pext_gcd, _pmul, _pow_by_squaring, _ppowmod, parse_element
+from .field import FieldElement, FiniteField, _ext_gcd, _pow_by_squaring, _trim, parse_element
 
 
 def value_at(field: FiniteField, vals: Sequence, d: int, x):
@@ -36,21 +36,13 @@ def value_at(field: FiniteField, vals: Sequence, d: int, x):
     return acc
 
 
-def _stripped(field: FiniteField, vals: Sequence) -> Tuple:
-    zero = field.zero_value
-    i = len(vals)
-    while i and vals[i - 1] == zero:
-        i -= 1
-    return tuple(vals[:i])
-
-
 class Polynomial:
     __slots__ = ("field", "values")
 
     def __init__(self, field: FiniteField, coeffs: Iterable = ()):
         """Coefficients are ints (prime-field constants), elements of field or coordinate sequences."""
         self.field = field
-        self.values = _stripped(field, [field.value_of(c) for c in coeffs])
+        self.values = _trim([field.value_of(c) for c in coeffs], field.zero_value)
 
     # -- constructors
 
@@ -58,7 +50,7 @@ class Polynomial:
     def _from_values(cls, field: FiniteField, vals: Sequence) -> "Polynomial":
         """The polynomial with these element values, trailing zeros allowed."""
         out = cls.__new__(cls)
-        out.field, out.values = field, _stripped(field, vals)
+        out.field, out.values = field, _trim(vals, field.zero_value)
         return out
 
     @classmethod
@@ -180,46 +172,17 @@ class Polynomial:
 
     def __mul__(self, other):
         fld = self.field
-        mul = fld.mul
         if isinstance(other, (FieldElement, int)):
-            c = fld.value_of(other)
+            mul, c = fld.mul, fld.value_of(other)
             return Polynomial._from_values(fld, [mul(a, c) for a in self.values])
-        a, b = self.values, self._coerce(other).values
-        if fld.n == 1:
-            return Polynomial._from_trimmed(fld, _pmul(a, b, fld.p))
-        add, zero = fld.add, fld.zero_value
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == zero:
-                continue
-            for j, cb in enumerate(b):
-                if cb != zero:
-                    out[i + j] = add(out[i + j], mul(ca, cb))
-        return Polynomial._from_values(fld, out)
+        return Polynomial._from_trimmed(fld, fld.pmul(self.values, self._coerce(other).values))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         fld = self.field
-        b = self._coerce(other).values
-        if fld.n == 1:
-            quo, rem = _pdivmod(self.values, b, fld.p)
-            return Polynomial._from_trimmed(fld, quo), Polynomial._from_trimmed(fld, rem)
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        sub, mul, zero = fld.sub, fld.mul, fld.zero_value
-        inv_lead = fld.inv(b[-1])
-        rem = list(self.values)
-        db = len(b) - 1
-        quo = [zero] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c != zero:
-                qc = mul(c, inv_lead)
-                quo[i - db] = qc
-                for j, cb in enumerate(b):
-                    rem[i - db + j] = sub(rem[i - db + j], mul(qc, cb))
-        return Polynomial._from_values(fld, quo), Polynomial._from_values(fld, rem[:db])
+        quo, rem = fld.pdivmod(self.values, self._coerce(other).values)
+        return Polynomial._from_trimmed(fld, quo), Polynomial._from_trimmed(fld, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -236,9 +199,7 @@ class Polynomial:
         if e < 0:
             raise PreconditionError("negative polynomial power")
         fld = self.field
-        if fld.n == 1:
-            return Polynomial._from_trimmed(fld, _ppowmod(self.values, e, self._coerce(mod).values, fld.p))
-        return _pow_by_squaring(lambda a, b: a * b % mod, Polynomial.one(fld) % mod, self % mod, e)
+        return Polynomial._from_trimmed(fld, fld.ppowmod(self.values, e, self._coerce(mod).values))
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
@@ -249,35 +210,20 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         fld = self.field
-        a, b = self, self._coerce(other)
-        if fld.n == 1:  # Euclid on the value tuples, with no Polynomial per step
-            a, b = a.values, b.values
-            while b:
-                a, b = b, _pdivmod(a, b, fld.p)[1]
-            return Polynomial._from_trimmed(fld, a).monic()
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        pdivmod = fld.pdivmod
+        a, b = self.values, self._coerce(other).values
+        while b:
+            a, b = b, pdivmod(a, b)[1]
+        return Polynomial._from_trimmed(fld, a).monic()
 
     def inverse_mod(self, mod: "Polynomial") -> "Polynomial":
         """The u with u*self = 1 modulo mod, by extended Euclid, for self prime to mod."""
         fld = self.field
         mod = self._coerce(mod)
-        a = self % mod
-        if fld.n == 1:  # the kernel's Euclid loop on the value tuples
-            g, u = _pext_gcd(a.values, mod.values, fld.p)
-            if g != (1,):
-                raise PreconditionError("polynomial is not a unit modulo the modulus")
-            return Polynomial._from_trimmed(fld, u)
-        r0, r1 = a, mod
-        s0, s1 = Polynomial.one(fld), Polynomial(fld)
-        while not r1.is_zero:
-            quo, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - quo * s1
-        if r0.degree != 0:
+        g, u = _ext_gcd(fld, (self % mod).values, mod.values)
+        if g != (fld.one_value,):
             raise PreconditionError("polynomial is not a unit modulo the modulus")
-        return s0 * r0.leading.inverse()
+        return Polynomial._from_trimmed(fld, u)
 
     def derivative(self) -> "Polynomial":
         fld = self.field
@@ -326,23 +272,6 @@ class Polynomial:
         for i, c in enumerate(self.values):
             out[m - i] = c
         return Polynomial._from_values(self.field, out)
-
-    def multiplicity(self, g: "Polynomial") -> int:
-        """The largest m with g**m dividing self, for g of positive degree."""
-        if self.is_zero:
-            raise PreconditionError("the zero polynomial is divisible by every power")
-        if self._coerce(g).degree < 1:
-            raise PreconditionError("multiplicity needs a divisor of positive degree, got %s" % g)
-        count = 0
-        quo, rem = divmod(self, g)
-        while rem.is_zero:
-            count += 1
-            quo, rem = divmod(quo, g)
-        return count
-
-    def root_multiplicity(self, r: FieldElement) -> int:
-        """Multiplicity of x = r as a root."""
-        return self.multiplicity(Polynomial(self.field, [-self.field.element(r), 1]))
 
 
 def parse_poly(field: FiniteField, text: str) -> Polynomial:

@@ -315,11 +315,6 @@ def analyze(f: RationalMap) -> RamReport:
     return RamReport(f, tuple(orbits), branch_points, defect, splitting)
 
 
-def discriminant_degree(f: RationalMap) -> int:
-    """Sum of orbit size times (index - 1) over all ramification orbits."""
-    return sum(o.orbit_size * (o.index - 1) for o in analyze(f).points)
-
-
 class BelyiVerdict:
     """Outcome of a covering check, with human-readable violations."""
 

@@ -232,11 +232,6 @@ class RationalMap:
     def map_coefficients(self, eps: EmbeddingMap) -> "RationalMap":
         return RationalMap(self.num.map_coefficients(eps), self.den.map_coefficients(eps))
 
-    def conjugate_by_reciprocal(self) -> "RationalMap":
-        """The map f(1/x), used to study behaviour at infinity."""
-        m = max(self.num.degree, self.den.degree)
-        return RationalMap(self.num.reverse(m), self.den.reverse(m))
-
 
 def homogenize(polys, num: Polynomial, den: Polynomial, m: int) -> Tuple[Polynomial, ...]:
     """Each h in polys as the form sum h_i num^i den^(m - i), for m at least every deg h.
@@ -263,12 +258,6 @@ def homogenize(polys, num: Polynomial, den: Polynomial, m: int) -> Tuple[Polynom
 def wronskian(f: RationalMap) -> Polynomial:
     """u'v - uv' for f = u/v; vanishing identically means f is inseparable."""
     return f.num.derivative() * f.den - f.num * f.den.derivative()
-
-
-def is_separable(f: RationalMap) -> bool:
-    if f.is_constant:
-        raise PreconditionError("separability is undefined for constant maps")
-    return not wronskian(f).is_zero
 
 
 def mobius_from_triple(a: P1Point, b: P1Point, c: P1Point) -> RationalMap:

@@ -16,11 +16,8 @@ from pbelyi.counting import (
     curve_points,
     enumerate_effective_divisors,
     hasse_weil_check,
-    sym_count_bounds_check,
     parse_curve,
-    pick_points,
     point_counts,
-    projective_space_count,
     sym_product_count,
     zeta_fit,
 )
@@ -28,6 +25,7 @@ from pbelyi.errors import GuardExceededError, InternalInconsistencyError, Precon
 from pbelyi.field import FiniteField, digits, embed
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import P1Point, p1_points
+from oracles import pick_points, projective_space_count, sym_count_bounds_check
 from test_poly_factor import rabin_is_irreducible
 
 F3 = FiniteField(3)

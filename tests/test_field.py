@@ -19,6 +19,7 @@ from pbelyi.field import (
     parse_field,
     prime_power,
 )
+from pbelyi.poly import Polynomial
 
 
 def brute_first_irreducible_quadratic(p):
@@ -48,6 +49,7 @@ PINNED_MODULI = {
     (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (5, 2): (2, 0, 1),
     (5, 3): (1, 1, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
     (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
     (7, 3): (2, 0, 0, 1),
     (7, 4): (1, 1, 0, 0, 1),
@@ -160,21 +162,34 @@ def test_a_pickled_copy_is_equal_and_leaves_the_interned_field():
 
 
 def test_a_dropped_field_leaves_no_reference_cycle():
-    """A field with cached embeddings and Zech logarithms is freed by its
+    """On each route (F_7, the tabled F_3^6 and F_5^6 above TABLE_LIMIT) a
+    field with cached embeddings and Zech logarithms, whose bound polynomial
+    kernel has run a gcd, an inverse_mod and a powmod, is freed by its
     reference count alone, so no field waits for the cyclic collector."""
-    sub = [FiniteField(3, 2), FiniteField(3, 3)]
-    gc.collect()
-    gc.disable()
-    try:
-        fld = FiniteField(3, 6, PINNED_MODULI[3, 6])  # not interned: this test holds the only reference
-        for source in sub:
-            embed(source, fld)
-        fld.zech()
-        assert len(fld._embeddings) == 2
-        del fld
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    routes = (  # (p, n, modulus) and the degrees of the subfields to embed
+        ((7, 1, (0, 1)), ()),
+        ((3, 6, PINNED_MODULI[3, 6]), (2, 3)),
+        ((5, 6, PINNED_MODULI[5, 6]), (2, 3)),
+    )
+    for (p, n, modulus), degrees in routes:
+        sub = [FiniteField(p, k) for k in degrees]
+        gc.collect()
+        gc.disable()
+        try:
+            fld = FiniteField(p, n, modulus)  # not interned: this test holds the only reference
+            for source in sub:
+                embed(source, fld)
+            if fld._log is not None:
+                fld.zech()
+            assert len(fld._embeddings) == len(sub)
+            f, m = Polynomial(fld, [fld.gen, 1]), Polynomial(fld, [1, 0, 1])  # x + gen is prime to x^2 + 1
+            assert f.gcd(m).is_constant and (f * f.inverse_mod(m)) % m == Polynomial.one(fld)
+            sign = 1 if fld.q % 4 == 1 else -1  # x^q = x (x^2)^((q-1)/2) = ±x modulo x^2 + 1
+            assert f.powmod(fld.q, m) == Polynomial(fld, [fld.gen, sign])  # and gen^q = gen
+            del fld, f, m
+            assert gc.collect() == 0, (p, n)
+        finally:
+            gc.enable()
 
 
 def test_is_prime_basics():

@@ -8,7 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -161,6 +161,25 @@ def ref_gcd(a, b, zero):
     return [c * inv for c in a]
 
 
+def ref_sub(a, b, zero):
+    width = max(len(a), len(b))
+    a, b = a + [zero] * (width - len(a)), b + [zero] * (width - len(b))
+    return ref_trim([x - y for x, y in zip(a, b)])
+
+
+def ref_inverse_mod(a, m, zero, one):
+    """u with u*a = 1 mod m, by extended Euclid on elements; None when a is no unit mod m."""
+    r0, r1, s0, s1 = ref_divmod(a, m, zero)[1], m, [one], []
+    while r1:
+        quo, rem = ref_divmod(r0, r1, zero)
+        r0, r1 = r1, rem
+        s0, s1 = s1, ref_sub(s0, ref_mul(quo, s1, zero), zero)
+    if len(r0) != 1:
+        return None
+    inv = r0[0].inverse()
+    return ref_trim([c * inv for c in s0])
+
+
 def ref_powmod(a, e, m, zero, one):
     result = ref_divmod([one], m, zero)[1]
     base = ref_divmod(a, m, zero)[1]
@@ -230,6 +249,16 @@ def test_polynomial_kernel_matches_the_reference(data, e):
         )
     if not m.is_zero:
         assert [c.coords for c in a.powmod(e, m).coeffs] == coords_of(ref_powmod(ra, e, rm, zero, one))
+        inverse = ref_inverse_mod(ra, rm, zero, one)
+        if inverse is None:
+            with pytest.raises(PreconditionError, match="not a unit"):
+                a.inverse_mod(m)
+        else:
+            assert [c.coords for c in a.inverse_mod(m).coeffs] == coords_of(inverse)
+    nothing = Polynomial(field)
+    for by_zero in (lambda: divmod(a, nothing), lambda: a.powmod(e, nothing), lambda: a.inverse_mod(nothing)):
+        with pytest.raises(ZeroDivisionError):
+            by_zero()
 
 
 # -- the F_p[x] kernel against the schoolbook references above, across the
@@ -272,10 +301,10 @@ def test_kernel_multiply_matches_schoolbook_at_every_degree(p):
     for n in range(302):
         a = _random_poly(rng, p, n)
         b = _random_poly(rng, p, rng.randrange(min(n, 80) + 1))
-        assert field_module._pmul(a, b, p) == _pmul(a, b, p), (n, len(b))
-        assert field_module._pmul(b, a, p) == _pmul(a, b, p), (n, len(b))
+        assert field_module._pmul(p, a, b) == _pmul(a, b, p), (n, len(b))
+        assert field_module._pmul(p, b, a) == _pmul(a, b, p), (n, len(b))
         if n % 25 == 0:
-            assert field_module._pmul(a, a, p) == _pmul(a, a, p), n
+            assert field_module._pmul(p, a, a) == _pmul(a, a, p), n
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -286,7 +315,7 @@ def test_kernel_divmod_matches_schoolbook_at_every_degree(p):
     for n in range(302):
         b = _random_poly(rng, p, rng.randrange(1, 81), monic=n % 2 == 0)
         a = _random_poly(rng, p, n)
-        got = field_module._pdivmod(a, b, p)
+        got = field_module._pdivmod(p, a, b)
         if len(a) < len(b):
             assert got == ((), a), (n, len(b))
         else:
@@ -295,28 +324,28 @@ def test_kernel_divmod_matches_schoolbook_at_every_degree(p):
         b = _random_poly(rng, p, lb)
         a = _pmul(_random_poly(rng, p, lq), b, p)
         a = _padd(a, _random_poly(rng, p, lb - 1), p)
-        assert field_module._pdivmod(a, b, p) == _pdivmod(a, b, p), (lq, lb)
+        assert field_module._pdivmod(p, a, b) == _pdivmod(a, b, p), (lq, lb)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_kernel_edge_operands(p):
     rng = random.Random(f"edge:{p}")
-    kernel_mul, kernel_divmod = field_module._pmul, field_module._pdivmod
+    kernel_mul, kernel_divmod = partial(field_module._pmul, p), partial(field_module._pdivmod, p)
     long = _random_poly(rng, p, 120)
-    assert kernel_mul((), long, p) == kernel_mul(long, (), p) == () == kernel_mul((), (), p)
-    assert kernel_divmod((), long, p) == ((), ())
+    assert kernel_mul((), long) == kernel_mul(long, ()) == () == kernel_mul((), ())
+    assert kernel_divmod((), long) == ((), ())
     with pytest.raises(ZeroDivisionError):
-        kernel_divmod(long, (), p)
+        kernel_divmod(long, ())
     with pytest.raises(ZeroDivisionError):
-        field_module._ppowmod(long, 3, (), p)
+        field_module._ppowmod(p, long, 3, ())
     c = rng.randrange(2, p)
-    assert kernel_divmod(long, (c,), p) == (_pmul(long, (pow(c, p - 2, p),), p), ())
+    assert kernel_divmod(long, (c,)) == (_pmul(long, (pow(c, p - 2, p),), p), ())
     short = _random_poly(rng, p, 40)
-    assert kernel_divmod(short, long, p) == ((), short)
+    assert kernel_divmod(short, long) == ((), short)
     lead = rng.randrange(2, p)  # a non-monic divisor, long enough for the Newton quotient
     b = _random_poly(rng, p, 60)[:-1] + (lead,)
-    assert kernel_divmod(long, b, p) == _pdivmod(long, b, p)
-    assert field_module._inverse_series((c,), 5, p) == [pow(c, p - 2, p)] + [0] * 4
+    assert kernel_divmod(long, b) == _pdivmod(long, b, p)
+    assert field_module._inverse_series(p, (c,), 5) == [pow(c, p - 2, p)] + [0] * 4
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -328,7 +357,7 @@ def test_kernel_powmod_matches_schoolbook(p):
         m = _random_poly(rng, p, lm, monic=lm % 2 == 0)
         for la, e in ((0, 3), (1, 0), (lm + 7, 1), (lm, 2), (lm - 1, 5 ** 3), (3 * lm, 7 ** 2 + 3), (lm, 2 ** 40 + 1)):
             a = _random_poly(rng, p, la)
-            assert field_module._ppowmod(a, e, m, p) == _ref_powmod(a, e, m, p), (lm, la, e)
+            assert field_module._ppowmod(p, a, e, m) == _ref_powmod(a, e, m, p), (lm, la, e)
 
 
 def test_one_square_and_multiply_loop():
@@ -391,7 +420,7 @@ def test_kernel_runs_under_optimize():
         "for p in (7, %d):\n"
         "    a = tuple(rng.randrange(p) for _ in range(199)) + (1,)\n"
         "    b = tuple(rng.randrange(p) for _ in range(79)) + (2,)\n"
-        "    print(repr((_pmul(a, b, p), _pdivmod(a, b, p), _ppowmod(a, p + 3, b, p))))\n"
+        "    print(repr((_pmul(p, a, b), _pdivmod(p, a, b), _ppowmod(p, a, p + 3, b))))\n"
     ) % BIG_P
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run(

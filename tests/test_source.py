@@ -35,6 +35,27 @@ def test_only_the_size_check_raises_guard_errors():
     assert SOURCES and found == []
 
 
+def test_only_the_field_module_names_the_prime_field_kernel():
+    """Each field binds its polynomial kernel in field.py; other modules call the
+    field's pmul, pdivmod and ppowmod, so no module picks a kernel by route."""
+    kernel = {"_pmul", "_pdivmod", "_ppowmod", "_inverse_series"}
+    found = []
+    for path in SOURCES:
+        if path.name == "field.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                name = getattr(node, "id", None)
+            if name in kernel:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert SOURCES and found == []
+
+
 def test_importing_the_package_leaves_multiprocessing_unloaded():
     """The search and the point count import multiprocessing only when they start a pool."""
     src = str(Path(pbelyi.__file__).parent.parent)
