@@ -116,12 +116,13 @@ def _log_stripe(field, fvals, start, step):
 
     Horner runs on logs (None for zero): with t the log of the partial
     value, t*x has log t + L, and adding a nonzero c = g^l gives
-    l + Z[t + L - l], Z the field's Zech logarithms.  f(x) is a nonzero
-    square exactly when its log is even, since q - 1 is even.
+    l + Z[t + L - l], Z the field's Zech logarithms.  The values are codes,
+    so log[c] is the log of a coefficient c.  f(x) is a nonzero square
+    exactly when its log is even, since q - 1 is even.
     """
-    log, zech = field._log, field.zech()
-    qm1 = len(log)
-    logs = [log.get(c) for c in reversed(fvals)]
+    log, zech = field._log, field._zech
+    qm1 = len(log) - 1
+    logs = [log[c] for c in reversed(fvals)]
     lead, rest = logs[0], logs[1:]
     total = 0
     if start == 0:  # x = 0, where f(x) = c_0
@@ -150,10 +151,11 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
 
     The extension is the interned canonical field, so the counts over one
     extension share its tables and the embedding of the base.  On a tabled
-    extension the affine points are counted on logs with Zech's logarithms
-    (`_log_stripe`), on a prime field or one above TABLE_LIMIT by value ops
-    and Euler's criterion (`_count_stripe`).  With workers > 1 a pool splits
-    the same loop into stripes, each worker on its own unpickled copy.
+    extension the affine points are counted on logs with the Zech logarithms
+    built with the field's tables (`_log_stripe`), on a prime field or one
+    above TABLE_LIMIT by value ops and Euler's criterion (`_count_stripe`).
+    With workers > 1 a pool splits the same loop into stripes, each worker
+    on its own unpickled copy.
     """
     if m < 1:
         raise PreconditionError("extension degree m must be at least 1")

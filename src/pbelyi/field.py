@@ -5,26 +5,35 @@ polynomial over F_p stored little-endian (constant term first).  For given
 (p, n) the canonical modulus is the monic irreducible of degree n whose
 coefficient vector, read as a base-p integer with higher powers more
 significant, is smallest; that makes field construction reproducible with no
-stored list of moduli.  An element value is an int in [0, p) when n == 1 and the
-reduced coordinate tuple in the power basis otherwise; the field's ops act on
-values, and FieldElement is a view of one value.  Everything here is immutable
-and hashable, and no floating point is used anywhere.
+stored list of moduli.  That base-p integer of an element's coordinate
+vector in the power basis is its code, the canonical element order.  The
+field's ops act on values, and FieldElement is a view of one value.
+Everything here is immutable and hashable, and no floating point is used
+anywhere.
 
-A field picks its arithmetic once, when it is made, and binds value ops and
-a kernel on trimmed value tuples (pmul, pdivmod, ppowmod) for Polynomial: the
-F_p[x] kernel when n == 1, else schoolbook loops on the value ops.  With n > 1
-and at most TABLE_LIMIT elements it builds log/exp tables for a primitive
-element and multiplies, inverts and powers by lookup (and builds Zech's
-logarithms, `zech`, when first asked); larger fields multiply int-tuple
-polynomials and invert by the one extended Euclid over F_p.
+A field picks its arithmetic once, when it is made, and binds value ops,
+the conversions between values, codes and coordinates, and a kernel on
+trimmed value tuples (pmul, pdivmod, ppowmod) for Polynomial.  There are
+three routes:
+
+- F_p: the value is the code, an int in [0, p); the kernel is the F_p[x]
+  kernel below.
+- n > 1 with at most TABLE_LIMIT elements: the value is the code, an int in
+  [0, q).  log/exp tables of a primitive element multiply, invert and power
+  by lookup, and Zech's logarithms, built with them, add and subtract.
+- n > 1 above TABLE_LIMIT: the value is the coordinate tuple; elements
+  multiply as int-tuple polynomials and invert by the one extended Euclid
+  over F_p.
+
+Both extension routes run the kernel as schoolbook loops on their value ops.
 
 FiniteField(p, n) with no modulus is interned: while the canonical modulus
 of (p, n) stays cached, every such call returns the one field built on it,
-tables, Zech logarithms and embeddings (`embed` caches the image of each
-source generator on its target) included.  `_canonical_modulus.cache_clear()`
-drops those fields with the moduli, so a process that clears it builds every
-field afresh.  A field with an explicit modulus, and so every pickled copy,
-is built anew each time.
+tables and embeddings (`embed` caches the image of each source generator on
+its target) included.  `_canonical_modulus.cache_clear()` drops those
+fields with the moduli, so a process that clears it builds every field
+afresh.  A field with an explicit modulus, and so every pickled copy, is
+built anew each time.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import sys
 from array import array
 from functools import lru_cache, partial
 from itertools import zip_longest
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import InternalInconsistencyError, PreconditionError
 
@@ -330,9 +339,11 @@ _canonical_modulus = _ModulusCache(_search_modulus)
 
 
 def _value_ops(p: int, n: int, modulus: IntPoly):
-    """zero, one, add, sub, neg, mul, inv and pow on the values of F_p[x]/(modulus), by arithmetic.
+    """zero, one, add, sub, neg, mul, inv and pow on ints for n == 1, else on coordinate tuples, by arithmetic.
 
-    inv needs a nonzero value and pow a non-negative exponent.
+    They act on the values of F_p and of fields above TABLE_LIMIT; a tabled
+    field builds its tables with this mul.  inv needs a nonzero value and
+    pow a non-negative exponent.
     """
     if n == 1:
         add, sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
@@ -380,16 +391,40 @@ def _pow_by_squaring(mul, one, a, e: int):
     return result
 
 
-def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
-    """(exp, log) for F_p[x]/(modulus), n > 1, with mul its int-tuple multiply.
+def _code_of(coords: Sequence[int], p: int) -> int:
+    """The base-p value of a coordinate vector, higher coordinates more significant."""
+    k = 0
+    for c in reversed(coords):
+        k = k * p + c
+    return k
 
-    exp lists the powers g^0 .. g^(q-2) of a primitive element g twice over,
-    so a sum of two logs indexes it directly; log maps each nonzero value to
-    its exponent.  g is the first value by code, past the constants, of order
-    q - 1.  When g = c1*x + c0 its powers step in O(n): shift, reduce the top
-    coordinate by the monic modulus, scale by c1 and add c0 times the old
-    value; otherwise each step is a general multiply.  The O(n) step builds
-    F_2401 in 2.4 ms against 7.6 ms by the general multiply.
+
+def _coordinates(x: Iterable[int], p: int, n: int) -> List[int]:
+    """The n coordinates mod p of a coordinate sequence, zeros appended; PreconditionError when it is longer."""
+    coords = [int(c) % p for c in x]
+    if len(coords) > n:
+        raise PreconditionError(f"coordinate vector of length {len(coords)} exceeds degree {n}")
+    return coords + [0] * (n - len(coords))
+
+
+def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
+    """(exp, log, zech, coords) for F_p[x]/(modulus), n > 1, with mul its int-tuple multiply: four lists on codes.
+
+    exp lists the codes of the powers g^0 .. g^(q-2) of a primitive element
+    g twice over, so a sum of two logs indexes it directly; log[c] is the
+    exponent of the element of code c, None for c = 0.  zech lists Zech's
+    logarithms, Z[k] = log(1 + g^k), so that g^a + g^b = g^(a + Z[b - a])
+    for b - a taken mod q - 1 (Lidl & Niederreiter, Finite Fields, 9.3).
+    Adding 1 raises the lowest base-p digit of a code c by one mod p, so
+    1 + g^k has code c + 1, or c - (p - 1) when that digit of the code c of
+    g^k is p - 1.  Z is None at k = (q - 1)/2, where 1 + g^k = 0 has no log.
+    coords[c] is the coordinate tuple of code c, kept from the build.
+
+    g is the first element by code, past the constants, of order q - 1.
+    When g = c1*x + c0 its powers step in O(n) on coordinates: shift, reduce
+    the top coordinate by the monic modulus, scale by c1 and add c0 times the
+    old value; otherwise each step is a general multiply.  The O(n) step
+    builds F_2401 in 2.4 ms against 7.6 ms by the general multiply.
     """
     q = p ** n
     one = (1,) + (0,) * (n - 1)
@@ -409,30 +444,43 @@ def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
 
     else:
         step = lambda a: mul(a, g)
-    exp = [one]
-    for _ in range(q - 2):
-        exp.append(step(exp[-1]))
-    log = {v: i for i, v in enumerate(exp)}
-    if len(log) != q - 1:
+    power, exp, coords = one, [], [(0,) * n] * q
+    for _ in range(q - 1):
+        exp.append(_code_of(power, p))
+        coords[exp[-1]] = power
+        power = step(power)
+    log = [None] * q
+    for i, c in enumerate(exp):
+        log[c] = i
+    if log.count(None) != 1:
         raise InternalInconsistencyError(f"the powers of {g} in F_{p}^{n} repeat before q - 1")
-    return exp + exp, log
+    zech = [log[c + 1] if c % p != p - 1 else log[c - p + 1] for c in exp]
+    return exp + exp, log, zech, coords
 
 
-def _table_ops(exp, log, zero, one):
-    """mul, inv and pow on a tabled field's values, by lookup in its (exp, log) tables."""
-    order = len(log)  # q - 1
+def _table_ops(exp, log, zech):
+    """add, sub, neg, mul, inv and pow on a tabled field's codes, by lookup in its (exp, log, zech) tables."""
+    order = len(log) - 1  # q - 1
+    neg = [0] + [exp[k + order // 2] for k in log[1:]]  # -1 = g^((q-1)/2)
+
+    def add(a, b):
+        if a and b:
+            la = log[a]
+            z = zech[log[b] - la]  # a negative index wraps: it is taken mod q - 1
+            return 0 if z is None else exp[la + z]
+        return a or b
+
+    sub = lambda a, b: add(a, neg[b])
 
     def mul(a, b):
-        if a == zero or b == zero:
-            return zero
-        return exp[log[a] + log[b]]
+        return exp[log[a] + log[b]] if a and b else 0
 
     def pow_(a, e):
-        if a == zero:
-            return one if e == 0 else a
-        return exp[log[a] * e % order]
+        if a:
+            return exp[log[a] * e % order]
+        return 0 if e else 1
 
-    return mul, (lambda a: exp[order - log[a]]), pow_
+    return add, sub, neg.__getitem__, mul, (lambda a: exp[order - log[a]]), pow_
 
 
 def _poly_ops(p: int, n: int, zero, one, add, sub, mul, inv):
@@ -482,15 +530,21 @@ TABLE_LIMIT = 4096  # the largest q whose F_{p^n}, n > 1, gets log/exp tables
 class FiniteField:
     """The field with p**n elements, p an odd prime.
 
-    On a tabled field (n > 1, q <= TABLE_LIMIT) _exp and _log are the
-    tables from _log_exp_tables; otherwise both are None.  _zech holds the
-    Zech logarithms once `zech` has built them, and _embeddings the cached
-    images of source generators under `embed`.
+    Bound per route when the field is made (see the module docstring):
+    zero_value and one_value, the value ops add, sub, neg and mul (inv and
+    pow below check their arguments), the kernel pmul, pdivmod and ppowmod,
+    and three conversions: code(a), the code of a value; from_code(k), the
+    value of code k mod q; coords(a), the coordinate tuple of a value; and
+    _from_raw, which value_of applies to an int or a coordinate sequence.  On
+    a tabled field _exp, _log and _zech are the tables from _log_exp_tables;
+    otherwise all three are None.  _embeddings holds the cached images of
+    source generators under `embed`.
     """
 
     __slots__ = (
         "p", "n", "modulus", "_hash", "zero_value", "one_value", "add", "sub", "neg", "mul", "_inv", "_pow",
-        "pmul", "pdivmod", "ppowmod", "_exp", "_log", "_zech", "_embeddings",
+        "pmul", "pdivmod", "ppowmod", "code", "from_code", "coords", "_from_raw", "_exp", "_log", "_zech",
+        "_embeddings",
     )
 
     def __new__(cls, p: int, n: int = 1, modulus: Sequence[int] = None):
@@ -524,13 +578,25 @@ class FiniteField:
                 raise PreconditionError("modulus is reducible over the prime field")
             self.modulus = f.values
         self._hash = hash((self.p, self.n, self.modulus))
-        zero, one, add, sub, self.neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
+        zero, one, add, sub, neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
         self._exp = self._log = self._zech = None
         self._embeddings = {}  # (p, n, modulus) of a source -> the image value of its generator
-        if n > 1 and p ** n <= TABLE_LIMIT:
-            self._exp, self._log = _log_exp_tables(p, n, self.modulus, mul)
-            mul, inv, pow_ = _table_ops(self._exp, self._log, zero, one)
-        self.zero_value, self.one_value, self.add, self.sub = zero, one, add, sub
+        q = p ** n
+        if q <= TABLE_LIMIT or n == 1:  # the value is the code
+            self.code, self.from_code = operator.index, q.__rmod__  # a -> a and k -> k % q, with no Python frame
+            self._from_raw = lambda x: x % p if isinstance(x, int) else _code_of(_coordinates(x, p, n), p)
+            if n == 1:
+                self.coords = lambda a: (a,)
+            else:
+                self._exp, self._log, self._zech, coords = _log_exp_tables(p, n, self.modulus, mul)
+                zero, one = 0, 1
+                add, sub, neg, mul, inv, pow_ = _table_ops(self._exp, self._log, self._zech)
+                self.coords = coords.__getitem__
+        else:  # the value is the coordinate tuple
+            self.code, self.coords = (lambda a: _code_of(a, p)), tuple
+            self.from_code = lambda k: tuple(digits(k, p, n))
+            self._from_raw = lambda x: tuple(_coordinates((x,) if isinstance(x, int) else x, p, n))
+        self.zero_value, self.one_value, self.add, self.sub, self.neg = zero, one, add, sub, neg
         self.mul, self._inv, self._pow = mul, inv, pow_
         self.pmul, self.pdivmod, self.ppowmod = _poly_ops(p, n, zero, one, add, sub, mul, inv)
         if modulus is None:
@@ -570,19 +636,6 @@ class FiniteField:
 
     # -- values
 
-    def zech(self) -> List[Optional[int]]:
-        """Zech's logarithms on a tabled field: Z[k] = log(1 + g^k), None at k = (q - 1)/2.
-
-        Then g^a + g^b = g^(b + Z[a - b]) for a - b taken mod q - 1 (Lidl &
-        Niederreiter, Finite Fields, 9.3), and the sum is zero where Z is
-        None.  Built on the first call, one list of q - 1 entries.
-        """
-        if self._zech is None:
-            log, p = self._log, self.p
-            # 1 + g^k changes only the constant coordinate; 0 = 1 + (-1) has no log
-            self._zech = [log.get(((e[0] + 1) % p,) + e[1:]) for e in self._exp[: len(log)]]
-        return self._zech
-
     def inv(self, a):
         """The inverse of a nonzero value."""
         if a == self.zero_value:
@@ -595,36 +648,17 @@ class FiniteField:
             a, e = self.inv(a), -e
         return self._pow(a, e)
 
-    def code(self, a) -> int:
-        """Base-p value of the coordinate vector; the canonical element order."""
-        if self.n == 1:
-            return a
-        k = 0
-        for c in reversed(a):
-            k = k * self.p + c
-        return k
-
-    def from_code(self, k: int):
-        """The value whose coordinate vector has base-p value k (mod q)."""
-        return k % self.p if self.n == 1 else tuple(digits(k, self.p, self.n))
-
-    def coords(self, a) -> Tuple[int, ...]:
-        """The coordinate tuple of a value."""
-        return (a,) if self.n == 1 else a
-
     def value_of(self, x: Union[int, "FieldElement", Iterable[int]]):
-        """The value of an int (a prime-field constant), an element or a coordinate sequence."""
+        """The value of an element of this field, an int or a coordinate sequence.
+
+        An int is always a prime-field constant, never a code, also where
+        values are codes: from_code reads a code.
+        """
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise PreconditionError("element belongs to a different field")
             return x.value
-        if isinstance(x, int):
-            return x % self.p if self.n == 1 else (x % self.p,) + (0,) * (self.n - 1)
-        coords = [int(c) % self.p for c in x]
-        if len(coords) > self.n:
-            raise PreconditionError(f"coordinate vector of length {len(coords)} exceeds degree {self.n}")
-        coords += [0] * (self.n - len(coords))
-        return coords[0] if self.n == 1 else tuple(coords)
+        return self._from_raw(x)
 
     # -- element construction
 
@@ -646,9 +680,7 @@ class FiniteField:
     @property
     def gen(self) -> "FieldElement":
         """The class of x modulo the modulus (zero in a prime field)."""
-        if self.n == 1:
-            return self.zero
-        return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
+        return self.zero if self.n == 1 else self.element((0, 1))
 
     def elements(self) -> Iterator["FieldElement"]:
         """All elements, ordered by base-p value of the coordinate vector."""

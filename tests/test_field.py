@@ -123,15 +123,15 @@ def test_clearing_the_moduli_drops_every_interned_field(cold_fields):
     """No table, Zech table or embedding built before the clear is reused after it."""
     old = FiniteField(3, 6)
     eps = embed(FiniteField(3, 2), old)
-    old_exp, old_zech, old_embeddings = old._exp, old.zech(), old._embeddings
+    old_exp, old_zech, old_embeddings = old._exp, old._zech, old._embeddings
     assert list(old_embeddings.values()) == [eps.image_of_generator.value]
     field_module._canonical_modulus.cache_clear()
     assert field_module._canonical_modulus.fields == {}
     new = FiniteField(3, 6)
     assert new is not old and new == old
     assert new._exp is not old_exp and new._exp == old_exp
-    assert new._zech is None and new._embeddings == {}
-    assert new.zech() is not old_zech and new.zech() == old_zech
+    assert new._embeddings == {}
+    assert new._zech is not old_zech and new._zech == old_zech  # built with the new tables
     assert embed(FiniteField(3, 2), new).image_of_generator == FieldElement(new, eps.image_of_generator.value)
     assert new._embeddings is not old_embeddings and new._embeddings == old_embeddings
     assert FiniteField(3, 6) is new
@@ -162,8 +162,8 @@ def test_a_pickled_copy_is_equal_and_leaves_the_interned_field():
 
 
 def test_a_dropped_field_leaves_no_reference_cycle():
-    """On each route (F_7, the tabled F_3^6 and F_5^6 above TABLE_LIMIT) a
-    field with cached embeddings and Zech logarithms, whose bound polynomial
+    """On each route (F_7, the tabled F_3^6 with its Zech logarithms and F_5^6
+    above TABLE_LIMIT) a field with cached embeddings, whose bound polynomial
     kernel has run a gcd, an inverse_mod and a powmod, is freed by its
     reference count alone, so no field waits for the cyclic collector."""
     routes = (  # (p, n, modulus) and the degrees of the subfields to embed
@@ -179,8 +179,6 @@ def test_a_dropped_field_leaves_no_reference_cycle():
             fld = FiniteField(p, n, modulus)  # not interned: this test holds the only reference
             for source in sub:
                 embed(source, fld)
-            if fld._log is not None:
-                fld.zech()
             assert len(fld._embeddings) == len(sub)
             f, m = Polynomial(fld, [fld.gen, 1]), Polynomial(fld, [1, 0, 1])  # x + gen is prime to x^2 + 1
             assert f.gcd(m).is_constant and (f * f.inverse_mod(m)) % m == Polynomial.one(fld)
@@ -208,6 +206,20 @@ def test_arithmetic_worked_examples():
     assert (f5(2) / f5(3)) * f5(3) == f5(2)
     with pytest.raises(ZeroDivisionError):
         f5.zero.inverse()
+
+
+@pytest.mark.parametrize("text", ["3", "3^2", "5^6"])
+def test_an_int_is_a_prime_field_constant_on_every_route(text):
+    """On F_p, on a tabled field, whose values are codes, and above TABLE_LIMIT,
+    an int coerces to the constant it names mod p, never to the element of that code."""
+    fld = parse_field(text)
+    p = fld.p
+    assert fld.element(p).is_zero and fld(p + 1) == fld.one
+    assert fld.element(-1) == fld.element(fld.q - 1) == -fld.one
+    assert fld.element(p).coords == (0,) * fld.n
+    assert Polynomial(fld, [p, p + 2]) == Polynomial(fld, [0, 2])
+    if fld.n > 1:
+        assert fld.from_int_value(p) == fld.gen != fld.element(p)
 
 
 def test_field_axioms_exhaustive_small():

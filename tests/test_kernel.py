@@ -523,23 +523,31 @@ def test_count_stripe_matches_brute_force(codes, step):
 # -- log/exp tables
 
 
-@pytest.mark.parametrize("text", ["3^2", "5^2", "3^3"])
+@pytest.mark.parametrize("text", ["3^2", "5^2", "3^3", "3^6", "5^5"])
 def test_tables_match_the_int_tuple_ops_exhaustively(text):
+    """add, sub, neg, mul, inv and pow on codes against the int-tuple value ops,
+    read through coords: every pair in F_9, F_25 and F_27, seeded pairs in
+    F_729 and F_3125.  The exponents are b, b + q and -b for the code b."""
     field = parse_field(text)
     assert field._log is not None
-    slow_mul = _value_ops(field.p, field.n, field.modulus)[5]
-    zero, one = field.zero_value, field.one_value
-    values = [field.from_code(k) for k in range(field.q)]
-    for a in values:
-        assert [field.mul(a, b) for b in values] == [slow_mul(a, b) for b in values]
-        power = one
-        for e in range(2 * field.q):
-            assert field.pow(a, e) == power
-            power = slow_mul(power, a)
-        if a != zero:
+    q, coords = field.q, field.coords
+    _, _, add, sub, neg, mul, inv, pow_ = _value_ops(field.p, field.n, field.modulus)
+    if q <= 27:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(f"codes:{text}")
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)] + [(0, 0), (0, 1), (1, 0), (q - 1, q - 1)]
+    for a, b in pairs:
+        ta, tb = coords(a), coords(b)
+        assert coords(field.add(a, b)) == add(ta, tb), (a, b)
+        assert coords(field.sub(a, b)) == sub(ta, tb), (a, b)
+        assert coords(field.mul(a, b)) == mul(ta, tb), (a, b)
+        assert coords(field.neg(a)) == neg(ta), a
+        assert coords(field.pow(a, b)) == pow_(ta, b) and coords(field.pow(a, b + q)) == pow_(ta, b + q), (a, b)
+        if a:
             inverse = field.inv(a)
-            assert inverse == RefElement(field, a).inverse().coords
-            assert all(field.pow(a, -e) == field.pow(inverse, e) for e in range(2 * field.q))
+            assert coords(inverse) == inv(ta) == RefElement(field, ta).inverse().coords, a
+            assert field.pow(a, -b) == field.pow(inverse, b), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -559,13 +567,13 @@ def test_table_invariants(text, route):
     p, q = field.p, field.q
     exp, log = field._exp, field._log
     assert len(exp) == 2 * (q - 1) and exp[q - 1 :] == exp[: q - 1]
-    assert sorted(field.code(v) for v in exp[: q - 1]) == list(range(1, q))
-    assert len(log) == q - 1 and all(log[v] == i for i, v in enumerate(exp[: q - 1]))
+    assert sorted(exp[: q - 1]) == list(range(1, q))
+    assert len(log) == q and log[0] is None and all(log[v] == i for i, v in enumerate(exp[: q - 1]))
     # the generator's powers under the field's own modulus, by the int-tuple multiply
-    slow_mul = _value_ops(p, field.n, field.modulus)[5]
+    slow_mul, coords = _value_ops(p, field.n, field.modulus)[5], field.coords
     g = exp[1]
     assert exp[0] == field.one_value
-    assert all(slow_mul(exp[i], g) == exp[i + 1] for i in range(q - 1))
+    assert all(slow_mul(coords(exp[i]), coords(g)) == coords(exp[i + 1]) for i in range(q - 1))
     code = field.code(g)
     assert {"x + c": p <= code < 2 * p, "c1*x + c0": 2 * p <= code < p * p, "general": code >= p * p}[route]
     zero = field.zero_value

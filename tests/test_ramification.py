@@ -711,7 +711,7 @@ def test_wild_composite_indices_match_brute_force(inst, ks):
 
 
 def _poly_of_code(field, code, length):
-    return Polynomial(field, [field.from_code(c) for c in digits(code, field.q, length)])
+    return Polynomial(field, [field.from_int_value(c) for c in digits(code, field.q, length)])
 
 
 def _irreducibles(field, degree, count):

@@ -172,16 +172,16 @@ def test_interpolation_data_match_their_polynomials(field):
     """The Lagrange basis at the nodes and every multiple M H of M = prod (x - s),
     in the code order of H, equal the polynomials from_roots and * build."""
     rows = search._RowSearch(field, None)
-    values = [x.value for x in field.elements()]
+    elements = list(field.elements())
     for d in range(4):
         for k in range(min(d + 1, field.q) + 1):
-            for xs in itertools.islice(itertools.permutations(values, k), 12):
-                basis, multiples = rows._interpolation(xs, d)
-                for s, ell in zip(xs, basis):
-                    want = Polynomial.from_roots(field, [t for t in xs if t != s])
+            for nodes in itertools.islice(itertools.permutations(elements, k), 12):
+                basis, multiples = rows._interpolation(tuple(s.value for s in nodes), d)
+                for s, ell in zip(nodes, basis):
+                    want = Polynomial.from_roots(field, [t for t in nodes if t != s])
                     assert Polynomial._from_values(field, ell) == want * want.evaluate(s).inverse()
                     assert len(ell) == k
-                m = Polynomial.from_roots(field, xs)
+                m = Polynomial.from_roots(field, nodes)
                 assert len(multiples) == field.q ** (d + 1 - k)
                 for h, vals in enumerate(multiples):
                     assert len(vals) == d + 1

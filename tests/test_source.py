@@ -35,24 +35,38 @@ def test_only_the_size_check_raises_guard_errors():
     assert SOURCES and found == []
 
 
+def _names(tree):
+    """(lineno, name) of every name, attribute and import alias in a module's tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield getattr(node, "lineno", "?"), node.name
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+
+
 def test_only_the_field_module_names_the_prime_field_kernel():
     """Each field binds its polynomial kernel in field.py; other modules call the
     field's pmul, pdivmod and ppowmod, so no module picks a kernel by route."""
     kernel = {"_pmul", "_pdivmod", "_ppowmod", "_inverse_series"}
     found = []
     for path in SOURCES:
-        if path.name == "field.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias):
-                name = node.name
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                name = getattr(node, "id", None)
-            if name in kernel:
-                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+        if path.name != "field.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line} {name}" for line, name in _names(tree) if name in kernel]
+    assert SOURCES and found == []
+
+
+def test_only_the_field_module_and_the_point_count_name_the_tables():
+    """How a tabled field stores its values stays behind field.py: only the
+    point count on logs, counting._log_stripe, reads _exp, _log or _zech too."""
+    tables = {"_exp", "_log", "_zech"}
+    found = []
+    for path in SOURCES:
+        if path.name not in ("field.py", "counting.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line} {name}" for line, name in _names(tree) if name in tables]
     assert SOURCES and found == []
 
 
