@@ -12,7 +12,7 @@ works row by row:
   roots of D in the field, are built, by interpolation at the constrained
   points, and they go in code order through a cheap exact screen built on
   the Riemann-Hurwitz count.
-- A block reports only its first hit, with the hit's row and place there,
+- A stride of rows reports only its first hit, with the hit's row and place,
   and the count is closed form: q^(2d - 1) (q^2 - 1), the number of maps of
   degree d, for a degree with no hit; for a hit, the bands of lower-degree
   denominators, the rows of its own band before it by the polynomial totient
@@ -35,16 +35,23 @@ makes every row a leader.
 The randomized mode draws candidates of every row at random and runs the
 whole screen on each.
 
-The rows of a degree are cut into one contiguous block per worker, each with
-an equal share of the orbit leaders, and the blocks are scanned in order, the
-same _RowSearch.scan for any worker count: serially one block through map, in
-parallel through a pool's imap, where each worker gets a pickled copy of the
-round and returns its hit, row and place, or None.  The parent extends the
-round's orbit sweep to the degree before the copies are made, and counts.  After a
-hit the parent sets the pool's stop flag, which every worker checks once per
-row, so the blocks still running end at once and the pool closes and joins;
-it is never terminated, since a worker killed while it sends a result would
-leave the result queue locked.
+Worker w of N scans the stride range(w, total, N) of a degree's row indices,
+the same _RowSearch.scan for any worker count: serially the one stride
+range(total) through map, in parallel the N strides through a pool's imap,
+where each worker gets a pickled copy of the round and returns its first hit,
+with its row and place, or None.  Leaders are least codes, so they crowd the
+low indices of a band, and strides share them about equally where contiguous
+ranges would not.  Each worker sweeps a degree's orbits itself, the first
+time one of its rows meets the points, as a serial scan does.  The workers
+share one integer, the least row index of a hit so far: a worker with a hit
+lowers it to its row, and a stride ends at its first row past it.  Every
+value written is the row of some hit, so no stride ends before the first
+hit's row, and the stride that holds it returns it even when two writes race;
+the parent takes the hit with the least index and counts.  When the search
+returns, or raises, the parent lowers the index below every row, so the
+strides still running end at once, and the pool closes and joins; it is
+never terminated, since a worker killed while it sends a result would leave
+the result queue locked.
 
 Every hit is certified by the exact verifiers.  An exhaustive run that finds
 nothing is a lower bound over the searched coefficient fields only, never
@@ -57,6 +64,7 @@ import itertools
 import operator
 import random
 import signal
+import sys
 
 from .constructions import BelyiInstance, _as_field
 from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
@@ -69,14 +77,14 @@ from .ratmap import RationalMap, disjoint, point_set, wronskian
 EXHAUSTIVE_GUARD = 10 ** 8
 DEFAULT_BUDGET = 2000
 
-_stop_flag = None  # in a pool worker, the search's stop flag; set by _init_worker
+_least_hit = None  # in a pool worker, the shared least row index of a hit so far; set by _init_worker
 
 
-def _init_worker(stop):
-    """Pool initializer: keep the stop flag, and leave Ctrl-C to the parent, which stops the pool."""
-    global _stop_flag
+def _init_worker(least):
+    """Pool initializer: keep the shared hit index, and leave Ctrl-C to the parent, which stops the pool."""
+    global _least_hit
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _stop_flag = stop
+    _least_hit = least
 
 
 def _poly_from_code(field, code, length):
@@ -94,7 +102,7 @@ def enumerate_candidates(field, d):
     field = _as_field(field)
     if not isinstance(d, int) or d < 1:
         raise PreconditionError("degree must be a positive integer, got %r" % (d,))
-    for e, _, den in _rows(field, d, 0, _row_count(field.q, d)):
+    for _, e, _, den in _rows(field, range(_row_count(field.q, d))):
         yield from _row_stream(field, d, e, den)
 
 
@@ -103,15 +111,15 @@ def _row_count(q, d):
     return sum(q ** e for e in range(d + 1))
 
 
-def _rows(field, d, lo, hi):
-    """(deg D, code of D, D) for the rows with index in [lo, hi), D monic by (degree, code)."""
-    q = field.q
-    base = 0
-    for e in range(d + 1):
-        first, last = max(lo - base, 0), min(hi - base, q ** e)
-        base += q ** e
-        for code in range(q ** e + first, q ** e + last):
-            yield e, code, _poly_from_code(field, code, e + 1)
+def _rows(field, indices):
+    """(index, deg D, code of D, D) for the rows with these indices, an ascending range; D monic by (degree, code)."""
+    q, e, end, offset = field.q, 0, 1, 1  # the rows of band e have indices below end and codes index + offset
+    for index in indices:
+        while index >= end:
+            e += 1
+            offset, end = q ** e - end, end + q ** e
+        code = index + offset
+        yield index, e, code, _poly_from_code(field, code, e + 1)
 
 
 def _code(field, vals):
@@ -208,11 +216,12 @@ class SearchSpec:
 
 
 def _check_guard(spec, cap):
-    # the largest degree dominates, so checking d_max covers every round
+    # q^(2 d_max + 1) = q + the candidates of degrees 1..d_max, so checking d_max covers every round
     for E in spec.fields:
         check_size(
-            f"exhaustive search over {E} at degree {spec.d_max} considers about {{}} pairs", E.q, 2 * spec.d_max + 2,
-            cap, "use mode='randomized' (--mode randomized) with a budget, or raise guard= (--guard-override)",
+            f"exhaustive search over {E} at degree {spec.d_max} considers about {{}} candidates",
+            E.q, 2 * spec.d_max + 1, cap,
+            "use mode='randomized' (--mode randomized) with a budget, or raise guard= (--guard-override)",
         )
 
 
@@ -432,15 +441,6 @@ class _RowSearch:
             self._leaders[e] = flags
         return self._leaders[e]
 
-    def leader_rows(self, d):
-        """The indices of the rows at degree d whose denominators lead their orbits, in order."""
-        q, base, out = self.field.q, 0, []
-        for e in range(d + 1):
-            indices, flags = range(base, base + q ** e), self._flags(e)
-            out.extend(indices if flags is None else itertools.compress(indices, flags))
-            base += q ** e
-        return out
-
     def _interpolation(self, xs, d):
         """Lagrange basis at the points xs, and every multiple of prod (x - s) of degree <= d.
 
@@ -527,20 +527,21 @@ class _RowSearch:
         found.sort()
         return [n for _, n in found]
 
-    def scan(self, d, block):
-        """(first certified hit, its row index, its place in the row) in a block of rows, or None.
+    def scan(self, d, indices):
+        """(first certified hit, its row index, its place in the row) in a stride of rows, or None.
 
-        The block is a range of row indices.  A row whose denominator leads
-        its orbit builds only the numerators that meet the points and screens
-        them by ramification; every other row has a hit exactly when its
-        orbit's leader has one, which comes earlier in the stream.  The place
-        counts the hit's row stream up to and including the hit.  In a pool
-        worker whose stop flag is set the block ends at its next row and
-        reports None.
+        The stride is an ascending range of row indices.  A row whose
+        denominator leads its orbit builds only the numerators that meet the
+        points and screens them by ramification; every other row has a hit
+        exactly when its orbit's leader has one, which comes earlier in the
+        stream.  The place counts the hit's row stream up to and including
+        the hit.  In a pool worker the stride ends at its first row past the
+        shared least hit index and reports None, and a hit lowers that index
+        to its row.
         """
-        fld, screen, stop = self.field, self.screen, _stop_flag
-        for index, (e, code, den) in enumerate(_rows(fld, d, block.start, block.stop), block.start):
-            if stop is not None and stop.is_set():
+        fld, screen, least = self.field, self.screen, _least_hit
+        for index, e, code, den in _rows(fld, indices):
+            if least is not None and index > least.value:
                 return None
             # a degree is swept when one of its rows first meets the points; from then on the
             # leader test comes first, so rows that lead no orbit are not evaluated
@@ -550,43 +551,34 @@ class _RowSearch:
                     for vals in self.numerators(d, allowed_at):
                         f = RationalMap(Polynomial._from_values(fld, vals), den)
                         if f.degree == d and screen.ramified(f):
+                            if least is not None:
+                                least.value = min(least.value, index)
                             place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
                             return screen.certify(f), index, place
         return None
 
 
-def _blocks(rows, d, count):
-    """The rows of degree d in count contiguous blocks, each with an equal share of the orbit leaders.
-
-    Leaders are least codes, so equal ranges of row indices would give the
-    first block most of them.  One block needs no leaders, so a serial
-    search sweeps a degree only when one of its rows meets the points.
-    """
-    total = _row_count(rows.field.q, d)
-    leaders = rows.leader_rows(d) if count > 1 else [0]
-    cuts = [leaders[len(leaders) * w // count] for w in range(count)] + [total]
-    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
 def _scan_blocks(mapper, rows, d, count):
     """(first certified hit or None, candidates up to and including it) at degree d.
 
-    The count blocks of the rows go in order through mapper, which is map or
-    a pool's imap.  Blocks arrive in stream order, so the first hit seen is
-    the stream's first, and the blocks after it need not finish.  Blocks
-    report only their hit, and the count is closed form (see the module
-    docstring): only the rows of the hit's band before it need Phi.
+    The count strides of the rows, range(w, total, count) for worker w, go
+    through mapper, which is map or a pool's imap, and every one reports.
+    The hit with the least row index is the stream's first.  Strides report
+    only their hit, and the count is closed form (see the module docstring):
+    only the rows of the hit's band before it need Phi.
     """
     fld, q = rows.field, rows.field.q
-    for hit in mapper(functools.partial(rows.scan, d), _blocks(rows, d, count)):
-        if hit is not None:
-            witness, index, place = hit
-            e = next(e for e in range(d + 1) if index < _row_count(q, e))
-            prefix = _rows(fld, d, _row_count(q, e - 1), index)  # the rows of the hit's band before its row
-            before = sum(_band_total(q, d, b) for b in range(e))
-            before += sum(_row_total(q, d, e, _totient(den)) for _, _, den in prefix)
-            return witness, before + place
-    return None, q ** (2 * d - 1) * (q * q - 1)
+    total = _row_count(q, d)
+    strides = [range(w, total, count) for w in range(count)]
+    hits = [hit for hit in mapper(functools.partial(rows.scan, d), strides) if hit is not None]
+    if not hits:
+        return None, q ** (2 * d - 1) * (q * q - 1)
+    witness, index, place = min(hits, key=operator.itemgetter(1))
+    e = next(e for e in range(d + 1) if index < _row_count(q, e))
+    prefix = _rows(fld, range(_row_count(q, e - 1), index))  # the rows of the hit's band before its row
+    before = sum(_band_total(q, d, b) for b in range(e))
+    before += sum(_row_total(q, d, e, _totient(den)) for _, _, _, den in prefix)
+    return witness, before + place
 
 
 def _random_candidate(field, d, rng):
@@ -594,8 +586,8 @@ def _random_candidate(field, d, rng):
     while True:
         e = rng.randrange(d + 1)
         den = _poly_from_code(field, q ** e + rng.randrange(q ** e), e + 1)
-        start = q ** d if e < d else 1
-        f = RationalMap(_poly_from_code(field, rng.randrange(start, q ** (d + 1)), d + 1), den)
+        codes = _row_codes(q, d, e)
+        f = RationalMap(_poly_from_code(field, codes[rng.randrange(len(codes))], d + 1), den)
         if f.degree == d:
             return f
 
@@ -638,8 +630,9 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
     if exhaustive and workers > 1:
         import multiprocessing  # here, not at the top: importing pbelyi leaves it unloaded
 
-        stop = multiprocessing.Event()
-        pool = multiprocessing.Pool(workers, _init_worker, (stop,))
+        # a round with a hit ends the search, so the index needs no reset between rounds
+        least = multiprocessing.RawValue("q", sys.maxsize)
+        pool = multiprocessing.Pool(workers, _init_worker, (least,))
     mapper = map if pool is None else pool.imap
     try:
         for d in range(1, spec.d_max + 1):
@@ -655,6 +648,6 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
         return record(None, None)
     finally:
         if pool is not None:
-            stop.set()
+            least.value = -1
             pool.close()
             pool.join()

@@ -190,11 +190,11 @@ def test_criterion_7_search_finds_the_minimal_degrees():
 def test_criterion_7_search_exhausts_q7_up_to_degree_4():
     """No tame Belyi map of degree <= 4 over F_7 sends all of P^1(F_7) into
     {0, 1, inf}.  Every candidate is counted: there are q^(2d - 1) (q^2 - 1)
-    reduced maps of degree d with monic denominator.  The default guard
-    refuses the q^(2 d_max + 2) = 7^10 pairs, so the guard is raised to that."""
+    reduced maps of degree d with monic denominator.  The q^(2 d_max + 1) =
+    7^9 candidates fit under the default guard."""
     started = time.perf_counter()
     inst = BelyiInstance(F7, p1_points(F7), [])
-    res = minimal_belyi_degree(SearchSpec(inst, "tame", 4, fields=[F7]), guard=7 ** 10)
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 4, fields=[F7]))
     assert res["degree"] is None and res["witness"] is None
     assert res["exhausted"] is True
     assert res["candidates_tested"] == sum(7 ** (2 * d - 1) * 48 for d in range(1, 5)) == 40353600
@@ -206,10 +206,10 @@ def test_criterion_7_search_finds_the_minimal_tame_degree_over_f7():
     P^1(F_7) into {0, 1, inf} is 6, and x^6 is the first such map: every
     candidate of degree <= 5 is exhausted and x^6 heads the degree-6 stream,
     so the count is the q^(2d - 1) (q^2 - 1) maps of each degree below 6
-    plus one.  The guard is raised to the q^(2 d_max + 2) = 7^14 pairs."""
+    plus one.  The guard is raised to the q^(2 d_max + 1) = 7^13 candidates."""
     started = time.perf_counter()
     inst = BelyiInstance(F7, p1_points(F7), [])
-    res = minimal_belyi_degree(SearchSpec(inst, "tame", 6, fields=[F7]), guard=7 ** 14)
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 6, fields=[F7]), guard=7 ** 13)
     assert res["degree"] == 6
     assert res["exhausted"] is True
     witness = res["witness"]
@@ -224,11 +224,11 @@ def test_criterion_7_search_exhausts_q9_up_to_degree_5():
     {0, 1, inf}; x^8 does, so the least degree over F_9 is 7 or 8.  With no
     hit, every degree counts its q^(2d - 1) (q^2 - 1) maps in closed form.
     The claim holds over F_9 alone, not over its algebraic closure.  The
-    guard is raised to the q^(2 d_max + 2) = 9^12 pairs."""
+    guard is raised to the q^(2 d_max + 1) = 9^11 candidates."""
     started = time.perf_counter()
     F9 = FiniteField(3, 2)
     inst = BelyiInstance(F9, p1_points(F9), [])
-    res = minimal_belyi_degree(SearchSpec(inst, "tame", 5, fields=[F9]), guard=9 ** 12)
+    res = minimal_belyi_degree(SearchSpec(inst, "tame", 5, fields=[F9]), guard=9 ** 11)
     assert res["degree"] is None and res["witness"] is None
     assert res["exhausted"] is True and res["fields_searched"] == ["3^2"]
     assert res["candidates_tested"] == sum(9 ** (2 * d - 1) * 80 for d in range(1, 6)) == 31381059600

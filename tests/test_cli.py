@@ -186,7 +186,7 @@ def test_json_error_paths_keep_stdout_empty():
 
 
 def test_guard_errors_name_the_way_out():
-    proc = run_cli("search", "tame", "--q", "5", "--S", "all", "--T", "none", "--d-max", "2")
+    proc = run_cli("search", "tame", "--q", "5", "--S", "all", "--T", "none", "--d-max", "3")
     assert proc.returncode == 2
     assert "randomized" in proc.stderr and "--guard-override" in proc.stderr
     proc = run_cli("bound", "tame", "--g", "9", "--s", "0", "--t", "0", "--q", "3")

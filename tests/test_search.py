@@ -1,3 +1,4 @@
+import functools
 import itertools
 import multiprocessing
 import os
@@ -61,14 +62,14 @@ def test_first_quartic_candidate_is_x4():
 
 
 def test_stream_blocks_concatenate_to_the_stream():
-    # blocks are contiguous ranges of rows, one row per monic denominator
+    # contiguous ranges of rows concatenate to the stream, one row per monic denominator
     whole = list(enumerate_candidates(F3, 2))
     total = search._row_count(3, 2)
     assert total == 1 + 3 + 9
     for cuts in ([0, total], [0, 1, 2, total], [0, 3, 4, 9, 12, total], [0, 1, total - 1, total]):
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
-            for e, _, den in search._rows(F3, 2, lo, hi):
+            for _, e, _, den in search._rows(F3, range(lo, hi)):
                 pieces.extend(search._row_stream(F3, 2, e, den))
         assert pieces == whole
 
@@ -86,7 +87,7 @@ def test_row_counts_match_a_gcd_count(field, d_max):
     q = field.q
     for d in range(1, d_max + 1):
         bands = [0] * (d + 1)
-        for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
+        for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
             numerators = (search._poly_from_code(field, c, d + 1) for c in search._row_codes(q, d, e))
             by_gcd = sum(1 for num in numerators if num.gcd(den).degree == 0)
             closed = search._row_total(q, d, e, search._totient(den))
@@ -155,7 +156,7 @@ def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_
             screen = search._Screen(field, kind, marked, avoided)
             rows = search._RowSearch(field, screen)
             for d in range(1, d_max + 1):
-                for e, _, den in search._rows(field, d, 0, search._row_count(q, d)):
+                for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
                     roots = [r for r in field.elements() if den.evaluate(r).is_zero]
                     allowed = rows.allowed_values(d, e, den)
                     built = [] if allowed is None else [search._code(field, n) for n in rows.numerators(d, allowed)]
@@ -271,8 +272,6 @@ def test_orbit_leaders_meet_every_orbit_once(field, marked, avoided, order, top)
             orbits.add(frozenset(search._code(field, den.compose(line).monic().values) for line in group))
         leaders = [code for code in range(q ** e, 2 * q ** e) if rows.leads(e, code)]
         assert sorted(min(orbit) for orbit in orbits) == leaders, e
-        base = search._row_count(q, e - 1)
-        assert rows.leader_rows(e)[-len(leaders):] == [base + code - q ** e for code in leaders]
 
 
 def test_screen_hit_rejected_by_the_verifier_is_an_internal_error(monkeypatch):
@@ -369,28 +368,104 @@ def run_worker_cases(worker_counts):
                 assert verify(w, inst.S, inst.T).passed
 
 
+def _recording_map(results):
+    """A mapper like map that also keeps each (stride, result) it hands back."""
+
+    def mapper(fn, strides):
+        for stride in strides:
+            results.append((stride, fn(stride)))
+            yield results[-1][1]
+
+    return mapper
+
+
+def _round(field, marked, avoided=(), kind="tame"):
+    inst = BelyiInstance(field, marked, avoided)
+    return search._RowSearch(field, search._Screen(field, kind, inst.S, inst.T))
+
+
 def test_search_workers_do_not_change_the_answer():
     run_worker_cases((1, 2, 3))
+    # the hit of the F_7 case lies in row 5, which is in stride 1 of 2 and stride 2 of 3
     last = parse_ratmap(F7, "num=3,2/den=4,1")
-    inst = BelyiInstance(F7, ["1", "2", "3"], [])
-    rows = search._RowSearch(F7, search._Screen(F7, "tame", inst.S, inst.T))
+    index = _row_index(F7, last.den)
+    rows = _round(F7, ["1", "2", "3"])
     for workers in (2, 3):
-        assert _row_index(F7, last.den) in search._blocks(rows, 1, workers)[-1]
+        results = []
+        assert search._scan_blocks(_recording_map(results), rows, 1, workers) == (last, 225)
+        assert index % workers != 0
+        assert dict(results)[range(index % workers, 8, workers)][:2] == (last, index)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_blocks_share_the_orbit_leaders_equally(workers):
-    """The blocks of a degree are contiguous, cover every row once and hold
-    equal shares of the rows that lead their orbits, up to one row."""
+def test_strides_partition_the_rows(workers):
+    """A degree's rows go to workers strides range(w, total, workers), one per
+    worker, and every row lies in exactly one; _rows reads a stride's rows as
+    the whole range does.  With a nontrivial group most rows lead no orbit."""
     for marked, d in ((p1_points(F5), 4), (["0", "1", "2", "3"], 3), ([], 3)):
-        inst = BelyiInstance(F5, marked, [])
-        rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
-        blocks = search._blocks(rows, d, workers)
-        assert [i for block in blocks for i in block] == list(range(search._row_count(5, d)))
-        leaders = set(rows.leader_rows(d))
-        shares = [len(leaders.intersection(block)) for block in blocks]
-        assert max(shares) - min(shares) <= 1, (marked, shares)
-        assert len(leaders) < search._row_count(5, d)
+        rows = _round(F5, marked)
+        total = search._row_count(5, d)
+        results = []
+        search._scan_blocks(_recording_map(results), rows, d, workers)
+        strides = [stride for stride, _ in results]
+        assert strides == [range(w, total, workers) for w in range(workers)]
+        assert sorted(i for stride in strides for i in stride) == list(range(total))
+        whole = [(i, e, code) for i, e, code, _ in search._rows(F5, range(total))]
+        for stride in strides:
+            assert [(i, e, code) for i, e, code, _ in search._rows(F5, stride)] == [whole[i] for i in stride]
+        leaders = [i for i, e, code in whole if rows.leads(e, code)]
+        assert len(leaders) < total, marked
+    # leaders are least codes, yet two strides share those of P^1(F_5) at d = 4 evenly: 27 and 26 of 53
+    rows, total = _round(F5, p1_points(F5)), search._row_count(5, 4)
+    shares = [sum(rows.leads(e, code) for _, e, code, _ in search._rows(F5, range(w, total, 2))) for w in (0, 1)]
+    assert shares == [27, 26]
+
+
+def test_the_least_of_several_stride_hits_wins():
+    """When several strides return a hit, the one with the least row index is
+    the stream's first: same witness and count as the serial scan.  Over F_7 the
+    hits lie in rows 5 and 6, so with 2 or 3 workers stride 0 returns row 6 and
+    a later stride the first hit, row 5."""
+    for field, marked, d in ((F7, ["1", "2", "3"], 1), (F5, ["0", "1", "2"], 2), (F3, ["0", "1"], 2)):
+        rows = _round(field, marked)
+        want = search._scan(enumerate_candidates(field, d), rows.screen)
+        assert search._scan_blocks(map, rows, d, 1) == want
+        for workers in (2, 3, 5):
+            results = []
+            assert search._scan_blocks(_recording_map(results), rows, d, workers) == want, (marked, workers)
+            indices = [hit[1] for _, hit in results if hit is not None]
+            assert len(indices) >= 2 and min(indices) == _row_index(field, want[0].den), (marked, workers)
+
+
+def test_a_stride_ends_past_the_shared_index(monkeypatch):
+    """In a worker a stride ends at its first row past the shared least hit
+    index and reports None, and its own hit lowers the index to its row.  Every
+    value a race can leave there is the row of some hit, and with any such
+    value the stride that holds the first hit still returns it."""
+    rows = _round(F5, ["0", "1", "2", "3"])
+    total = search._row_count(5, 2)
+    want = rows.scan(2, range(total))
+    first = want[1]
+    strides = [range(w, total, 4) for w in range(4)]
+    stride = strides[first % 4]
+    assert str(want[0]) == "num=4,4,2/den=0,0,1" and first % 4 != 0
+    least = multiprocessing.RawValue("q", sys.maxsize)
+    monkeypatch.setattr(search, "_least_hit", least)
+    assert rows.scan(2, stride) == want and least.value == first
+    least.value = first - 1
+    assert rows.scan(2, stride) is None
+    least.value = -1
+    assert rows.scan(2, range(total)) is None
+    # the rows whose scan reports a hit, each scanned alone with no shared index
+    monkeypatch.setattr(search, "_least_hit", None)
+    hit_rows = [i for i in range(total) if rows.scan(2, range(i, i + 1)) is not None]
+    assert len(hit_rows) >= 2 and hit_rows[0] == first
+    monkeypatch.setattr(search, "_least_hit", least)
+    for raced in hit_rows:
+        least.value = raced
+        hits = [hit for hit in map(functools.partial(rows.scan, 2), strides) if hit is not None]
+        assert min(hits, key=lambda hit: hit[1]) == want and least.value == first, raced
+        assert all(first < hit[1] <= raced for hit in hits if hit != want)
 
 
 def test_parallel_searches_do_not_hang():
@@ -411,21 +486,6 @@ def test_parallel_searches_do_not_hang():
         child.communicate()
         pytest.fail("70 parallel searches did not finish in 120 s")
     assert child.returncode == 0, err
-
-
-def test_a_stopped_block_reports_nothing(monkeypatch):
-    """A worker whose stop flag is set ends its block at the next row, with no
-    result; an unset flag changes nothing."""
-    inst = BelyiInstance(F5, ["0", "1", "2", "3"], [])
-    rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
-    block = range(search._row_count(5, 2))
-    want = rows.scan(2, block)
-    assert str(want[0]) == "num=4,4,2/den=0,0,1"
-    stop = multiprocessing.Event()
-    monkeypatch.setattr(search, "_stop_flag", stop)
-    assert rows.scan(2, block) == want
-    stop.set()
-    assert rows.scan(2, block) is None
 
 
 def test_search_workers_keep_a_custom_modulus():
@@ -503,14 +563,14 @@ def test_randomized_mode_counts_budget():
 
 
 def test_exhaustive_guard_suggests_randomized():
-    # the default field list includes F_{q^2}, which blows the budget at d_max 2
-    spec = SearchSpec(BelyiInstance(F5, [], []), "tame", 2)
+    # the default field list includes F_{q^2}, which blows the budget at d_max 3
+    spec = SearchSpec(BelyiInstance(F5, [], []), "tame", 3)
     with pytest.raises(GuardExceededError) as err:
         minimal_belyi_degree(spec)
     assert "randomized" in str(err.value)
-    # q^(2 d_max + 2) = 5^8002 is refused from its bit length, never printed in full
+    # q^(2 d_max + 1) = 5^8001 is refused from its bit length, never printed in full
     spec = SearchSpec(BelyiInstance(F5, list(p1_points(F5)), []), "tame", 4000, fields=[F5])
-    with pytest.raises(GuardExceededError, match=r"5\^8002 \(more than 10\^\d+\) pairs") as err:
+    with pytest.raises(GuardExceededError, match=r"5\^8001 \(more than 10\^\d+\) candidates") as err:
         minimal_belyi_degree(spec)
     assert "randomized" in str(err.value)
 
