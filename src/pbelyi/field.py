@@ -828,7 +828,7 @@ class EmbeddingMap:
         powers = [target.one]
         for _ in range(source.n - 1):
             powers.append(powers[-1] * image_of_generator)
-        self._powers = tuple(w.coords for w in powers)
+        self._powers = tuple(w.value for w in powers)
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.field != self.source:
@@ -836,13 +836,19 @@ class EmbeddingMap:
         return FieldElement(self.target, self.image_value(a.value))
 
     def image_value(self, a):
-        """The image of a source value, as a target value: sum a_i * gen^i over F_p."""
-        acc = [0] * self.target.n
-        for c, w in zip(self.source.coords(a), self._powers):
+        """The image of a source value, as a target value: sum a_i * gen^i over F_p, by the target's value ops.
+
+        A constant c of F_p has code c in every field, so a_0 * gen^0 is the
+        target value of code a_0.
+        """
+        target = self.target
+        add, mul, from_code = target.add, target.mul, target.from_code
+        coords = self.source.coords(a)
+        acc = from_code(coords[0])
+        for c, w in zip(coords[1:], self._powers[1:]):
             if c:
-                for i, x in enumerate(w):
-                    acc[i] += c * x
-        return self.target.value_of(acc)
+                acc = add(acc, mul(from_code(c), w))
+        return acc
 
     def __repr__(self) -> str:
         return f"EmbeddingMap({self.source} -> {self.target})"
@@ -859,7 +865,8 @@ class EmbeddingMap:
             raise PreconditionError("element is not in the embedding's target field")
         p, rows, ncols = self.source.p, self.target.n, self.source.n
         # Solve sum_i x_i * gen^i = a.coords over F_p by Gaussian elimination.
-        aug = [[w[r] for w in self._powers] + [a.coords[r]] for r in range(rows)]
+        cols = [self.target.coords(w) for w in self._powers]
+        aug = [[w[r] for w in cols] + [a.coords[r]] for r in range(rows)]
         pivots = []
         row = 0
         for col in range(ncols):

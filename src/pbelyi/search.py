@@ -16,7 +16,8 @@ works row by row:
   and the count is closed form: q^(2d - 1) (q^2 - 1), the number of maps of
   degree d, for a degree with no hit; for a hit, the bands of lower-degree
   denominators, the rows of its own band before it by the polynomial totient
-  Phi(D), and its place, which is its place in enumerate_candidates.
+  Phi(D), and its place in its row, Phi(D) per block of q^e numerator codes
+  before the hit's block (_place), so no row is rebuilt to count.
 
 Only one row per orbit is screened.  Let G be the group of maps
 sigma(x) = bx + a with sigma(S) = S and sigma(T) = T for the marked set S and
@@ -69,7 +70,7 @@ import sys
 from .constructions import BelyiInstance, _as_field
 from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
 from .factor import DEFAULT_SEED, distinct_degree, squarefree_decomposition
-from .field import FiniteField, digits, embed
+from .field import FiniteField, _trim, digits, embed
 from .poly import Polynomial, value_at
 from .ramification import _infinity_orbit, verify_tame_belyi, verify_wild_belyi
 from .ratmap import RationalMap, disjoint, point_set, wronskian
@@ -97,7 +98,8 @@ def enumerate_candidates(field, d):
 
     Order: denominator first by (degree, coefficient code), then numerator
     by coefficient code, little-endian base-q codes.  The search counts a
-    hit's place in this stream.
+    hit's place in this stream in closed form (_place); this generator,
+    which builds every map of each row, is its oracle in the tests.
     """
     field = _as_field(field)
     if not isinstance(d, int) or d < 1:
@@ -141,6 +143,32 @@ def _row_stream(field, d, e, den):
         f = RationalMap(_poly_from_code(field, code, d + 1), den)
         if f.degree == d:
             yield f
+
+
+def _coprime(field, d, code, den):
+    """Whether the numerator of degree <= d with this code is prime to den, by Euclid on value tuples."""
+    a, b = _trim([field.from_code(c) for c in digits(code, field.q, d + 1)], field.zero_value), den.values
+    while b:
+        a, b = b, field.pdivmod(a, b)[1]
+    return len(a) == 1
+
+
+def _place(field, d, e, den, code):
+    """The 1-based place in _row_stream(field, d, e, den) of the numerator with this code, in closed form.
+
+    In a block of the q^e codes N = H x^e + L that share H, N mod D runs over
+    every residue once, so the block holds Phi(D) candidates.  With e = d the
+    row starts at code 1, and its first block at 0 counts in full: N = 0 is
+    not prime to D.
+    """
+    q, block = field.q, field.q ** e
+    if code not in _row_codes(q, d, e):
+        raise InternalInconsistencyError(f"numerator code {code} lies outside the row of {den} at degree {d}")
+    if not _coprime(field, d, code, den):
+        raise InternalInconsistencyError(f"numerator code {code} is not prime to {den}, so not in its row")
+    blocks = code // block - (q ** (d - e) if e < d else 0)
+    inside = sum(_coprime(field, d, k, den) for k in range(code - code % block, code))
+    return (blocks * _totient(den) if blocks else 0) + inside + 1
 
 
 def _row_total(q, d, e, phi):
@@ -534,8 +562,8 @@ class _RowSearch:
         denominator leads its orbit builds only the numerators that meet the
         points and screens them by ramification; every other row has a hit
         exactly when its orbit's leader has one, which comes earlier in the
-        stream.  The place counts the hit's row stream up to and including
-        the hit.  In a pool worker the stride ends at its first row past the
+        stream.  _place counts the hit's place in its row in closed form.
+        In a pool worker the stride ends at its first row past the
         shared least hit index and reports None, and a hit lowers that index
         to its row.
         """
@@ -553,8 +581,7 @@ class _RowSearch:
                         if f.degree == d and screen.ramified(f):
                             if least is not None:
                                 least.value = min(least.value, index)
-                            place = next(i for i, g in enumerate(_row_stream(fld, d, e, den), 1) if g == f)
-                            return screen.certify(f), index, place
+                            return screen.certify(f), index, _place(fld, d, e, den, _code(fld, vals))
         return None
 
 

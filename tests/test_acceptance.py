@@ -219,6 +219,24 @@ def test_criterion_7_search_finds_the_minimal_tame_degree_over_f7():
     _finish(7, 10.0, started)
 
 
+def test_criterion_7_search_counts_a_hit_past_the_first_block_of_its_row():
+    """Over F_7 the first tame map of degree <= 4 that sends 0, ..., 5 into
+    {0, 1, inf} has denominator x^4 and numerator code 6626, in the third
+    block of 7^4 codes of its row, so its place counts two blocks by Phi(x^4)
+    before the codes of its own block.  Two workers find the same hit at the
+    same count."""
+    started = time.perf_counter()
+    inst = BelyiInstance(F7, [str(k) for k in range(6)], [])
+    spec = SearchSpec(inst, "tame", 4, fields=[F7])
+    for workers in (1, 2):
+        res = minimal_belyi_degree(spec, workers=workers, guard=10 ** 13)
+        assert res["degree"] == 4 and res["exhausted"] is True
+        assert str(res["witness"]) == "num=4,1,2,5,2/den=0,0,0,0,1"
+        assert res["candidates_tested"] == 5770474
+        assert verify_tame_belyi(res["witness"], inst.S, ()).passed
+    _finish(7, 10.0, started)
+
+
 def test_criterion_7_search_exhausts_q9_up_to_degree_5():
     """No tame Belyi map of degree <= 5 over F_9 sends all of P^1(F_9) into
     {0, 1, inf}; x^8 does, so the least degree over F_9 is 7 or 8.  With no

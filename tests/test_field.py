@@ -321,6 +321,24 @@ def test_embed_properties():
             assert eps(a * b) == eps(a) * eps(b)
 
 
+@pytest.mark.parametrize("source, target", [((5, 1), (5, 2)), ((3, 2), (3, 6)), ((3, 3), (3, 6)), ((5, 1), (5, 6)), ((5, 2), (5, 6))])
+def test_embedding_images_match_the_coordinate_sum(source, target):
+    """image_value sums a_i gen^i with the target's value ops; it agrees with
+    the sum taken on coordinates mod p for every source element, into tabled
+    targets and into F_{5^6}, above TABLE_LIMIT."""
+    src, tgt = FiniteField(*source), FiniteField(*target)
+    assert (tgt._log is None) == (tgt.q > field_module.TABLE_LIMIT)
+    eps = embed(src, tgt)
+    p, gen = tgt.p, eps.image_of_generator
+    powers = [(gen ** i).coords for i in range(src.n)]
+    for k in range(src.q):
+        a = src.from_code(k)
+        acc = [0] * tgt.n
+        for c, w in zip(src.coords(a), powers):
+            acc = [x + c * y for x, y in zip(acc, w)]
+        assert eps.image_value(a) == tgt.value_of([x % p for x in acc])
+
+
 def test_embed_picks_lexicographically_smallest_root():
     from pbelyi.factor import roots
     from pbelyi.poly import Polynomial

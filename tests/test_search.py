@@ -98,6 +98,41 @@ def test_row_counts_match_a_gcd_count(field, d_max):
         assert sum(bands) == q ** (2 * d - 1) * (q * q - 1)
 
 
+@pytest.mark.parametrize("field, d_max, every", [(F3, 3, True), (F5, 2, True), (F9, 2, False)], ids=["q3", "q5", "q9"])
+def test_places_match_the_row_stream(field, d_max, every):
+    """_place, counted by blocks of q^e codes, is the 1-based index of the
+    numerator in _row_stream: every numerator of every row over F_3 and F_5,
+    and over F_9 the first and last numerator of each block of every row,
+    which include the row's first and last.  Rows with e = 0, 0 < e < d and
+    e = d all occur."""
+    q, kinds = field.q, set()
+    for d in range(1, d_max + 1):
+        for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
+            kinds.add(0 if e == 0 else 2 if e == d else 1)
+            stream = list(search._row_stream(field, d, e, den))
+            places = {search._code(field, f.num.values): i for i, f in enumerate(stream, 1)}
+            if not every:
+                ends = set()
+                for _, block in itertools.groupby(sorted(places), key=lambda code: code // q ** e):
+                    block = list(block)
+                    ends.update((block[0], block[-1]))
+                places = {code: places[code] for code in ends}
+            assert {code: search._place(field, d, e, den, code) for code in places} == places, (str(den), d)
+    assert kinds == {0, 1, 2}
+
+
+def test_a_place_outside_its_row_or_not_prime_to_d_is_an_internal_error():
+    """The scan's hit must be a candidate of its row; _place raises, not asserts, when it is not."""
+    x2, x = search._poly_from_code(F5, 25, 3), search._poly_from_code(F5, 5, 2)
+    assert search._place(F5, 2, 2, x2, 1) == 1 and search._place(F5, 2, 1, x, 26) == 1
+    for d, e, den, code in [(2, 2, x2, 0), (2, 2, x2, 125), (2, 1, x, 24), (2, 1, x, 125)]:
+        with pytest.raises(InternalInconsistencyError, match="outside the row"):
+            search._place(F5, d, e, den, code)
+    for d, e, den, code in [(2, 2, x2, 5), (2, 1, x, 25), (2, 1, x, 120)]:  # x, x^2 and 4x^2 + 4x share x
+        with pytest.raises(InternalInconsistencyError, match="not prime to"):
+            search._place(F5, d, e, den, code)
+
+
 def _splits(field, sample=None, seed=0):
     """Splits of P^1(field) into marked and avoided points, every one or a seeded sample."""
     pts = p1_points(field)

@@ -76,3 +76,17 @@ def test_importing_the_package_leaves_multiprocessing_unloaded():
     script = f"import sys; sys.path.insert(0, {src!r}); import pbelyi; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_only_the_enumeration_rebuilds_a_row():
+    """The search counts a hit's place in closed form, search._place, so inside
+    the library only enumerate_candidates names _row_stream, the row rebuilt
+    map by map, and no count path rebuilds a row."""
+    found, used = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        allowed = {line for f in funcs if f.name == "enumerate_candidates" for line, name in _names(f) if name == "_row_stream"}
+        used += allowed
+        found += [f"{path.name}:{line}" for line, name in _names(tree) if name == "_row_stream" and line not in allowed]
+    assert used and found == []
