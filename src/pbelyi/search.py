@@ -10,8 +10,8 @@ works row by row:
   D alone decides, is skipped whole.
 - In the other rows only the numerators with allowed values, nonzero at the
   roots of D in the field, are built, by interpolation at the constrained
-  points, and they go in code order through a cheap exact screen built on
-  the Riemann-Hurwitz count.
+  points, less those that a symmetry decides (below), and they go in code
+  order through a cheap exact screen built on the Riemann-Hurwitz count.
 - A stride of rows reports only its first hit, with the hit's row and place,
   and the count is closed form: q^(2d - 1) (q^2 - 1), the number of maps of
   degree d, for a degree with no hit; for a hit, the bands of lower-degree
@@ -32,6 +32,15 @@ finds the same witness at the same place as a scan of every row.  The orbits of 
 denominators of one degree are found by one sweep over their codes, the first
 time a row of that degree meets the points; G is built then too.  A trivial G
 makes every row a leader.
+
+Candidates that a symmetry decides are not screened.  For mu one of the six
+Moebius maps that permute {0, 1, inf}, mu o f (made monic) is a candidate of
+the same degree that passes exactly when f does, so f is never the first hit
+when mu o f comes earlier.  In band d (deg D = d) f(inf) = N_d, and a tame
+search drops N_d in {0, 1}, where 1/f or f/(f - 1) lies in a lower band; a
+stride never enters a band whose set at inf is empty.  In a row, N is screened
+only when its code is at most that of D - N, the numerator of 1 - f, which
+fixes inf and so serves the wild search too.
 
 The randomized mode draws candidates of every row at random and runs the
 whole screen on each.
@@ -88,6 +97,11 @@ def _init_worker(least):
     _least_hit = least
 
 
+def _positive_int(k):
+    """Whether k is an int of at least 1; a bool is no count."""
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 1
+
+
 def _poly_from_code(field, code, length):
     """The polynomial whose length coefficients are the base-q digits of code."""
     return Polynomial._from_values(field, [field.from_code(c) for c in digits(code, field.q, length)])
@@ -102,7 +116,7 @@ def enumerate_candidates(field, d):
     which builds every map of each row, is its oracle in the tests.
     """
     field = _as_field(field)
-    if not isinstance(d, int) or d < 1:
+    if not _positive_int(d):
         raise PreconditionError("degree must be a positive integer, got %r" % (d,))
     for _, e, _, den in _rows(field, range(_row_count(field.q, d))):
         yield from _row_stream(field, d, e, den)
@@ -145,11 +159,11 @@ def _row_stream(field, d, e, den):
             yield f
 
 
-def _coprime(field, d, code, den):
-    """Whether the numerator of degree <= d with this code is prime to den, by Euclid on value tuples."""
-    a, b = _trim([field.from_code(c) for c in digits(code, field.q, d + 1)], field.zero_value), den.values
+def _coprime(field, a, b):
+    """Whether the polynomials with the trimmed value tuples a and b, b nonzero, are coprime, by Euclid."""
+    pdivmod = field.pdivmod
     while b:
-        a, b = b, field.pdivmod(a, b)[1]
+        a, b = b, pdivmod(a, b)[1]
     return len(a) == 1
 
 
@@ -162,12 +176,13 @@ def _place(field, d, e, den, code):
     not prime to D.
     """
     q, block = field.q, field.q ** e
+    coprime = lambda k: _coprime(field, _poly_from_code(field, k, d + 1).values, den.values)
     if code not in _row_codes(q, d, e):
         raise InternalInconsistencyError(f"numerator code {code} lies outside the row of {den} at degree {d}")
-    if not _coprime(field, d, code, den):
+    if not coprime(code):
         raise InternalInconsistencyError(f"numerator code {code} is not prime to {den}, so not in its row")
     blocks = code // block - (q ** (d - e) if e < d else 0)
-    inside = sum(_coprime(field, d, k, den) for k in range(code - code % block, code))
+    inside = sum(map(coprime, range(code - code % block, code)))
     return (blocks * _totient(den) if blocks else 0) + inside + 1
 
 
@@ -214,11 +229,11 @@ class SearchSpec:
             raise PreconditionError("instance must be a BelyiInstance")
         if kind not in ("tame", "wild"):
             raise PreconditionError("kind must be 'tame' or 'wild', got %r" % (kind,))
-        if not isinstance(d_max, int) or d_max < 1:
+        if not _positive_int(d_max):
             raise PreconditionError("d_max must be a positive integer, got %r" % (d_max,))
         if mode not in ("exhaustive", "randomized"):
             raise PreconditionError("mode must be 'exhaustive' or 'randomized'")
-        if not isinstance(budget, int) or budget < 1:
+        if not _positive_int(budget):
             raise PreconditionError("budget must be a positive integer")
         base = instance.field
         if fields is None:
@@ -258,15 +273,19 @@ def _rad_degree(g):
     return sum(h.degree for h, _ in squarefree_decomposition(g))
 
 
-def _tame_root_count(g):
-    """deg g - deg gcd(g, g'): the number of distinct roots of g with multiplicity prime to p.
+def _tame_root_count(field, g):
+    """deg g - deg gcd(g, g'), g a trimmed value tuple: the distinct roots of g with multiplicity prime to p.
 
     A root of multiplicity e divides g' exactly e - 1 times when p does not
     divide e and at least e times when it does, so it adds 1 or 0.  This is
     at most _rad_degree(g), with equality when no multiplicity is a multiple
     of p.
     """
-    return g.degree - g.gcd(g.derivative()).degree
+    mul, value_of, pdivmod = field.mul, field.value_of, field.pdivmod
+    a, b = g, _trim([mul(c, value_of(i)) for i, c in enumerate(g) if i], field.zero_value)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return len(g) - len(a)
 
 
 class _Screen:
@@ -344,7 +363,7 @@ class _Screen:
         if self.kind == "tame":
             polys = (num, num - den, den)
             at_infinity = self._special_at(num.values, den.values, d, None)
-            if sum(map(_tame_root_count, polys)) + at_infinity != d + 2:
+            if sum(_tame_root_count(self.field, g.values) for g in polys) + at_infinity != d + 2:
                 return False
             return sum(map(_rad_degree, polys)) + at_infinity == d + 2
         w = wronskian(f)
@@ -503,44 +522,58 @@ class _RowSearch:
             out = self._nodes[key] = (basis, multiples)
         return out
 
-    def allowed_values(self, d, e, den):
+    def at_infinity(self, d, e):
+        """The x^d coefficients N_d allowed in band e, the rows with deg D = e; an empty set skips the band.
+
+        Below band d, f(inf) = inf and N_d != 0; in band d, f(inf) = N_d, and
+        a tame search drops 0 and 1 (module docstring).
+        """
+        fld, screen, below = self.field, self.screen, e < d
+        allowed = self._nonzero if below else frozenset(self._elements[2 if screen.kind == "tame" else 0 :])
+        for x, want in screen.constraints:
+            if x is None:  # D(inf), the x^d coefficient of D, is 0 below band d and 1 in it
+                allowed = allowed & screen.allowed(fld.zero_value if below else fld.one_value, want)
+        return allowed
+
+    def allowed_values(self, d, e, den, at_infinity):
         """The values N(x) allowed at each constrained point x of a row, or None when a point allows none.
 
         Each marked or avoided point x allows a set of values N(x), given by
-        D(x); at inf the value is the x^d coefficient.  An empty set skips
-        the row.  At a root r of D in the field N(r) must be nonzero, since
-        otherwise x - r divides N and D and N/D has a lower degree.
+        D(x); at inf the band's set.  An empty set skips the row.  At a root r
+        of D in the field N(r) must be nonzero, since otherwise x - r divides
+        N and D and N/D has a lower degree.
         """
         fld, screen = self.field, self.screen
         zero, dvals = fld.zero_value, den.values
-        allowed_at = {}
+        allowed_at = {None: at_infinity}
         for x, want in screen.constraints:
-            allowed = allowed_at[x] = screen.allowed(value_at(fld, dvals, d, x), want)
-            if not allowed:
-                return None
+            if x is not None:
+                allowed = allowed_at[x] = screen.allowed(value_at(fld, dvals, d, x), want)
+                if not allowed:
+                    return None
         if e:
             # an allowed set at a root of D is all of the field (or empty), so this narrows it
             allowed_at.update((r, self._nonzero) for r in self._elements if value_at(fld, dvals, d, r) == zero)
-        if e < d:  # the row's numerators have degree d (and f(inf) = inf leaves inf free)
-            allowed_at[None] = self._nonzero
         return allowed_at
 
-    def numerators(self, d, allowed_at):
-        """The numerators of a row's candidates with the allowed values, in code order, as value lists.
+    def numerators(self, d, den, allowed_at):
+        """(code, N, D - N), N and D - N trimmed value tuples, for a row's numerators to screen, in code order.
 
-        N is interpolated at up to d + 1 constrained affine points, N = L + M H
-        with M the product of x - s over them, and checked at the other
-        points and at inf.  A numerator built may still share with D a
-        factor that has no root in the field; RationalMap drops it.
+        These have the allowed values and a code at most that of D - N (module
+        docstring).  N is interpolated at up to d + 1 constrained affine points,
+        N = L + M H with M the product of x - s over them, and checked at the
+        other points and at inf.  A numerator built may still share with D a
+        factor that has no root in the field.
         """
         fld = self.field
-        q, zero = fld.q, fld.zero_value
+        q, zero, dvals = fld.q, fld.zero_value, den.values
         narrow = [(x, allowed) for x, allowed in allowed_at.items() if len(allowed) < q]
         nodes = sorted((node for node in narrow if node[0] is not None), key=lambda node: len(node[1]))
         head, tail = nodes[: d + 1], [node for node in narrow if node[0] is None] + nodes[d + 1 :]
         k = len(head)
         basis, multiples = self._interpolation(tuple(x for x, _ in head), d)
-        add, mul = fld.add, fld.mul
+        add, sub, mul = fld.add, fld.sub, fld.mul
+        dtail = list(dvals) + [zero] * (d + 1 - len(dvals))
         found = []
         for vals in itertools.product(*(allowed for _, allowed in head)):
             low = [zero] * k
@@ -549,39 +582,54 @@ class _RowSearch:
             for m in multiples:
                 n = [add(a, b) for a, b in zip(low, m)] + m[k:]
                 if all(value_at(fld, n, d, x) in allowed for x, allowed in tail):
-                    code = _code(fld, n)
-                    if code:  # N = 0 lies outside every row
-                        found.append((code, n))
+                    code, rest = _code(fld, n), [sub(b, a) for a, b in zip(n, dtail)]
+                    if code and code <= _code(fld, rest):  # N = 0 lies outside every row
+                        found.append((code, _trim(n, zero), _trim(rest, zero)))
         found.sort()
-        return [n for _, n in found]
+        return found
 
     def scan(self, d, indices):
         """(first certified hit, its row index, its place in the row) in a stride of rows, or None.
 
-        The stride is an ascending range of row indices.  A row whose
-        denominator leads its orbit builds only the numerators that meet the
-        points and screens them by ramification; every other row has a hit
-        exactly when its orbit's leader has one, which comes earlier in the
-        stream.  _place counts the hit's place in its row in closed form.
-        In a pool worker the stride ends at its first row past the
-        shared least hit index and reports None, and a hit lowers that index
-        to its row.
+        The stride is an ascending range of row indices, and it enters only
+        the bands with a set at inf.  A row whose denominator leads its orbit
+        builds only the numerators to screen, and maps only those prime to D
+        whose tame count, D's share taken once per row, reaches d + 2; every
+        other row has a hit exactly when its orbit's leader has one, which
+        comes earlier in the stream.  _place counts the hit's place in its row
+        in closed form.  In a pool worker the stride ends at its first row past
+        the shared least hit index and reports None, and a hit lowers that
+        index to its row.
         """
         fld, screen, least = self.field, self.screen, _least_hit
-        for index, e, code, den in _rows(fld, indices):
-            if least is not None and index > least.value:
-                return None
-            # a degree is swept when one of its rows first meets the points; from then on the
-            # leader test comes first, so rows that lead no orbit are not evaluated
-            if e not in self._leaders or self.leads(e, code):
-                allowed_at = self.allowed_values(d, e, den)
-                if allowed_at is not None and self.leads(e, code):
-                    for vals in self.numerators(d, allowed_at):
-                        f = RationalMap(Polynomial._from_values(fld, vals), den)
-                        if f.degree == d and screen.ramified(f):
+        tame, start, step = screen.kind == "tame", indices.start, indices.step
+        for e in range(d + 1):
+            at_infinity = self.at_infinity(d, e)
+            if not at_infinity:
+                continue
+            lo, hi = _row_count(fld.q, e - 1), _row_count(fld.q, e)  # band e's row indices lie in [lo, hi)
+            for index, _, code, den in _rows(fld, indices[len(range(start, lo, step)) : len(range(start, hi, step))]):
+                if least is not None and index > least.value:
+                    return None
+                # a degree is swept when one of its rows first meets the points; from then on the
+                # leader test comes first, so rows that lead no orbit are not evaluated
+                if e in self._leaders and not self.leads(e, code):
+                    continue
+                allowed_at = self.allowed_values(d, e, den, at_infinity)
+                if allowed_at is None or not self.leads(e, code):
+                    continue
+                # the tame count less D's share; f(inf) is inf below band d, and N_d, not 0 or 1, in band d
+                dvals = den.values
+                share = d + 2 - (e < d) - _tame_root_count(fld, dvals) if tame else None
+                for ncode, num, rest in self.numerators(d, den, allowed_at):
+                    if tame and _tame_root_count(fld, num) + _tame_root_count(fld, rest) != share:
+                        continue
+                    if _coprime(fld, num, dvals):
+                        f = RationalMap(Polynomial._from_trimmed(fld, num), den)
+                        if screen.ramified(f):
                             if least is not None:
                                 least.value = min(least.value, index)
-                            return screen.certify(f), index, _place(fld, d, e, den, _code(fld, vals))
+                            return screen.certify(f), index, _place(fld, d, e, den, ncode)
         return None
 
 
@@ -629,7 +677,7 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
     """
     if not isinstance(spec, SearchSpec):
         raise PreconditionError("spec must be a SearchSpec")
-    if not isinstance(workers, int) or workers < 1:
+    if not _positive_int(workers):
         raise PreconditionError("workers must be a positive integer")
     exhaustive = spec.mode == "exhaustive"
     if exhaustive:

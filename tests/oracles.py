@@ -56,6 +56,11 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return out
 
 
+def tame_root_count(g: Polynomial) -> int:
+    """deg g - deg gcd(g, g') on Polynomials: the distinct roots of g whose multiplicity p does not divide."""
+    return g.degree - g.gcd(g.derivative()).degree
+
+
 def sym_count_bounds_check(q: int, A: int, r: int, value) -> bool:
     """Strict two-sided envelope for a symmetric-product count.
 

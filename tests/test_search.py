@@ -22,6 +22,8 @@ from pbelyi import search
 from pbelyi.ramification import BelyiVerdict
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
 
+from oracles import tame_root_count
+
 F3 = FiniteField(3, 1)
 F5 = FiniteField(5, 1)
 F7 = FiniteField(7, 1)
@@ -121,6 +123,23 @@ def test_places_match_the_row_stream(field, d_max, every):
     assert kinds == {0, 1, 2}
 
 
+@pytest.mark.parametrize("field, d_max", [(F3, 3), (F5, 2), (F9, 2)], ids=["q3", "q5", "q9"])
+def test_value_tuple_paths_match_the_polynomial_paths(field, d_max):
+    """The scan's fast paths on value tuples: _coprime(N, D) holds exactly
+    when RationalMap(N, D) keeps degree d, and _tame_root_count equals
+    deg g - deg gcd(g, g') on Polynomials for g = N and N - D, for every
+    numerator N of every row."""
+    q, polys = field.q, {}
+    for d in range(1, d_max + 1):
+        for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
+            for code in search._row_codes(q, d, e):
+                num = search._poly_from_code(field, code, d + 1)
+                assert search._coprime(field, num.values, den.values) == (RationalMap(num, den).degree == d)
+                polys.update((g.values, g) for g in (num, num - den))
+    for values, g in polys.items():
+        assert search._tame_root_count(field, values) == tame_root_count(g), str(g)
+
+
 def test_a_place_outside_its_row_or_not_prime_to_d_is_an_internal_error():
     """The scan's hit must be a candidate of its row; _place raises, not asserts, when it is not."""
     x2, x = search._poly_from_code(F5, 25, 3), search._poly_from_code(F5, 5, 2)
@@ -182,9 +201,11 @@ def test_row_scan_matches_the_stream_scan(field, d_max, splits):
 
 @pytest.mark.parametrize("field, d_max, splits", GRIDS, ids=GRID_IDS)
 def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_max, splits):
-    """The row filter builds a row's numerators N that meet the points and
-    have N(r) != 0 at every root r of D in the field: the others either fail
-    the points or share x - r with D, so they are no candidate of the row."""
+    """The row filter builds a row's numerators N that meet the points, have
+    N(r) != 0 at every root r of D in the field and a code no greater than
+    that of D - N, and, in band d of a tame search, N_d not in {0, 1}: the
+    others fail the points, share x - r with D, or have 1 - f, 1/f or
+    f/(f - 1) earlier in the stream.  Each comes with its code and D - N."""
     q = field.q
     for marked, avoided in splits:
         for kind in ("tame", "wild"):
@@ -193,14 +214,77 @@ def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_
             for d in range(1, d_max + 1):
                 for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
                     roots = [r for r in field.elements() if den.evaluate(r).is_zero]
-                    allowed = rows.allowed_values(d, e, den)
-                    built = [] if allowed is None else [search._code(field, n) for n in rows.numerators(d, allowed)]
+                    allowed = rows.allowed_values(d, e, den, rows.at_infinity(d, e))
+                    built = [] if allowed is None else rows.numerators(d, den, allowed)
                     meet = []
                     for code in search._row_codes(q, d, e):
                         num = search._poly_from_code(field, code, d + 1)
-                        if screen.meets_points(num.values, den.values, d) and not any(num.evaluate(r).is_zero for r in roots):
-                            meet.append(code)
+                        if (
+                            screen.meets_points(num.values, den.values, d)
+                            and not any(num.evaluate(r).is_zero for r in roots)
+                            and code <= search._code(field, (den - num).values)
+                            and not (kind == "tame" and e == d and num.coeff(d) in (field.zero, field.one))
+                        ):
+                            meet.append((code, num.values, (den - num).values))
                     assert built == meet, (kind, marked, avoided, str(den))
+
+
+def _moebius_twins(f, kind):
+    """mu o f for the Moebius maps mu that permute {0, 1, inf}: all six, y, 1 - y,
+    1/y, 1/(1 - y), y/(y - 1) and (y - 1)/y, for a tame search, and the two
+    that also fix inf, y and 1 - y, for a wild one."""
+    n, m = f.num, f.den
+    pairs = ((n, m), (m - n, m), (m, n), (m, m - n), (n, n - m), (n - m, n))
+    return [RationalMap(a, b) for a, b in pairs[: 6 if kind == "tame" else 2]]
+
+
+@pytest.mark.parametrize("field, d_max, splits", [(F3, 3, None), (F5, 2, 16)], ids=["q3", "q5"])
+def test_every_skipped_candidate_has_an_earlier_symmetric_twin(field, d_max, splits):
+    """A scan enters the bands whose set at inf is not empty and, in a row
+    that leads its orbit, screens the numerators that numerators() builds.
+    With every row a leader, each candidate that meets the points but is not
+    screened has some mu o f, mu permuting {0, 1, inf}, strictly earlier in
+    the stream, and every such mu o f passes the screen exactly when f does;
+    a wild search uses only the mu that fix inf.  Both kinds of twin occur:
+    1 - f in the same row, and 1/f or f/(f - 1) in a lower band."""
+    q = field.q
+    streams = {d: list(enumerate_candidates(field, d)) for d in range(1, d_max + 1)}
+    earlier = {}  # (kind, d, place of f) -> the twins of f that come before it, with their places
+    for d, stream in streams.items():
+        places = {f: i for i, f in enumerate(stream)}
+        for i, f in enumerate(stream):
+            for kind in ("tame", "wild"):
+                earlier[kind, d, i] = [(places[g], g) for g in _moebius_twins(f, kind) if places[g] < i]
+    ramified = {}
+    twins_seen = set()
+    for marked, avoided in _splits(field, sample=splits):
+        for kind in ("tame", "wild"):
+            screen = search._Screen(field, kind, marked, avoided)
+            rows = _trivial_round(field, screen)
+
+            def passes(d, i, f):
+                if (kind, d, i) not in ramified:
+                    ramified[kind, d, i] = screen.ramified(f)
+                return screen.meets_points(f.num.values, f.den.values, d) and ramified[kind, d, i]
+
+            for d, stream in streams.items():
+                screened = set()
+                for e in range(d + 1):
+                    at_infinity = rows.at_infinity(d, e)
+                    band = range(search._row_count(q, e - 1), search._row_count(q, e))
+                    for _, _, _, den in search._rows(field, band if at_infinity else ()):
+                        allowed = rows.allowed_values(d, e, den, at_infinity)
+                        if allowed is not None:
+                            screened.update((num, den.values) for _, num, _ in rows.numerators(d, den, allowed))
+                for i, f in enumerate(stream):
+                    if (f.num.values, f.den.values) in screened or not screen.meets_points(f.num.values, f.den.values, d):
+                        continue
+                    twins = earlier[kind, d, i]
+                    assert twins, (kind, marked, avoided, str(f))
+                    verdict = passes(d, i, f)
+                    assert all(passes(d, j, g) == verdict for j, g in twins), (kind, marked, avoided, str(f))
+                    twins_seen.update((kind, "same row" if g.den == f.den else "lower band") for _, g in twins)
+    assert twins_seen == {("tame", "same row"), ("tame", "lower band"), ("wild", "same row")}
 
 
 @pytest.mark.parametrize("field", [F3, F5, F9], ids=["q3", "q5", "q9"])
@@ -317,8 +401,9 @@ def test_screen_hit_rejected_by_the_verifier_is_an_internal_error(monkeypatch):
 
 
 def test_enumeration_rejects_bad_degree():
-    with pytest.raises(PreconditionError):
-        list(enumerate_candidates(F3, 0))
+    for d in (0, True, 1.0):
+        with pytest.raises(PreconditionError):
+            list(enumerate_candidates(F3, d))
 
 
 def test_search_trivial_instance_is_identity():
@@ -547,7 +632,8 @@ def test_a_pickled_round_scans_like_the_original():
         assert copy._leaders == rows._leaders and copy._group == rows._group
         block = range(search._row_count(field.q, d))
         assert copy.scan(d, block) == rows.scan(d, block)
-    assert len(rows.group()) == 20 and rows._leaders[3].count(1) < 5 ** 3
+    # with inf marked no scan enters band d, so the d = 3 scan swept band 2 and never band 3
+    assert len(rows.group()) == 20 and rows._leaders[2].count(1) < 5 ** 2 and 3 not in rows._leaders
 
 
 def test_one_pool_serves_every_round(monkeypatch):
@@ -646,5 +732,10 @@ def test_spec_validation():
     for fields, repeated in (([F5, F5], "5"), ([F25, F5, F25], "5^2")):
         with pytest.raises(PreconditionError, match=re.escape(f"coefficient field {repeated} is listed twice")):
             SearchSpec(inst, "tame", 1, fields=fields)
-    with pytest.raises(PreconditionError):
-        minimal_belyi_degree(SearchSpec(inst, "tame", 1, fields=[F5]), workers=0)
+    for bad in (0, True, False):  # isinstance(True, int) holds, yet a bool is no count
+        with pytest.raises(PreconditionError):
+            minimal_belyi_degree(SearchSpec(inst, "tame", 1, fields=[F5]), workers=bad)
+        with pytest.raises(PreconditionError):
+            SearchSpec(inst, "tame", bad)
+        with pytest.raises(PreconditionError):
+            SearchSpec(inst, "tame", 2, mode="randomized", budget=bad)

@@ -90,3 +90,23 @@ def test_only_the_enumeration_rebuilds_a_row():
         used += allowed
         found += [f"{path.name}:{line}" for line, name in _names(tree) if name == "_row_stream" and line not in allowed]
     assert used and found == []
+
+
+def test_one_tame_count_and_one_coprimality_helper():
+    """The root count deg g - deg gcd(g, g') and the coprimality test on value
+    tuples are one function each, search._tame_root_count and search._coprime:
+    the screen and the row scan share the count, and the row scan and _place
+    share the test."""
+    helpers = {"_tame_root_count": ("ramified", "scan"), "_coprime": ("_place", "scan")}
+    defined, callers = [], {name: set() for name in helpers}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                if "root_count" in func.name or "coprime" in func.name:
+                    defined.append(f"{path.name}:{func.name}")
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers:
+                        callers[node.func.id].add(f"{path.name}:{func.name}")
+    assert sorted(defined) == ["search.py:_coprime", "search.py:_tame_root_count"]
+    assert callers == {name: {f"search.py:{f}" for f in funcs} for name, funcs in helpers.items()}
