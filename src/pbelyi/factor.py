@@ -1,11 +1,12 @@
 """Polynomial factorization over finite fields of odd characteristic.
 
-Pipeline: p-th-power aware squarefree decomposition, then distinct-degree
-splitting, then randomized equal-degree splitting.  The random generator is
-an explicit argument so parallel callers stay deterministic; the default
-seed is fixed, and the factor list is sorted, so repeated runs agree.
-The distinct-degree loop is lazy, so its first stage alone is Ben-Or's
-irreducibility test: one Frobenius-gcd loop serves both.
+Pipeline: squarefree decomposition by Yun's algorithm read mod p (von zur
+Gathen & Gerhard, Modern Computer Algebra, section 14.6), then
+distinct-degree splitting, then randomized equal-degree splitting.  The
+random generator is an explicit argument so parallel callers stay
+deterministic; the default seed is fixed, and the factor list is sorted, so
+repeated runs agree.  The distinct-degree loop is lazy, so its first stage
+alone is Ben-Or's irreducibility test: one Frobenius-gcd loop serves both.
 """
 
 from __future__ import annotations
@@ -42,31 +43,61 @@ def pth_root(f: Polynomial) -> Polynomial:
 
 
 def squarefree_decomposition(f: Polynomial) -> List[Tuple[Polynomial, int]]:
-    """Monic squarefree parts with multiplicities: f = lc * prod g_i**m_i."""
+    """Monic squarefree parts with multiplicities: f = lc * prod g_i**m_i.
+
+    Each g_i is the product of the irreducible factors of multiplicity
+    exactly m_i, so the list is unique; it is sorted by multiplicity.  Yun's
+    algorithm read mod p: with u = gcd(f, f'), v = f/u and w = f'/u, step r
+    takes b_r = gcd(v, w - v') and then v = v/b_r and w = (w - v')/b_r.
+    Only the factors of multiplicity prime to p survive in v, and b_r is the
+    product of those of multiplicity r mod p, so v is 1 after at most p - 1
+    steps.  u / prod b_r^(r-1) is the p-th power of z = prod g_i^(m_i // p);
+    the decomposition of z splits each b_r by gcd, and a factor of b_r with
+    multiplicity k in z has multiplicity r + p k in f.  A squarefree f
+    (u = 1) returns at once.
+    """
     if f.is_zero:
         raise PreconditionError("cannot decompose the zero polynomial")
     f = f.monic()
     if f.is_constant:
         return []
+    p = f.field.p
     fp = f.derivative()
-    if fp.is_zero:
-        inner = squarefree_decomposition(pth_root(f))
-        return [(g, m * f.field.p) for g, m in inner]
+    u = f.gcd(fp)
+    if u.is_constant:
+        return [(f, 1)]
+    v, w = f // u, fp // u
+    parts = []  # [b_r, r]: the product of the factors of multiplicity r mod p
+    cofactor = Polynomial.one(f.field)  # prod b_r^(r-1)
+    r = 0
+    while not v.is_constant:
+        r += 1
+        if r == p:
+            raise InternalInconsistencyError(f"Yun's loop ran {p} steps on f = {f}")
+        w = w - v.derivative()
+        b = v.gcd(w)
+        if not b.is_constant:
+            v, w = v // b, w // b
+            parts.append([b, r])
+            cofactor = cofactor * b ** (r - 1)
+    power, rest = divmod(u, cofactor)
+    try:
+        root = pth_root(power)
+    except PreconditionError:
+        root = None
+    if rest or root is None:
+        raise InternalInconsistencyError(f"gcd(f, f') / prod b_r^(r-1) is not a p-th power for f = {f}")
     out: List[Tuple[Polynomial, int]] = []
-    t = f.gcd(fp)
-    v = f // t
-    i = 1
-    while v.degree > 0:
-        w = t.gcd(v)
-        part = v // w
-        if part.degree > 0:
-            out.append((part.monic(), i))
-        v = w
-        t = t // w
-        i += 1
-    if t.degree > 0:
-        inner = squarefree_decomposition(pth_root(t))
-        out.extend((g, m * f.field.p) for g, m in inner)
+    for h, k in squarefree_decomposition(root):
+        for part in parts:
+            c = part[0].gcd(h)
+            if not c.is_constant:
+                out.append((c, part[1] + p * k))
+                part[0] = part[0] // c
+                h = h // c
+        if not h.is_constant:
+            out.append((h, p * k))
+    out.extend((b, r) for b, r in parts if not b.is_constant)
     out.sort(key=lambda gm: (gm[1], gm[0].sort_key()))
     return out
 

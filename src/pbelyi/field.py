@@ -295,6 +295,12 @@ def digits(k: int, base: int, count: int) -> List[int]:
 
 
 def _search_modulus(p: int, n: int) -> IntPoly:
+    """The first monic irreducible of degree n over F_p, in the order of the codes of its lower coefficients.
+
+    A candidate with a root at 0, 1 or -1, that is with a zero constant term,
+    coefficient sum or alternating sum mod p, is reducible for n >= 2 and is
+    skipped before Ben-Or's test.
+    """
     if n == 1:
         return (0, 1)
     from .factor import is_irreducible
@@ -302,7 +308,10 @@ def _search_modulus(p: int, n: int) -> IntPoly:
 
     prime_field = FiniteField(p)
     for k in range(p ** n):
-        f = Polynomial(prime_field, digits(k, p, n) + [1])
+        coeffs = digits(k, p, n) + [1]
+        if not coeffs[0] or not sum(coeffs) % p or not (sum(coeffs[::2]) - sum(coeffs[1::2])) % p:
+            continue
+        f = Polynomial(prime_field, coeffs)
         if is_irreducible(f):
             return f.values
     raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")

@@ -227,8 +227,8 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         fld = self.field
-        mul, value_of = fld.mul, fld.value_of
-        return Polynomial._from_values(fld, [mul(c, value_of(i)) for i, c in enumerate(self.values) if i])
+        mul, from_code, p = fld.mul, fld.from_code, fld.p  # the prime-field constant i has code i mod p
+        return Polynomial._from_values(fld, [mul(c, from_code(i % p)) for i, c in enumerate(self.values) if i])
 
     def hasse_derivative(self, j: int) -> "Polynomial":
         """The j-th Hasse derivative sum C(i, j) a_i x^(i - j), for j >= 0.
@@ -237,9 +237,9 @@ class Polynomial:
         self(a + x), also where p divides j!, which the j-th derivative loses.
         """
         fld = self.field
-        mul, value_of, zero, p = fld.mul, fld.value_of, fld.zero_value, fld.p
+        mul, from_code, zero, p = fld.mul, fld.from_code, fld.zero_value, fld.p
         return Polynomial._from_values(fld, [
-            mul(c, value_of(comb(i, j) % p)) if c != zero else zero  # skips comb on sparse maps
+            mul(c, from_code(comb(i, j) % p)) if c != zero else zero  # skips comb on sparse maps
             for i, c in enumerate(self.values[j:], j)
         ])
 

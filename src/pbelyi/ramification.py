@@ -214,29 +214,52 @@ def _index(f: RationalMap, g: Polynomial, m: int, beta: Polynomial = None) -> in
     )
 
 
+def _min_poly(beta: Polynomial, g: Polynomial) -> Polynomial:
+    """The minimal polynomial over the base field of beta in K = F_q[x]/(g), g irreducible.
+
+    It is the first linear relation among 1, beta, beta^2, ...: each power
+    is one pmul and pdivmod on value tuples after the last, and is reduced
+    against an echelon basis of the powers before it, whose rows carry
+    their combinations of those powers.  The first power that reduces to
+    zero gives the relation, monic in that power.  Its degree k is the size
+    of the Frobenius orbit of beta, so it divides deg g.
+    """
+    field, d = g.field, g.degree
+    zero, one, sub, mul, inv = field.zero_value, field.one_value, field.sub, field.mul, field.inv
+    pmul, pdivmod = field.pmul, field.pdivmod
+    rows = []  # (pivot, row, combination), each row 1 at its pivot and 0 at the pivots before it
+    power = (one,)
+    for k in range(d + 1):
+        row = list(power) + [zero] * (d - len(power))
+        comb = [zero] * k + [one]
+        for pivot, prow, pcomb in rows:
+            a = row[pivot]
+            if a != zero:
+                row = [sub(x, mul(a, y)) for x, y in zip(row, prow)]
+                for i, y in enumerate(pcomb):
+                    comb[i] = sub(comb[i], mul(a, y))
+        pivot = next((i for i, x in enumerate(row) if x != zero), None)
+        if pivot is None:
+            if d % k:
+                break
+            return Polynomial._from_trimmed(field, tuple(comb))
+        scale = inv(row[pivot])
+        rows.append((pivot, [mul(scale, x) for x in row], [mul(scale, x) for x in comb]))
+        power = pdivmod(pmul(power, beta.values), g.values)[1]
+    raise InternalInconsistencyError(f"the powers of {beta} modulo {g} meet no relation of degree dividing {d}")
+
+
 def _affine_orbit(f: RationalMap, g: Polynomial, m: int) -> RamOrbit:
     """The orbit of the roots of g, worked out in K = F_q[x]/(g): no extension field is built.
 
-    m is the multiplicity of g in the Wronskian, which fixes the index.
+    m is the multiplicity of g in the Wronskian, which fixes the index.  The
+    branch polynomial is the minimal polynomial of beta = N/D in K, the first
+    linear relation among its powers (`_min_poly`).
     """
     base = f.field
-    q, d = base.q, g.degree
-    zero = Polynomial(base)
     # f at a root of g; D is a unit of K since g does not divide it
     beta = (f.num % g) * f.den.inverse_mod(g) % g
-    conjugates = [beta]
-    for _ in range(d - 1):
-        nxt = conjugates[-1].powmod(q, g)
-        if nxt == beta:
-            break
-        conjugates.append(nxt)
-    coeffs = [Polynomial.one(base)]  # prod (y - beta_j) over K, constant term first
-    for b in conjugates:
-        coeffs = [(s - b * c) % g for s, c in zip([zero] + coeffs, coeffs + [zero])]
-    if any(c.degree > 0 for c in coeffs):
-        raise InternalInconsistencyError("branch minimal polynomial does not descend to the base field")
-    bmp = Polynomial(base, [c.coeff(0) for c in coeffs])
-    return RamOrbit(g, _index(f, g, m, beta), d, _branch(bmp, base), base.p)
+    return RamOrbit(g, _index(f, g, m, beta), g.degree, _branch(_min_poly(beta, g), base), base.p)
 
 
 def _infinity_orbit(f: RationalMap) -> Optional[RamOrbit]:
@@ -273,14 +296,17 @@ def _collect_branches(orbits) -> Tuple[BranchPoint, ...]:
 def analyze(f: RationalMap) -> RamReport:
     """Group the ramification of f into Galois orbits over its base field.
 
-    Each irreducible factor g of the Wronskian is one critical orbit, and
-    its index comes from the multiplicity of g there and a few Hasse
-    derivatives (`_index`).  An orbit of poles lies over infinity; the
-    branch orbit of any other is worked out in F_q[x]/(g), and infinity is
-    read off the degrees, so no field is built; the representative of a
-    branch orbit of degree <= REP_DEGREE_LIMIT builds one when it is first
-    read.  Raises InseparableMapError when the Wronskian vanishes, since
-    the critical locus is then not finite.
+    Each irreducible factor g of the Wronskian (factor, after Yun's
+    squarefree decomposition) is one critical orbit, and its index comes
+    from the multiplicity of g there and a few Hasse derivatives (`_index`).
+    An orbit of poles lies over infinity; the branch orbit of any other is
+    the minimal polynomial of beta = N/D in F_q[x]/(g), the first linear
+    relation among its powers (`_min_poly`), and infinity is read off the
+    degrees, so no field is built and no Frobenius power is taken in
+    F_q[x]/(g); the representative of a branch orbit of degree <=
+    REP_DEGREE_LIMIT builds one when it is first read.  Raises
+    InseparableMapError when the Wronskian vanishes, since the critical
+    locus is then not finite.
     """
     base = f.field
     if f.is_constant:

@@ -459,7 +459,12 @@ class _RowSearch:
         return moves
 
     def leads(self, e, code):
-        """Whether the monic D of degree e with this code is the least in its orbit under the group."""
+        """Whether the monic D of degree e with this code is the least in its orbit under the group.
+
+        Band 0 holds one row, D = 1, which always leads, so its flags are never built.
+        """
+        if not e:
+            return True
         flags = self._flags(e)
         return flags is None or flags[code - self.field.q ** e]
 

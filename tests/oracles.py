@@ -6,7 +6,8 @@ from math import factorial
 
 from pbelyi.counting import curve_points
 from pbelyi.errors import PreconditionError
-from pbelyi.factor import squarefree_decomposition
+from pbelyi.factor import is_irreducible, pth_root, squarefree_decomposition
+from pbelyi.field import FiniteField, digits
 from pbelyi.poly import Polynomial
 from pbelyi.ramification import analyze
 from pbelyi.ratmap import P1Point, RationalMap, wronskian
@@ -54,6 +55,71 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     for g, _ in squarefree_decomposition(f):
         out = out * g
     return out
+
+
+def musser_squarefree(f: Polynomial):
+    """Musser's squarefree decomposition: one gcd and two divisions of the cofactor per multiplicity.
+
+    The loop that factor.squarefree_decomposition ran before Yun's; the
+    same sorted list of (monic part, multiplicity).
+    """
+    if f.is_zero:
+        raise PreconditionError("cannot decompose the zero polynomial")
+    f = f.monic()
+    if f.is_constant:
+        return []
+    fp = f.derivative()
+    if fp.is_zero:
+        return [(g, m * f.field.p) for g, m in musser_squarefree(pth_root(f))]
+    out = []
+    t = f.gcd(fp)
+    v = f // t
+    i = 1
+    while v.degree > 0:
+        w = t.gcd(v)
+        part = v // w
+        if part.degree > 0:
+            out.append((part.monic(), i))
+        v = w
+        t = t // w
+        i += 1
+    if t.degree > 0:
+        out.extend((g, m * f.field.p) for g, m in musser_squarefree(pth_root(t)))
+    out.sort(key=lambda gm: (gm[1], gm[0].sort_key()))
+    return out
+
+
+def branch_poly_by_conjugates(f: RationalMap, g: Polynomial) -> Polynomial:
+    """The minimal polynomial of beta = N/D in K = F_q[x]/(g) as prod (y - beta^(q^j)) over its conjugates.
+
+    For g irreducible and prime to D; the product's coefficients lie in F_q.
+    """
+    base = f.field
+    zero = Polynomial(base)
+    beta = (f.num % g) * f.den.inverse_mod(g) % g
+    conjugates = [beta]
+    for _ in range(g.degree - 1):
+        nxt = conjugates[-1].powmod(base.q, g)
+        if nxt == beta:
+            break
+        conjugates.append(nxt)
+    coeffs = [Polynomial.one(base)]  # constant term first
+    for b in conjugates:
+        coeffs = [(s - b * c) % g for s, c in zip([zero] + coeffs, coeffs + [zero])]
+    if any(c.degree > 0 for c in coeffs):
+        raise PreconditionError("the conjugate product does not descend to the base field")
+    return Polynomial(base, [c.coeff(0) for c in coeffs])
+
+
+def search_modulus(p: int, n: int):
+    """The first monic irreducible of degree n over F_p in code order, as a value tuple, testing every code."""
+    if n == 1:
+        return (0, 1)
+    for k in range(p ** n):
+        f = Polynomial(FiniteField(p), digits(k, p, n) + [1])
+        if is_irreducible(f):
+            return f.values
+    raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 def tame_root_count(g: Polynomial) -> int:

@@ -20,6 +20,7 @@ from pbelyi.field import (
     prime_power,
 )
 from pbelyi.poly import Polynomial
+from oracles import search_modulus
 
 
 def brute_first_irreducible_quadratic(p):
@@ -60,6 +61,16 @@ PINNED_MODULI = {
 @pytest.mark.parametrize("pn", sorted(PINNED_MODULI), ids=str)
 def test_canonical_moduli_are_pinned(pn):
     assert field_module._canonical_modulus(*pn) == PINNED_MODULI[pn]
+
+
+def test_the_root_screen_keeps_every_modulus():
+    """The modulus search skips candidates with a root at 0, 1 or -1 before
+    Ben-Or's test; it finds the modulus of the plain loop, which tests every
+    candidate, for each (p, n) with p <= 13 and p^n <= 5^10."""
+    pairs = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 15) if p ** n <= 5 ** 10]
+    assert len(pairs) == 44
+    for p, n in pairs:
+        assert field_module._search_modulus(p, n) == search_modulus(p, n), (p, n)
 
 
 def test_modulus_cache_keeps_the_name_the_benchmark_clears():

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbelyi
-from pbelyi.errors import PreconditionError
+from pbelyi import cli
+from pbelyi.errors import InternalInconsistencyError, PreconditionError
 from pbelyi.factor import (
     equal_degree,
     factor,
@@ -23,7 +25,7 @@ from pbelyi.factor import (
 )
 from pbelyi.field import FiniteField, _prime_divisors, embed, galois_orbit
 from pbelyi.poly import Polynomial, parse_poly
-from oracles import root_multiplicity, squarefree_part
+from oracles import musser_squarefree, root_multiplicity, squarefree_part
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -213,6 +215,63 @@ def test_squarefree_decomposition_structure():
     assert (P(F5, 1, 1), 2) in parts
     assert (P(F5, 2, 1), 5) in parts
     assert squarefree_part(f) == (P(F5, 1, 1) * P(F5, 2, 1) * P(F5, 3, 1)).monic()
+
+
+@pytest.mark.parametrize("field, max_degree", [(F3, 7), (F5, 5), (F9, 3)], ids=str)
+def test_yun_matches_musser_exhaustively(field, max_degree):
+    """Every monic polynomial up to max_degree; the decomposition reads only the monic associate."""
+    for degree in range(max_degree + 1):
+        for coeffs in product(range(field.q), repeat=degree):
+            f = Polynomial._from_values(field, [field.from_code(c) for c in coeffs] + [field.one_value])
+            assert squarefree_decomposition(f) == musser_squarefree(f), f
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=str)
+def test_yun_matches_musser_on_seeded_products(p, n):
+    """Products of up to four random monic factors with multiplicities up to 27,
+    multiples of p among them, so that the recursion on the p-th root runs."""
+    field = FiniteField(p, n)
+    rng = random.Random(f"yun:{p}:{n}")
+    wild = 0
+    for _ in range(40):
+        f = Polynomial.constant(field, field.from_int_value(rng.randrange(1, field.q)))
+        for _ in range(rng.randrange(1, 5)):
+            coeffs = [field.from_int_value(rng.randrange(field.q)) for _ in range(rng.randrange(1, 4))]
+            m = rng.choice([rng.randrange(1, 28), p * rng.randrange(1, 27 // p + 1)])
+            f = f * Polynomial(field, coeffs + [1]) ** m
+        parts = squarefree_decomposition(f)
+        assert parts == musser_squarefree(f), f
+        wild += any(m % p == 0 for _, m in parts)
+    assert wild >= 10
+
+
+def test_a_failed_inner_pth_root_is_an_internal_error(monkeypatch, capsys):
+    """Inside the decomposition a p-th root is taken of a p-th power by construction,
+    so its failure is a bug (exit 1), while the public pth_root refuses bad input (exit 2)."""
+    def refuse(f):
+        raise PreconditionError("polynomial is not a p-th power")
+
+    monkeypatch.setattr(importlib.import_module("pbelyi.factor"), "pth_root", refuse)
+    with pytest.raises(InternalInconsistencyError, match="not a p-th power"):
+        squarefree_decomposition(P(F3, 0, 0, 0, 1, 1))  # x^3 (x + 1)
+    # the Wronskian of x^3 + x^4 is x^3
+    argv = ["verify", "tame", "--q", "3", "--map", "poly=0,0,0,1,1", "--S", "none", "--T", "none"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_yun_loop_of_p_steps_is_an_internal_error(monkeypatch):
+    """With v' read as 0 after f' the loop finds no part of v = x (x + 1) and runs p steps."""
+    real = Polynomial.derivative
+    calls = []
+
+    def first_only(self):
+        calls.append(self)
+        return real(self) if len(calls) == 1 else Polynomial(self.field)
+
+    monkeypatch.setattr(Polynomial, "derivative", first_only)
+    with pytest.raises(InternalInconsistencyError, match="ran 3 steps"):
+        squarefree_decomposition(P(F3, 0, 0, 1, 1))  # x^2 (x + 1)
 
 
 def test_factor_recomposition_randomized():

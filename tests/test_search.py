@@ -636,6 +636,16 @@ def test_a_pickled_round_scans_like_the_original():
     assert len(rows.group()) == 20 and rows._leaders[2].count(1) < 5 ** 2 and 3 not in rows._leaders
 
 
+def test_band_zero_leads_without_its_flags():
+    """Band 0 holds one row, D = 1, which always leads: a search sweeps the
+    orbits of the bands above it and never builds band 0's moves or flags."""
+    inst = BelyiInstance(F5, p1_points(F5), [])
+    rows = search._RowSearch(F5, search._Screen(F5, "tame", inst.S, inst.T))
+    for d in (1, 2, 3):
+        rows.scan(d, range(search._row_count(F5.q, d)))
+    assert rows.leads(0, 1) and 0 not in rows._leaders and 1 in rows._leaders
+
+
 def test_one_pool_serves_every_round(monkeypatch):
     built = []
     real_pool = multiprocessing.Pool

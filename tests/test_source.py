@@ -110,3 +110,24 @@ def test_one_tame_count_and_one_coprimality_helper():
                         callers[node.func.id].add(f"{path.name}:{func.name}")
     assert sorted(defined) == ["search.py:_coprime", "search.py:_tame_root_count"]
     assert callers == {name: {f"search.py:{f}" for f in funcs} for name, funcs in helpers.items()}
+
+
+def test_one_squarefree_routine_and_no_conjugate_product():
+    """factor.squarefree_decomposition, Yun's loop, is the one square-free
+    routine, and analyze takes each branch polynomial as the first linear
+    relation among powers (ramification._min_poly): ramification.py builds no
+    product over Frobenius conjugates, so it names no powmod, ppowmod or
+    frobenius, and only the display representative names galois_orbit."""
+    defined, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        defined += [f"{path.name}:{f.name}" for f in funcs if "squarefree" in f.name or "square_free" in f.name]
+        if path.name == "ramification.py":
+            allowed = {line for f in funcs if f.name == "_display_root" for line, _ in _names(f)}
+            allowed |= {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+            found += [
+                f"{line} {name}" for line, name in _names(tree)
+                if name in ("powmod", "ppowmod", "frobenius") or (name == "galois_orbit" and line not in allowed)
+            ]
+    assert defined == ["factor.py:squarefree_decomposition"] and found == []
