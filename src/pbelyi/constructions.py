@@ -9,9 +9,9 @@ reproducible.
 from itertools import islice
 
 from .bounds import _check_lcm_floor, decimal_string, point_supply_check, tame_bound_parts, wild_N, wild_bound
-from .errors import GuardExceededError, InternalInconsistencyError, PreconditionError, check_size
+from .errors import InternalInconsistencyError, PreconditionError, check_size
 from .factor import is_irreducible, roots
-from .field import FieldElement, FiniteField, embed, galois_orbit, prime_power
+from .field import FieldElement, FiniteField, _relation, embed, galois_orbit, prime_power
 from .poly import Polynomial
 from .ramification import BelyiVerdict, _locus_key, analyze, verify_tame_belyi, verify_wild_belyi
 from .ratmap import (
@@ -274,20 +274,20 @@ def fp_span_of_conjugates(base_field, elements):
     closure = set()
     for b in gens:
         closure.update(galois_orbit(b, base_field))
-    return tuple(sorted(_fp_span(ext, closure, SPAN_LIMIT), key=lambda e: e.int_value))
+    return tuple(sorted(_fp_span(ext, closure), key=lambda e: e.int_value))
 
 
-def _fp_span(field, gens, limit):
+def _fp_span(field, gens):
     """The F_p-span of gens as a set, adding the generators in element order.
 
-    Raises GuardExceededError before the span grows past limit elements.
+    Raises GuardExceededError before the span grows past SPAN_LIMIT elements.
     """
     p = field.p
     span = {field.zero}
     for gen in sorted(gens, key=lambda e: e.int_value):
         if gen in span:
             continue
-        check_size("the F_p-span would have {} elements", len(span) * p, 1, limit, "raise constructions.SPAN_LIMIT")
+        check_size("the F_p-span would have {} elements", len(span) * p, 1, SPAN_LIMIT, "raise constructions.SPAN_LIMIT")
         bigger = set()
         for v in span:
             w = v
@@ -331,9 +331,10 @@ def wild_h_tower(V, base_field=None):
     """Build h0 = prod(x - a) over V, then h1 = x^p (D+1)/D with D = x^p h0 + h0^p,
     and h2 = h1^p + h1.
 
-    V must be an F_p-subspace given as a set of elements; h2 then induces a
-    map sending V minus 0 to infinity, keeping 0 affine, and ramifying only
-    over infinity.  All three facts are checked directly, never assumed.
+    V must be an F_p-subspace given as a set of elements; holding 0, it is one
+    exactly when |V| = p^rank, the rank of its F_p-coordinates (field._relation).
+    h2 then induces a map sending V minus 0 to infinity, keeping 0 affine, and
+    ramifying only over infinity.  All three facts are checked directly, never assumed.
     Raises GuardExceededError when h2 would pass degree TOWER_DEGREE_LIMIT.
     """
     members = list(V)
@@ -347,11 +348,10 @@ def wild_h_tower(V, base_field=None):
     vset = set(members)
     if ext.zero not in vset:
         raise PreconditionError("the subspace must contain 0")
-    try:
-        is_subspace = _fp_span(ext, vset, len(vset)) == vset
-    except GuardExceededError:  # the span outgrew the set
-        is_subspace = False
-    if not is_subspace:
+    prime, rows = FiniteField(p), []
+    for v in vset:
+        _relation(prime, rows, list(v.coords))
+    if len(vset) != p ** len(rows):
         raise PreconditionError("the element set is not an F_p-subspace")
     check_size(
         "the tower map would have degree {}", len(vset) * p * p, 1,

@@ -43,7 +43,7 @@ import sys
 from array import array
 from functools import lru_cache, partial
 from itertools import zip_longest
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInconsistencyError, PreconditionError
 
@@ -53,11 +53,15 @@ IntPoly = Tuple[int, ...]  # little-endian coefficients over F_p
 # ---------------------------------------------------------------------------
 # primality
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the fixed witness set covers n < 3.3e24)."""
+    """Deterministic Miller-Rabin to the 13 prime bases 2 .. 41; PreconditionError for an n they cannot decide.
+
+    They decide every n below psi_13 = 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
+    all 13; the 12 to 37 pass psi_12 = 399,165,290,221 * 798,330,580,441 (Sorenson & Webster, 2017).
+    """
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -80,6 +84,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    limit = 3317044064679887385961981  # psi_13
+    if n >= limit:
+        raise PreconditionError(f"cannot decide whether {n} is prime: the 13 bases decide only n below {limit}")
     return True
 
 
@@ -238,6 +245,42 @@ def _ext_gcd(fld: "FiniteField", a: Tuple, b: Tuple) -> Tuple[Tuple, Tuple]:
         s0, s1 = s1, _trim([sub(x, y) for x, y in zip_longest(s0, pmul(q, s1), fillvalue=zero)], zero)
     scale = (fld.inv(r0[-1]),)
     return pmul(r0, scale), pmul(s0, scale)
+
+
+def _euclid(fld: "FiniteField", a: Tuple, b: Tuple) -> Tuple:
+    """The one Euclid, on trimmed value tuples of fld: the last nonzero remainder, not made monic."""
+    pdivmod = fld.pdivmod
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return a
+
+
+def _derivative(fld: "FiniteField", a: Tuple) -> Tuple:
+    """The formal derivative of a trimmed value tuple of fld; the prime-field constant i has code i mod p."""
+    mul, from_code, p = fld.mul, fld.from_code, fld.p
+    return _trim([mul(c, from_code(i % p)) for i, c in enumerate(a) if i], fld.zero_value)
+
+
+def _relation(fld: "FiniteField", rows: List, vector: List) -> Optional[Tuple]:
+    """Reduce vector, a list of values of fld, against echelon rows: None if it is independent, else its relation.
+
+    The one elimination.  rows starts empty and keeps (pivot, row, comb) per independent vector v_i fed to
+    it, row 1 at its pivot and 0 at the pivots before it and comb its combination of the v_i.  An independent
+    vector joins rows; a dependent one returns the (c_0, .., c_(k-1), 1) with sum c_i v_i + vector = 0.
+    """
+    zero, sub, mul = fld.zero_value, fld.sub, fld.mul
+    comb = [zero] * len(rows) + [fld.one_value]
+    for pivot, prow, pcomb in rows:
+        a = vector[pivot]
+        if a != zero:
+            vector = [sub(x, mul(a, y)) for x, y in zip(vector, prow)]
+            comb[:len(pcomb)] = [sub(x, mul(a, y)) for x, y in zip(comb, pcomb)]
+    pivot = next((i for i, x in enumerate(vector) if x != zero), None)
+    if pivot is None:
+        return tuple(comb)
+    scale = fld.inv(vector[pivot])
+    rows.append((pivot, [mul(scale, x) for x in vector], [mul(scale, x) for x in comb]))
+    return None
 
 
 def _prime_divisors(n: int) -> List[int]:
@@ -869,42 +912,22 @@ class EmbeddingMap:
         return EmbeddingMap(inner.source, self.target, self(inner.image_of_generator))
 
     def section(self, a: FieldElement) -> FieldElement:
-        """Pull a back to the source field; error if it is not in the image."""
+        """Pull a back to the source field; PreconditionError when it is not in the image.
+
+        The F_p-coordinates of the independent gen^0 .. gen^(n-1), then of a, go through _relation: a is
+        in the image exactly when they relate, and minus its relation's first n entries are its coordinates.
+        """
         if a.field != self.target:
             raise PreconditionError("element is not in the embedding's target field")
-        p, rows, ncols = self.source.p, self.target.n, self.source.n
-        # Solve sum_i x_i * gen^i = a.coords over F_p by Gaussian elimination.
-        cols = [self.target.coords(w) for w in self._powers]
-        aug = [[w[r] for w in cols] + [a.coords[r]] for r in range(rows)]
-        pivots = []
-        row = 0
-        for col in range(ncols):
-            sel = None
-            for r in range(row, rows):
-                if aug[r][col] % p:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            aug[row], aug[sel] = aug[sel], aug[row]
-            inv = pow(aug[row][col], p - 2, p)
-            aug[row] = [(v * inv) % p for v in aug[row]]
-            for r in range(rows):
-                if r != row and aug[r][col] % p:
-                    fac = aug[r][col]
-                    aug[r] = [(v - fac * w) % p for v, w in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, rows):
-            if aug[r][ncols] % p:
-                raise PreconditionError("element does not descend to the source field")
-        sol = [0] * ncols
-        for r, col in enumerate(pivots):
-            sol[col] = aug[r][ncols]
-        out = self.source.element(sol)
-        if self(out) != a:
-            raise PreconditionError("element does not descend to the source field")
-        return out
+        prime, coords, rows = FiniteField(self.source.p), self.target.coords, []
+        for w in self._powers:
+            _relation(prime, rows, list(coords(w)))
+        rel = _relation(prime, rows, list(a.coords))
+        if rel is not None:
+            out = self.source.element([-c for c in rel[:-1]])  # element reads ints mod p
+            if self(out) == a:
+                return out
+        raise PreconditionError("element does not descend to the source field")
 
 
 def embed(source: FiniteField, target: FiniteField) -> EmbeddingMap:

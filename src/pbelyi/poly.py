@@ -2,14 +2,15 @@
 
 Coefficients are stored as the field's element values, little-endian with
 trailing zeros stripped (field._trim), so the zero polynomial has an empty
-value tuple and degree -1.  The multiply, divmod, powmod, the Euclid loop of
-gcd and the extended Euclid of inverse_mod (field._ext_gcd) run on the value
-tuples in the polynomial kernel that the field bound when it was made, so no
-method here asks which field it is over; every other method goes through the
-field's value ops.  Powers run field._pow_by_squaring and evaluation runs
-value_at, the one Horner loop on element values, which the search and the
-point counts share.  coeffs, coeff(i) and leading build FieldElement views on
-access.  Polynomials are immutable and hashable; arithmetic never mutates.
+value tuple and degree -1.  The multiply, divmod, powmod, the Euclid of gcd
+(field._euclid) and the extended Euclid of inverse_mod (field._ext_gcd) run on
+the value tuples in the polynomial kernel that the field bound when it was
+made, so no method here asks which field it is over; every other method goes
+through the field's value ops.  Powers run field._pow_by_squaring and
+evaluation runs value_at, the one Horner loop on element values, which the
+search and the point counts share.  coeffs, coeff(i) and leading build
+FieldElement views on access.  Polynomials are immutable and hashable;
+arithmetic never mutates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PreconditionError
-from .field import FieldElement, FiniteField, _ext_gcd, _pow_by_squaring, _trim, parse_element
+from .field import FieldElement, FiniteField, _derivative, _euclid, _ext_gcd, _pow_by_squaring, _trim, parse_element
 
 
 def value_at(field: FiniteField, vals: Sequence, d: int, x):
@@ -210,11 +211,7 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         fld = self.field
-        pdivmod = fld.pdivmod
-        a, b = self.values, self._coerce(other).values
-        while b:
-            a, b = b, pdivmod(a, b)[1]
-        return Polynomial._from_trimmed(fld, a).monic()
+        return Polynomial._from_trimmed(fld, _euclid(fld, self.values, self._coerce(other).values)).monic()
 
     def inverse_mod(self, mod: "Polynomial") -> "Polynomial":
         """The u with u*self = 1 modulo mod, by extended Euclid, for self prime to mod."""
@@ -226,9 +223,7 @@ class Polynomial:
         return Polynomial._from_trimmed(fld, u)
 
     def derivative(self) -> "Polynomial":
-        fld = self.field
-        mul, from_code, p = fld.mul, fld.from_code, fld.p  # the prime-field constant i has code i mod p
-        return Polynomial._from_values(fld, [mul(c, from_code(i % p)) for i, c in enumerate(self.values) if i])
+        return Polynomial._from_trimmed(self.field, _derivative(self.field, self.values))
 
     def hasse_derivative(self, j: int) -> "Polynomial":
         """The j-th Hasse derivative sum C(i, j) a_i x^(i - j), for j >= 0.

@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
 )
 from .factor import factor, split_root
-from .field import FiniteField, embed, galois_orbit
+from .field import FiniteField, _relation, embed, galois_orbit
 from .poly import Polynomial
 from .ratmap import P1Point, RationalMap, disjoint, point_set, three_points, wronskian
 
@@ -218,33 +218,21 @@ def _min_poly(beta: Polynomial, g: Polynomial) -> Polynomial:
     """The minimal polynomial over the base field of beta in K = F_q[x]/(g), g irreducible.
 
     It is the first linear relation among 1, beta, beta^2, ...: each power
-    is one pmul and pdivmod on value tuples after the last, and is reduced
-    against an echelon basis of the powers before it, whose rows carry
-    their combinations of those powers.  The first power that reduces to
-    zero gives the relation, monic in that power.  Its degree k is the size
-    of the Frobenius orbit of beta, so it divides deg g.
+    is one pmul and pdivmod on value tuples after the last, and goes through
+    field._relation against the echelon of the powers before it.  The first
+    dependent power gives the relation, monic in that power.  Its degree k
+    is the size of the Frobenius orbit of beta, so it divides deg g; any
+    other degree raises InternalInconsistencyError.
     """
     field, d = g.field, g.degree
-    zero, one, sub, mul, inv = field.zero_value, field.one_value, field.sub, field.mul, field.inv
-    pmul, pdivmod = field.pmul, field.pdivmod
-    rows = []  # (pivot, row, combination), each row 1 at its pivot and 0 at the pivots before it
-    power = (one,)
+    zero, pmul, pdivmod = field.zero_value, field.pmul, field.pdivmod
+    rows, power = [], (field.one_value,)
     for k in range(d + 1):
-        row = list(power) + [zero] * (d - len(power))
-        comb = [zero] * k + [one]
-        for pivot, prow, pcomb in rows:
-            a = row[pivot]
-            if a != zero:
-                row = [sub(x, mul(a, y)) for x, y in zip(row, prow)]
-                for i, y in enumerate(pcomb):
-                    comb[i] = sub(comb[i], mul(a, y))
-        pivot = next((i for i, x in enumerate(row) if x != zero), None)
-        if pivot is None:
+        rel = _relation(field, rows, list(power) + [zero] * (d - len(power)))
+        if rel is not None:
             if d % k:
                 break
-            return Polynomial._from_trimmed(field, tuple(comb))
-        scale = inv(row[pivot])
-        rows.append((pivot, [mul(scale, x) for x in row], [mul(scale, x) for x in comb]))
+            return Polynomial._from_trimmed(field, rel)
         power = pdivmod(pmul(power, beta.values), g.values)[1]
     raise InternalInconsistencyError(f"the powers of {beta} modulo {g} meet no relation of degree dividing {d}")
 

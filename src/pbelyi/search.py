@@ -79,7 +79,7 @@ import sys
 from .constructions import BelyiInstance, _as_field
 from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
 from .factor import DEFAULT_SEED, distinct_degree, squarefree_decomposition
-from .field import FiniteField, _trim, digits, embed
+from .field import FiniteField, _derivative, _euclid, _trim, digits, embed
 from .poly import Polynomial, value_at
 from .ramification import _infinity_orbit, verify_tame_belyi, verify_wild_belyi
 from .ratmap import RationalMap, disjoint, point_set, wronskian
@@ -161,10 +161,7 @@ def _row_stream(field, d, e, den):
 
 def _coprime(field, a, b):
     """Whether the polynomials with the trimmed value tuples a and b, b nonzero, are coprime, by Euclid."""
-    pdivmod = field.pdivmod
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return len(a) == 1
+    return len(_euclid(field, a, b)) == 1
 
 
 def _place(field, d, e, den, code):
@@ -281,11 +278,7 @@ def _tame_root_count(field, g):
     at most _rad_degree(g), with equality when no multiplicity is a multiple
     of p.
     """
-    mul, value_of, pdivmod = field.mul, field.value_of, field.pdivmod
-    a, b = g, _trim([mul(c, value_of(i)) for i, c in enumerate(g) if i], field.zero_value)
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return len(g) - len(a)
+    return len(g) - len(_euclid(field, g, _derivative(field, g)))
 
 
 class _Screen:

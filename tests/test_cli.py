@@ -119,6 +119,17 @@ def test_exit_code_2_on_bad_input():
         assert proc.returncode == 2, argv
 
 
+def test_a_characteristic_the_primality_test_cannot_take_exits_2():
+    # psi_12, a strong pseudoprime to the bases to 37, is composite; from psi_13 up no prime is decided
+    for p, says in (
+        ("318665857834031151167461", "p must be an odd prime"),
+        ("3317044064679887385961981", "decide only n below 3317044064679887385961981"),
+    ):
+        proc = run_cli("bound", "wild", "--g", "0", "--s", "0", "--t", "1", "--p", p)
+        assert proc.returncode == 2 and proc.stdout == "", p
+        assert says in proc.stderr, proc.stderr
+
+
 def test_exit_code_1_when_a_tower_coefficient_does_not_descend(monkeypatch, capsys):
     # the pole map of T = {0, 1, 2} over F_5 has a quadratic critical orbit, so
     # the tower's h0 is built over F_25 and must descend to F_5

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -220,10 +221,58 @@ def test_span_guard_fires_before_the_span_grows(monkeypatch):
     added = []
     add = FieldElement.__add__
     monkeypatch.setattr(FieldElement, "__add__", lambda a, b: added.append(1) or add(a, b))
+    monkeypatch.setattr(constructions, "SPAN_LIMIT", 10)
     with pytest.raises(GuardExceededError, match="27 elements"):
-        _fp_span(F27, [F27.one, F27.gen, F27.gen ** 2], 10)
+        _fp_span(F27, [F27.one, F27.gen, F27.gen ** 2])
     # 3 + 9 additions build the spans of sizes 3 and 9; the 27-element one is never built
     assert len(added) == 12
+
+
+def _closed_under_addition(elements):
+    return all(a + b in elements for a in elements for b in elements)
+
+
+def _additive_closure(field, gens):
+    span = {field.zero}
+    while True:
+        bigger = span | {a + b for a in span for b in gens}
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def test_h_tower_takes_exactly_the_sets_closed_under_addition(monkeypatch):
+    """A finite set holding 0 is an F_p-subspace exactly when it is closed under
+    +, so wild_h_tower's rank test |V| = p^rank takes exactly those: on every
+    subset of F_9 that holds 0, and on seeded spans in F_27, F_25 and F_81,
+    each also with one element added and with one removed."""
+    monkeypatch.setattr(constructions, "TOWER_DEGREE_LIMIT", 0)  # a subspace stops at the degree guard
+
+    def taken(V):
+        with pytest.raises(PreconditionError) as info:
+            wild_h_tower(V)
+        if isinstance(info.value, GuardExceededError):
+            return True
+        assert str(info.value) == "the element set is not an F_p-subspace"
+        return False
+
+    nonzero = [e for e in F9.elements() if e != F9.zero]
+    for mask in range(1 << len(nonzero)):
+        V = {F9.zero} | {e for i, e in enumerate(nonzero) if mask >> i & 1}
+        assert taken(V) == _closed_under_addition(V), sorted(e.int_value for e in V)
+    rng = random.Random(29)
+    for field in (FiniteField(3, 3), FiniteField(5, 2), FiniteField(3, 4)):
+        elements = list(field.elements())
+        for _ in range(6):
+            span = _additive_closure(field, rng.sample(elements, rng.randint(1, 2)))
+            variants = [span]
+            outside = [e for e in elements if e not in span]
+            if outside:
+                variants.append(span | {rng.choice(outside)})
+            if len(span) > 1:
+                variants.append(span - {rng.choice([e for e in span if e != field.zero])})
+            for V in variants:
+                assert taken(V) == _closed_under_addition(V) == (V is span)
 
 
 def test_h_tower_on_the_prime_field():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import pickle
 import random
 import time
@@ -11,6 +12,7 @@ from pbelyi.field import (
     EmbeddingMap,
     FieldElement,
     FiniteField,
+    _relation,
     embed,
     frobenius,
     galois_orbit,
@@ -206,6 +208,21 @@ def test_is_prime_basics():
     assert not is_prime(1) and not is_prime(91) and not is_prime(561)
 
 
+PSI_12 = 318665857834031151167461  # the least strong pseudoprime to the 12 prime bases 2 .. 37
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the 13 prime bases 2 .. 41
+
+
+def test_is_prime_rejects_psi_12_and_refuses_undecided_n_from_psi_13_up():
+    assert PSI_12 == 399165290221 * 798330580441 and PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    with pytest.raises(PreconditionError, match="characteristic must be prime"):
+        FiniteField(PSI_12)
+    for n in (PSI_13, 2 ** 89 - 1):  # a composite and a Mersenne prime, both past what the bases decide
+        with pytest.raises(PreconditionError, match="decide only n below 3317044064679887385961981"):
+            is_prime(n)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))  # past the limit, but a base proves it composite
+
+
 def test_arithmetic_worked_examples():
     f7 = FiniteField(7)
     assert f7(3) + f7(5) == f7(1)
@@ -383,14 +400,62 @@ def test_embedding_composition_along_tower():
             assert through(a * b) == through(a) * through(b)
 
 
+def test_relation_against_brute_force_spans():
+    """field._relation returns None exactly for a vector outside the span of the
+    rows' vectors, found by enumerating every combination, and otherwise the
+    relation c with sum c_i v_i + vector = 0, monic in the vector, rows untouched."""
+    rng = random.Random(7)
+    for fld in (FiniteField(3), FiniteField(5), FiniteField(3, 2)):
+        add, mul, zero, one = fld.add, fld.mul, fld.zero_value, fld.one_value
+        values = [fld.from_code(c) for c in range(fld.q)]
+
+        def combine(coeffs, vectors, dim):
+            out = [zero] * dim
+            for c, v in zip(coeffs, vectors):
+                out = [add(x, mul(c, y)) for x, y in zip(out, v)]
+            return out
+
+        for _ in range(80):
+            dim = rng.randint(1, 3)
+            rows, basis = [], []
+            for _ in range(rng.randint(1, 5)):
+                if basis and rng.random() < 0.5:
+                    vector = combine([rng.choice(values) for _ in basis], basis, dim)
+                else:
+                    vector = [rng.choice(values) for _ in range(dim)]
+                span = {tuple(combine(c, basis, dim)) for c in itertools.product(values, repeat=len(basis))}
+                before = list(rows)
+                rel = _relation(fld, rows, list(vector))
+                if tuple(vector) in span:
+                    assert rel is not None and len(rel) == len(basis) + 1 and rel[-1] == one
+                    assert combine(rel, basis + [vector], dim) == [zero] * dim
+                    assert rows == before
+                else:
+                    assert rel is None and len(rows) == len(basis) + 1
+                    basis.append(vector)
+
+
 def test_embedding_section_roundtrip():
-    f5 = FiniteField(5)
-    f25 = FiniteField(5, 2)
-    eps = embed(f5, f25)
-    for a in f5.elements():
-        assert eps.section(eps(a)) == a
-    with pytest.raises(PreconditionError):
-        eps.section(f25.gen)  # the generator is not rational over F_5
+    """section(a) is the preimage of a when a lies in the image set built from
+    every source element, and PreconditionError otherwise: on every target
+    element of seven towers, and on 2,000 seeded elements of F_5^6, above
+    TABLE_LIMIT, together with its 25 image elements."""
+    rng = random.Random(29)
+    for (p, a, b) in ((3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 4), (5, 2, 4), (3, 2, 6), (3, 3, 6), (5, 2, 6)):
+        source, target = FiniteField(p, a), FiniteField(p, b)
+        eps = embed(source, target)
+        preimage = {eps(s): s for s in source.elements()}
+        assert len(preimage) == source.q
+        if target.q <= field_module.TABLE_LIMIT:
+            elements = list(target.elements())
+        else:
+            elements = [target.from_int_value(rng.randrange(target.q)) for _ in range(2000)] + list(preimage)
+        for x in elements:
+            if x in preimage:
+                assert eps.section(x) == preimage[x]
+            else:
+                with pytest.raises(PreconditionError, match="does not descend"):
+                    eps.section(x)
 
 
 def test_element_order_and_str():

@@ -131,3 +131,31 @@ def test_one_squarefree_routine_and_no_conjugate_product():
                 if name in ("powmod", "ppowmod", "frobenius") or (name == "galois_orbit" and line not in allowed)
             ]
     assert defined == ["factor.py:squarefree_decomposition"] and found == []
+
+
+def test_one_linear_solve_one_euclid_and_no_guard_as_control_flow():
+    """field._relation is the one elimination: it alone names a pivot, and
+    EmbeddingMap.section, ramification._min_poly and constructions.wild_h_tower
+    call it.  field._euclid and field._ext_gcd alone loop on pdivmod.  No except
+    clause names GuardExceededError, so no guard serves as control flow."""
+    pivots, callers, loops, catches = set(), set(), set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                where = f"{path.name}:{func.name}"
+                if any("pivot" in name for _, name in _names(func)):
+                    pivots.add(where)
+                if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_relation" for node in ast.walk(func)):
+                    callers.add(where)
+                for loop in ast.walk(func):
+                    if isinstance(loop, ast.While) and any(name in ("pdivmod", "_pdivmod") for _, name in _names(loop)):
+                        loops.add(where)
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                if any(name == "GuardExceededError" for _, name in _names(handler.type)):
+                    catches.append(f"{path.name}:{handler.lineno}")
+    assert pivots == {"field.py:_relation"}
+    assert callers == {"field.py:section", "ramification.py:_min_poly", "constructions.py:wild_h_tower"}
+    assert loops == {"field.py:_euclid", "field.py:_ext_gcd"}
+    assert catches == []
