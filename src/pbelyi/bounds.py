@@ -9,7 +9,7 @@ while the intermediates (thresholds, exponents) are always available.
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import InternalInconsistencyError, PreconditionError, check_size
+from .errors import InternalInconsistencyError, PreconditionError, check_int, check_size
 from .field import is_prime, prime_power
 
 DIGIT_GUARD = 100_000
@@ -55,12 +55,6 @@ def _decimal_pieces(value, powers, level, pad):
     return low_text.lstrip("0") or "0"
 
 
-def _require_nonneg(**named):
-    for name, value in named.items():
-        if not isinstance(value, int) or value < 0:
-            raise PreconditionError("%s must be a nonnegative integer, got %r" % (name, value))
-
-
 def _check_digit_guard(bits, digit_guard):
     """Refuse a value of about bits + 64 bits once its digits pass digit_guard."""
     check_size(
@@ -71,15 +65,12 @@ def _check_digit_guard(bits, digit_guard):
 
 def lcm_up_to(m):
     """Least common multiple of 1..m, with the empty case giving 1."""
-    if not isinstance(m, int) or m < 0:
-        raise PreconditionError("m must be a nonnegative integer, got %r" % (m,))
-    return lcm(*range(1, m + 1))
+    return lcm(*range(1, check_int("m", m, 0) + 1))
 
 
 def ceil_log_q(q, threshold):
     """Smallest m >= 1 with q**m >= threshold, by exact comparison from a bit-length estimate."""
-    if not isinstance(q, int) or q < 2:
-        raise PreconditionError("base q must be an integer at least 2, got %r" % (q,))
+    check_int("q", q, 2)
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise PreconditionError("threshold must be positive, got %s" % threshold)
@@ -126,7 +117,8 @@ class BoundResult:
 
 def tame_threshold(g, s, t):
     """Field-size threshold 100 (2g+t+1)! (2g+t+s+1)^2 (5/6)^(2g+t+1), exact."""
-    _require_nonneg(g=g, s=s, t=t)
+    for name, value in (("g", g), ("s", s), ("t", t)):
+        check_int(name, value, 0)
     n = 2 * g + t + 1
     return Fraction(100 * factorial(n) * (2 * g + t + s + 1) ** 2) * Fraction(5, 6) ** n
 
@@ -143,9 +135,8 @@ def _check_lcm_floor(g, t, what, cap, way_out):
 
 def tame_bound_parts(g, s, t, q):
     """Intermediates of the tame degree bound, without materializing the value."""
-    _require_nonneg(g=g, s=s, t=t)
-    prime_power(q)
     threshold = tame_threshold(g, s, t)
+    prime_power(q)
     m = ceil_log_q(q, threshold)
     L = lcm_up_to(6 * g + 2 * t)
     exponent = 6 * g + s + 2 * t + 1
@@ -166,8 +157,10 @@ def tame_bound(g, s, t, q, digit_guard=DIGIT_GUARD):
     Raises GuardExceededError instead of materializing values whose digit
     count would exceed digit_guard.
     """
-    _require_nonneg(g=g, s=s, t=t)
+    for name, value in (("g", g), ("s", s), ("t", t)):
+        check_int(name, value, 0)
     prime_power(q)
+    check_int("digit_guard", digit_guard)
     # the value is at least (q^L - 1)^(n + 1) with q >= 3 and n = 6g + 2t: more than L digits
     _check_lcm_floor(
         g, t, "the bound value has at least {} digits", digit_guard,
@@ -186,17 +179,12 @@ def field_size_check(q, A, g, n, s, t=None):
     Returns {"ok": bool, "threshold": Fraction}.  When t is given the side
     condition n >= g + max(t, g) is enforced as well.
     """
-    if not isinstance(A, int) or A < 3:
-        raise PreconditionError("A must be an integer at least 3, got %r" % (A,))
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError("n must be a positive integer, got %r" % (n,))
-    _require_nonneg(g=g, s=s, q=q)
-    if t is not None:
-        _require_nonneg(t=t)
-        if n < g + max(t, g):
-            raise PreconditionError(
-                "needs n >= g + max(t, g): n = %d, g + max(t, g) = %d" % (n, g + max(t, g))
-            )
+    check_int("A", A, 3)
+    check_int("n", n, 1)
+    for name, value in (("g", g), ("s", s), ("q", q)):
+        check_int(name, value, 0)
+    if t is not None and n < g + max(check_int("t", t, 0), g):
+        raise PreconditionError("needs n >= g + max(t, g): n = %d, g + max(t, g) = %d" % (n, g + max(t, g)))
     threshold = max(
         Fraction(A * A * g * g),
         Fraction(100 * factorial(n) * (n * n + s)) * Fraction(5 * A + 4, 9 * A - 6) ** n,
@@ -206,15 +194,18 @@ def field_size_check(q, A, g, n, s, t=None):
 
 def wild_N(g, t):
     """Pole-count parameter max(2g-1+t, t, 2) for the wild constructions."""
-    _require_nonneg(g=g, t=t)
+    for name, value in (("g", g), ("t", t)):
+        check_int(name, value, 0)
     return max(2 * g - 1 + t, t, 2)
 
 
 def wild_bound(g, s, t, p, digit_guard=DIGIT_GUARD):
     """Wild degree bound N p^(s+2(g+N)) with N = wild_N(g, t), exact."""
-    _require_nonneg(g=g, s=s, t=t)
-    if not isinstance(p, int) or p == 2 or not is_prime(p):
+    for name, value in (("g", g), ("s", s), ("t", t)):
+        check_int(name, value, 0)
+    if check_int("p", p) == 2 or not is_prime(p):
         raise PreconditionError("p must be an odd prime, got %r" % (p,))
+    check_int("digit_guard", digit_guard)
     N = wild_N(g, t)
     exponent = s + 2 * (g + N)
     _check_digit_guard(exponent * p.bit_length(), digit_guard)
@@ -229,6 +220,7 @@ def point_supply_check(q, g, N, s):
     The square root is eliminated: with D = q+1-N-s the test is D >= 0
     together with D^2 >= 4 g^2 q.
     """
-    _require_nonneg(q=q, g=g, N=N, s=s)
+    for name, value in (("q", q), ("g", g), ("N", N), ("s", s)):
+        check_int(name, value, 0)
     D = q + 1 - N - s
     return D >= 0 and D * D >= 4 * g * g * q

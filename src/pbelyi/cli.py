@@ -27,7 +27,7 @@ from .counting import (
     sym_product_count,
     zeta_fit,
 )
-from .errors import InternalInconsistencyError, PreconditionError, check_size
+from .errors import InternalInconsistencyError, PreconditionError, check_int, check_size
 from .factor import DEFAULT_SEED
 from .field import parse_field
 from .ramification import is_simple_covering, verify_tame_belyi, verify_wild_belyi
@@ -268,15 +268,11 @@ def _cmd_count(args):
     doc = {"curve": str(curve), "genus": curve.genus}
     guard = _guard(args, "guard")
     if args.variant == "points":
-        if args.m < 1:
-            raise PreconditionError(f"--m must be at least 1, got {args.m}")
-        config.update(m=args.m)
+        config.update(m=check_int("--m", args.m, 1))
         counts = point_counts(curve, args.m, workers=args.workers, **guard)
         doc["counts"] = {str(m): n for m, n in counts.items()}
     elif args.variant == "zeta":
-        if args.predict < 1:
-            raise PreconditionError(f"--predict must be at least 1, got {args.predict}")
-        config.update(predict=args.predict)
+        config.update(predict=check_int("--predict", args.predict, 1))
         data = zeta_fit(curve, workers=args.workers, **guard)
         doc["zeta"] = data.to_dict()
         doc["predictions"] = {str(m): data.predict_N(m) for m in range(1, args.predict + 1)}
@@ -340,10 +336,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
+        check_int("--workers", args.workers, 1)
         doc = _HANDLERS[args.command](args)
         text = json.dumps(doc, indent=2, sort_keys=True) if args.json else "\n".join(_flat_lines(doc))
     except PreconditionError as exc:  # GuardExceededError and InseparableMapError included

@@ -9,7 +9,7 @@ reproducible.
 from itertools import islice
 
 from .bounds import _check_lcm_floor, decimal_string, point_supply_check, tame_bound_parts, wild_N, wild_bound
-from .errors import InternalInconsistencyError, PreconditionError, check_size
+from .errors import InternalInconsistencyError, PreconditionError, check_int, check_size
 from .factor import is_irreducible, roots
 from .field import FieldElement, FiniteField, _relation, embed, galois_orbit, prime_power
 from .poly import Polynomial
@@ -547,13 +547,9 @@ class CoveringDescriptor:
     __slots__ = ("field", "degree", "genus", "branch", "zS", "zT", "map")
 
     def __init__(self, field, degree, genus, branch=(), zS=(), zT=(), map=None):
-        if not isinstance(degree, int) or degree < 1:
-            raise PreconditionError("covering degree must be a positive integer")
-        if not isinstance(genus, int) or genus < 0:
-            raise PreconditionError("genus must be a nonnegative integer")
         self.field = field
-        self.degree = degree
-        self.genus = genus
+        self.degree = check_int("degree", degree, 1)
+        self.genus = check_int("genus", genus, 0)
         entries = []
         seen = set()
         for mp, partition in branch:
@@ -650,11 +646,9 @@ class CoveringDescriptor:
 
 
 def _points_or_size(field, value, name):
-    """(points or None, count) for a point set or a plain nonnegative size."""
-    if isinstance(value, int):
-        if value < 0:
-            raise PreconditionError("%s must be nonnegative" % name)
-        return None, value
+    """(points or None, count): an iterable other than a str is a point set, anything else a nonnegative size."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        return None, check_int(name, value, 0)
     pts = _point_tuple(field, value)
     return pts, len(pts)
 
@@ -668,8 +662,8 @@ def tame_pipeline(desc, S=0, T=0):
     can be formed.
     """
     field = desc.field
-    S_pts, s = _points_or_size(field, S, "s")
-    T_pts, t = _points_or_size(field, T, "t")
+    S_pts, s = _points_or_size(field, S, "S")
+    T_pts, t = _points_or_size(field, T, "T")
     if S_pts is not None and T_pts is not None:
         disjoint(S_pts, T_pts)
     if len(desc.zS) > s:

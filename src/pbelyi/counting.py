@@ -8,7 +8,7 @@ brute-force loops sit behind explicit size guards.
 from fractions import Fraction
 from math import comb
 
-from .errors import InternalInconsistencyError, PreconditionError, check_size
+from .errors import InternalInconsistencyError, PreconditionError, check_int, check_size
 from .field import FiniteField, embed, parse_field
 from .poly import Polynomial, parse_poly, value_at
 from .ratmap import P1Point, p1_points
@@ -19,6 +19,7 @@ DIVISOR_GUARD = 10**6
 
 def _extension_size(curve, m, guard):
     """q^m, the size of the degree-m extension; GuardExceededError once it passes guard."""
+    check_int("guard", guard)
     return check_size("the count needs a field of {} elements", curve.q, m, guard, "raise guard= (--guard-override)")
 
 
@@ -157,8 +158,8 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
     With workers > 1 a pool splits the same loop into stripes, each worker
     on its own unpickled copy.
     """
-    if m < 1:
-        raise PreconditionError("extension degree m must be at least 1")
+    check_int("m", m, 1)
+    check_int("workers", workers, 1)
     size = _extension_size(curve, m, guard)
     if isinstance(curve, ProjectiveLine):
         return size + 1
@@ -186,7 +187,7 @@ def count_points(curve, m: int = 1, guard: int = POINT_GUARD, workers: int = 1) 
 
 def point_counts(curve, max_m: int, guard: int = POINT_GUARD, workers: int = 1) -> dict:
     """Counts N_1..N_max as a mapping, each validated against the Weil bound; guarded at max_m before counting."""
-    if max_m >= 1:
+    if check_int("max_m", max_m, 0) >= 1:
         _extension_size(curve, max_m, guard)
     out = {}
     for m in range(1, max_m + 1):
@@ -203,9 +204,9 @@ class ZetaData:
     """Integer numerator coefficients a_0..a_2g of a curve's zeta function."""
 
     def __init__(self, q: int, genus: int, coeffs):
-        self.q = q
-        self.genus = genus
-        self.coeffs = tuple(coeffs)
+        self.q = check_int("q", q, 2)
+        self.genus = check_int("genus", genus, 0)
+        self.coeffs = tuple(check_int("a_%d" % i, a) for i, a in enumerate(coeffs))
         if len(self.coeffs) != 2 * genus + 1 or self.coeffs[0] != 1:
             raise PreconditionError("zeta numerator needs coefficients a_0=1 .. a_2g")
 
@@ -232,9 +233,7 @@ class ZetaData:
 
     def predict_N(self, m: int) -> int:
         """Exact point count over the degree-m extension implied by the numerator."""
-        if m < 1:
-            raise PreconditionError("extension degree m must be at least 1")
-        sums = self.power_sums(m)
+        sums = self.power_sums(check_int("m", m, 1))
         return self.q ** m + 1 - sums[m - 1]
 
     def to_dict(self) -> dict:
@@ -251,7 +250,7 @@ def zeta_fit(curve, counts=None, guard: int = POINT_GUARD, workers: int = 1) -> 
     for m in range(1, g + 1):
         if m not in counts:
             raise PreconditionError(f"zeta fit needs the count over the degree-{m} extension")
-        sums.append(q**m + 1 - counts[m])
+        sums.append(q**m + 1 - check_int("counts[%d]" % m, counts[m], 0))
     a = [1]
     for k in range(1, g + 1):
         acc = sums[k - 1] + sum(a[j] * sums[k - j - 1] for j in range(1, k))
@@ -273,11 +272,10 @@ def sym_product_count(counts, r: int) -> int:
     k a_k = sum_{m=1..k} N_m a_{k-m} with a_0 = 1.  The recurrence runs in
     exact rational arithmetic, and a_r must come out an integer.
     """
-    if r < 1:
-        raise PreconditionError("symmetric power r must be at least 1")
-    for m in range(1, r + 1):
+    for m in range(1, check_int("r", r, 1) + 1):
         if m not in counts:
             raise PreconditionError(f"symmetric-product count needs N_{m}")
+        check_int("counts[%d]" % m, counts[m], 0)
     a = [Fraction(1)]
     for k in range(1, r + 1):
         a.append(sum(counts[m] * a[k - m] for m in range(1, k + 1)) / k)
@@ -293,7 +291,7 @@ def closed_point_counts(curve, max_degree: int, guard: int = DIVISOR_GUARD, work
     """
     out = {}
     exact = {}  # d -> d * b_d, the points of exact degree d
-    for d, total in point_counts(curve, max_degree, guard=guard, workers=workers).items():
+    for d, total in point_counts(curve, check_int("max_degree", max_degree, 0), guard=guard, workers=workers).items():
         total -= sum(exact[e] for e in range(1, d) if d % e == 0)
         exact[d] = total
         if total % d != 0:
@@ -310,9 +308,7 @@ def enumerate_effective_divisors(curve, r: int, guard: int = DIVISOR_GUARD, work
     N_m that sym_product_count reads, so their agreement is an identity
     between two formulas on one set of counts, not an independent enumeration.
     """
-    if r < 1:
-        raise PreconditionError("divisor degree r must be at least 1")
-    b = closed_point_counts(curve, r, guard=guard, workers=workers)
+    b = closed_point_counts(curve, check_int("r", r, 1), guard=guard, workers=workers)
     ways = [1] + [0] * r
     for d in range(1, r + 1):
         new = [0] * (r + 1)
@@ -328,11 +324,8 @@ def enumerate_effective_divisors(curve, r: int, guard: int = DIVISOR_GUARD, work
 
 def hasse_weil_check(q: int, g: int, m: int, count: int) -> bool:
     """Exact integer form of the Weil bound on a point count."""
-    for name, value in (("q", q), ("g", g), ("m", m), ("count", count)):
-        if not isinstance(value, int) or value < 0:
-            raise PreconditionError(f"{name} must be a nonnegative integer")
-    if q < 2 or m < 1:
-        raise PreconditionError("need q at least 2 and m at least 1")
+    for name, value, low in (("q", q, 2), ("g", g, 0), ("m", m, 1), ("count", count, 0)):
+        check_int(name, value, low)
     return (count - q**m - 1) ** 2 <= 4 * g * g * q**m
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types and the one size check behind every work guard.
+"""Shared exception types, the one integer check and the one size check behind every work guard.
 
 PreconditionError covers violated input contracts and failed feasibility
 hypotheses; the CLI maps it to exit code 2.  Anything else that escapes is
@@ -26,8 +26,26 @@ _SHOWN_BITS = 128  # numbers up to 2^128 (39 digits) print in full; 30102/100000
 
 
 def _number(n):
-    """n in decimal when short, else "more than 10^k" read off its bit length."""
-    return str(n) if n.bit_length() <= _SHOWN_BITS else "more than 10^%d" % ((n.bit_length() - 1) * 30102 // 100000)
+    """n in decimal when short, else "more than 10^k" (or "less than -10^k") read off its bit length."""
+    if n.bit_length() <= _SHOWN_BITS:
+        return str(n)
+    return "%s10^%d" % ("more than " if n > 0 else "less than -", (n.bit_length() - 1) * 30102 // 100000)
+
+
+def check_int(name, value, low=None, high=None):
+    """value when it is an int with low <= value < high; PreconditionError otherwise.
+
+    low None admits every int, and high None (the one choice when low is None) sets no upper end.
+
+    A bool is no count and a float no integer, 2.0 included, so results stay exact integers.
+    The refusal names the parameter, the allowed range and the value given.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value < high):
+            return value
+    shown = _number(value) if isinstance(value, int) else repr(value)
+    allowed = "" if low is None else " in [%d, %d)" % (low, high) if high is not None else " at least %d" % low
+    raise PreconditionError("%s = %s lies outside the integers%s" % (name, shown, allowed))
 
 
 def check_size(what, base, exponent, cap, way_out):
@@ -37,6 +55,7 @@ def check_size(what, base, exponent, cap, way_out):
     the cap by its bound 2^(exponent (bits(base) - 1)) is refused unbuilt, so a power that is
     built has at most twice the cap's bits, and no message prints a number past 2^128 in full.
     """
+    check_int("the limit", cap)
     if exponent * (base.bit_length() - 1) <= max(cap, 0).bit_length():
         value = base ** exponent
         if value <= cap:

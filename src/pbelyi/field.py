@@ -45,7 +45,7 @@ from functools import lru_cache, partial
 from itertools import zip_longest
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, check_int
 
 IntPoly = Tuple[int, ...]  # little-endian coefficients over F_p
 
@@ -318,14 +318,19 @@ def prime_power(q: int) -> Tuple[int, int]:
     The largest n with q an exact n-th power is the exponent, so no
     trial division is needed.
     """
-    if isinstance(q, int) and not isinstance(q, bool) and q >= 3 and q % 2:
-        for n in range(q.bit_length(), 0, -1):
-            r = _int_root(q, n)
-            if r ** n == q:
-                if is_prime(r):
-                    return r, n
-                break
+    if check_int("odd prime power q", q, 3) % 2:
+        r, n = _largest_power(q)
+        if is_prime(r):
+            return r, n
     raise PreconditionError("q must be an odd prime power, got %r" % (q,))
+
+
+def _largest_power(q: int) -> Tuple[int, int]:
+    """(r, n) with q = r**n for q >= 2 and n as large as it goes."""
+    for n in range(q.bit_length(), 0, -1):
+        r = _int_root(q, n)
+        if r ** n == q:
+            return r, n
 
 
 def digits(k: int, base: int, count: int) -> List[int]:
@@ -600,12 +605,11 @@ class FiniteField:
     )
 
     def __new__(cls, p: int, n: int = 1, modulus: Sequence[int] = None):
-        if not isinstance(p, int) or not is_prime(p):
+        if not is_prime(check_int("p", p)):
             raise PreconditionError(f"characteristic must be prime, got {p}")
         if p == 2:
             raise PreconditionError("characteristic 2 is not supported")
-        if not isinstance(n, int) or n < 1:
-            raise PreconditionError(f"extension degree must be a positive integer, got {n}")
+        check_int("n", n, 1)
         if modulus is None:
             interned = _canonical_modulus.fields.get((p, n))
             if interned is not None:
@@ -980,6 +984,10 @@ def parse_field(text: str) -> FiniteField:
             p, n = int(text), 1
     except ValueError:
         raise PreconditionError(f"field {original!r} is not p^n or p^n/c0,...,cn in integers") from None
+    if "^" not in text and p >= 3 and p % 2 and not is_prime(p):
+        r, k = _largest_power(p)
+        if k > 1 and is_prime(r):
+            raise PreconditionError(f"characteristic must be prime, got {p}; write {p} as {r}^{k}")
     if mod is not None and (mod[-1] != 1 or any(not 0 <= c < p for c in mod)):
         # FiniteField rejects every other count of coordinates by the degree
         raise PreconditionError(f"modulus {modtext!r} must have coordinates in [0, {p}) and end in 1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, check_int
 from .field import EmbeddingMap, FieldElement, FiniteField, parse_element
 from .poly import Polynomial, parse_poly, value_at
 
@@ -74,7 +74,7 @@ class P1Point:
 
 
 def as_point(field: FiniteField, value) -> P1Point:
-    """A point of P^1(field) from a P1Point, an element, a text or an element code in [0, q)."""
+    """A point of P^1(field) from a P1Point, an element, a text or an element code, an int in [0, q)."""
     if isinstance(value, P1Point):
         if value.field != field:
             raise PreconditionError("point %s lies over %s, expected %s" % (value, value.field, field))
@@ -85,11 +85,7 @@ def as_point(field: FiniteField, value) -> P1Point:
         return P1Point.of(value)
     if isinstance(value, str):
         return parse_point(field, value)
-    if isinstance(value, int):
-        if not 0 <= value < field.q:
-            raise PreconditionError("point code %d lies outside [0, %d)" % (value, field.q))
-        return P1Point.of(field.from_int_value(value))
-    raise PreconditionError("cannot read %r as a point on the line" % (value,))
+    return P1Point.of(field.from_int_value(check_int("point code", value, 0, field.q)))
 
 
 def point_set(field: FiniteField, values) -> Tuple[P1Point, ...]:

@@ -77,7 +77,7 @@ import signal
 import sys
 
 from .constructions import BelyiInstance, _as_field
-from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_size
+from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_int, check_size
 from .factor import DEFAULT_SEED, distinct_degree, squarefree_decomposition
 from .field import FiniteField, _derivative, _euclid, _trim, digits, embed
 from .poly import Polynomial, value_at
@@ -97,11 +97,6 @@ def _init_worker(least):
     _least_hit = least
 
 
-def _positive_int(k):
-    """Whether k is an int of at least 1; a bool is no count."""
-    return isinstance(k, int) and not isinstance(k, bool) and k >= 1
-
-
 def _poly_from_code(field, code, length):
     """The polynomial whose length coefficients are the base-q digits of code."""
     return Polynomial._from_values(field, [field.from_code(c) for c in digits(code, field.q, length)])
@@ -116,8 +111,7 @@ def enumerate_candidates(field, d):
     which builds every map of each row, is its oracle in the tests.
     """
     field = _as_field(field)
-    if not _positive_int(d):
-        raise PreconditionError("degree must be a positive integer, got %r" % (d,))
+    check_int("d", d, 1)
     for _, e, _, den in _rows(field, range(_row_count(field.q, d))):
         yield from _row_stream(field, d, e, den)
 
@@ -226,12 +220,10 @@ class SearchSpec:
             raise PreconditionError("instance must be a BelyiInstance")
         if kind not in ("tame", "wild"):
             raise PreconditionError("kind must be 'tame' or 'wild', got %r" % (kind,))
-        if not _positive_int(d_max):
-            raise PreconditionError("d_max must be a positive integer, got %r" % (d_max,))
+        check_int("d_max", d_max, 1)
         if mode not in ("exhaustive", "randomized"):
             raise PreconditionError("mode must be 'exhaustive' or 'randomized'")
-        if not _positive_int(budget):
-            raise PreconditionError("budget must be a positive integer")
+        check_int("budget", budget, 1)
         base = instance.field
         if fields is None:
             fields = (base, FiniteField(base.p, 2 * base.n))
@@ -675,8 +667,8 @@ def minimal_belyi_degree(spec: SearchSpec, workers: int = 1, guard: int = EXHAUS
     """
     if not isinstance(spec, SearchSpec):
         raise PreconditionError("spec must be a SearchSpec")
-    if not _positive_int(workers):
-        raise PreconditionError("workers must be a positive integer")
+    check_int("workers", workers, 1)
+    check_int("guard", guard)
     exhaustive = spec.mode == "exhaustive"
     if exhaustive:
         _check_guard(spec, guard)

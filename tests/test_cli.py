@@ -481,3 +481,24 @@ def test_golden_shifted_variant_fails_both_readings():
     avoided = json.loads((GOLDEN / "verify_shifted_avoided_q5.json").read_text())
     assert marked["passed"] is False
     assert avoided["passed"] is False
+
+
+def test_a_prime_power_given_as_a_characteristic_names_its_p_n_spelling():
+    for q, says in (("9", "write 9 as 3^2"), ("729", "write 729 as 3^6"), ("25/1,0,1", "write 25 as 5^2")):
+        proc = run_cli("verify", "tame", "--q", q, "--map", "poly=0,1")
+        assert proc.returncode == 2 and proc.stdout == "", q
+        assert f"characteristic must be prime, got {q.split('/')[0]}; {says}" in proc.stderr, proc.stderr
+    for q in ("15", "8", "1"):  # no odd prime power: nothing to respell
+        proc = run_cli("verify", "tame", "--q", q, "--map", "poly=0,1")
+        assert proc.returncode == 2 and "write" not in proc.stderr, q
+        assert f"characteristic must be prime, got {q}\n" in proc.stderr, proc.stderr
+
+
+def test_worker_counts_below_one_or_not_integers_exit_2():
+    argv = ("count", "points", "--curve", "p1/5")
+    for workers in ("0", "-3"):
+        proc = run_cli("--workers", workers, *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"error: --workers = {workers} lies outside the integers at least 1" in proc.stderr
+    proc = run_cli("--workers", "1.5", *argv)  # argparse reads the flag as an int
+    assert proc.returncode == 2 and "--workers" in proc.stderr and proc.stdout == ""

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from pbelyi import counting
+from pbelyi.bounds import tame_bound, tame_bound_parts, wild_N, wild_bound
 from pbelyi import field as field_module
 from pbelyi.counting import (
     CurvePoint,
@@ -344,6 +345,22 @@ def test_closed_point_counts_get_the_weil_check(monkeypatch):
         closed_point_counts(ELLIPTIC5, 2)
     with pytest.raises(InternalInconsistencyError, match="violates the Weil bound"):
         enumerate_effective_divisors(ELLIPTIC5, 2)
+
+
+@pytest.mark.parametrize("curve", [LINE3, LINE5, ELLIPTIC5, ELLIPTIC3, GENUS2, EVEN_SQ, EVEN_NONSQ], ids=str)
+def test_every_count_coefficient_and_bound_is_an_int(curve):
+    """No float reaches a result: counts, zeta coefficients and bound values are ints, not bools."""
+    counts = point_counts(curve, 3)
+    zeta = zeta_fit(curve)
+    values = [*counts.values(), *closed_point_counts(curve, 3).values(), count_points(curve, 2, workers=2)]
+    values += [sym_product_count(counts, 3), enumerate_effective_divisors(curve, 3)]
+    values += [*zeta.coeffs, *zeta.power_sums(4), *(zeta.predict_N(m) for m in (1, 2, 3, 4))]
+    g = curve.genus
+    parts = tame_bound_parts(g, 1, 1, curve.q)
+    # at genus 2 the tame bound has some 45 million digits, past DIGIT_GUARD
+    values += [tame_bound(min(g, 1), 1, 1, curve.q).value, wild_bound(g, 1, 1, curve.field.p).value, wild_N(g, 1)]
+    values += [parts[key] for key in ("factor", "m", "L", "exponent", "log_q_size")]
+    assert all(type(value) is int for value in values), values
 
 
 def test_hasse_weil_examples():

@@ -159,3 +159,64 @@ def test_one_linear_solve_one_euclid_and_no_guard_as_control_flow():
     assert callers == {"field.py:section", "ramification.py:_min_poly", "constructions.py:wild_h_tower"}
     assert loops == {"field.py:_euclid", "field.py:_ext_gcd"}
     assert catches == []
+
+
+def _enclosing_functions(tree):
+    """Map each node of a module's tree to the name of the innermost function around it."""
+    where = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            where[child] = inner
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return where
+
+
+def test_only_the_integer_check_refuses_a_non_int():
+    """errors.check_int is the one refusal of a bool, a float or another non-int
+    argument: no _require_nonneg or _positive_int is left, no module outside
+    errors.py tests for a bool, and isinstance(..., int) stays only in the
+    dispatches that read a raw value (FiniteField's _from_raw, a scalar factor
+    in Polynomial.__mul__), none of which raises."""
+    allowed = {"field.py:__init__", "poly.py:__mul__"}
+    found, helpers = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers += [f"{path.name}:{line} {name}" for line, name in _names(tree) if name in ("_require_nonneg", "_positive_int")]
+        if path.name == "errors.py":
+            continue
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = {getattr(kind, "id", None) for kind in getattr(node.args[1], "elts", [node.args[1]])}
+                if "bool" in kinds or ("int" in kinds and f"{path.name}:{where[node]}" not in allowed):
+                    found.append(f"{path.name}:{node.lineno} isinstance")
+    assert SOURCES and helpers == [] and found == []
+
+
+def test_no_float_anywhere_in_the_package():
+    """The README's promise: src holds no float literal and no float() call,
+    imports no float-valued function from math, and divides with / in two
+    places only, the Fraction recurrence of sym_product_count and
+    FieldElement.__rtruediv__, which divides in the field."""
+    int_valued = {"comb", "factorial", "gcd", "isqrt", "lcm"}
+    found, divisions = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                found.append(f"{path.name}:{node.lineno} float()")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{path.name}:{node.lineno} math.{a.name}" for a in node.names if a.name not in int_valued]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
+                found.append(f"{path.name}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                divisions.append(f"{path.name}:{where[node]}")
+    assert SOURCES and found == []
+    assert sorted(divisions) == ["counting.py:sym_product_count", "field.py:__rtruediv__"]
