@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import InternalInconsistencyError, PreconditionError, check_int, check_size
-from .field import is_prime, prime_power
+from .field import _is_prime, prime_power
 
 DIGIT_GUARD = 100_000
 
@@ -203,7 +203,7 @@ def wild_bound(g, s, t, p, digit_guard=DIGIT_GUARD):
     """Wild degree bound N p^(s+2(g+N)) with N = wild_N(g, t), exact."""
     for name, value in (("g", g), ("s", s), ("t", t)):
         check_int(name, value, 0)
-    if check_int("p", p) == 2 or not is_prime(p):
+    if check_int("p", p) == 2 or not _is_prime(p):
         raise PreconditionError("p must be an odd prime, got %r" % (p,))
     check_int("digit_guard", digit_guard)
     N = wild_N(g, t)

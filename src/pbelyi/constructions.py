@@ -13,7 +13,7 @@ from .errors import InternalInconsistencyError, PreconditionError, check_int, ch
 from .factor import is_irreducible, roots
 from .field import FieldElement, FiniteField, _relation, embed, galois_orbit, prime_power
 from .poly import Polynomial
-from .ramification import BelyiVerdict, _locus_key, analyze, verify_tame_belyi, verify_wild_belyi
+from .ramification import BelyiVerdict, _locus_key, _tame_verdicts, analyze, verify_tame_belyi, verify_wild_belyi
 from .ratmap import (
     P1Point, RationalMap, as_point, disjoint, mobius_from_triple, p1_points, p1_points_outside, point_set, three_points,
 )
@@ -102,7 +102,8 @@ def tame_power_map(q):
 
     The shifted variant x^(q-1) - 1 collapses all units onto 0 and branches
     over -1, so it fails verification whether the full point set is read as
-    marked or as avoided; both failing verdicts ride along in the provenance.
+    marked or as avoided; both failing verdicts, read from one analysis of
+    it, ride along in the provenance.
     """
     field = _as_field(q)
     x = Polynomial.x(field)
@@ -110,16 +111,23 @@ def tame_power_map(q):
     everything = p1_points(field)
     verdict = verify_tame_belyi(power, everything, ())
     shifted = RationalMap.from_polynomial(x ** (field.q - 1) - Polynomial.one(field))
+    marked_reading, avoided_reading = _tame_verdicts(shifted, [(everything, ()), ((), everything)])
     provenance = [
         {"step": "power map", "map": str(power), "degree": field.q - 1},
         {
             "step": "rejected shifted variant",
             "map": str(shifted),
-            "marked reading": verify_tame_belyi(shifted, everything, ()).to_dict(),
-            "avoided reading": verify_tame_belyi(shifted, (), everything).to_dict(),
+            "marked reading": marked_reading.to_dict(),
+            "avoided reading": avoided_reading.to_dict(),
         },
     ]
     return ConstructionResult(power, verdict, provenance)
+
+
+def _verified(step):
+    """The ConstructionResult of a (map, marked, avoided, provenance entry) step, with a fresh verdict."""
+    map_, marked, avoided, entry = step
+    return ConstructionResult(map_, verify_tame_belyi(map_, marked, avoided), [entry])
 
 
 def tame_normalize_small(instance, tau=None):
@@ -129,6 +137,11 @@ def tame_normalize_small(instance, tau=None):
     (the middle one, if any, to 1); unused target slots are filled with the
     smallest rational points that are neither marked nor avoided.
     """
+    return _verified(_normalize_step(instance, tau))
+
+
+def _normalize_step(instance, tau):
+    """tame_normalize_small as a (map, marked, avoided, provenance entry) step, unverified."""
     field = instance.field
     if instance.s > 3:
         raise PreconditionError("normalization handles at most 3 marked points, got %d" % instance.s)
@@ -154,7 +167,6 @@ def tame_normalize_small(instance, tau=None):
     pairs += list(zip(fillers, free))
     src_for = {dst: src for src, dst in pairs}
     mob = mobius_from_triple(src_for[zero], src_for[one], src_for[inf])
-    verdict = verify_tame_belyi(mob, instance.S, avoided)
     entry = {
         "step": "normalize",
         "map": str(mob),
@@ -162,7 +174,7 @@ def tame_normalize_small(instance, tau=None):
     }
     if avoided:
         entry["avoided image"] = str(mob(avoided[0]))
-    return ConstructionResult(mob, verdict, [entry])
+    return mob, instance.S, avoided, entry
 
 
 def collapse_map(q, alpha, S, tau=None):
@@ -173,6 +185,11 @@ def collapse_map(q, alpha, S, tau=None):
     point (when given) keeps a separate image.  The attached report is the
     ground truth on where this map actually branches.
     """
+    return _verified(_collapse_step(q, alpha, S, tau))
+
+
+def _collapse_step(q, alpha, S, tau):
+    """collapse_map as a (map, marked, avoided, provenance entry) step, unverified."""
     field = _as_field(q)
     S = _point_tuple(field, S)
     alpha = as_point(field, alpha)
@@ -196,7 +213,6 @@ def collapse_map(q, alpha, S, tau=None):
         )
     if any(xi(pt) in merged for pt in avoided):
         raise InternalInconsistencyError("the avoided image collided with a marked image")
-    verdict = verify_tame_belyi(xi, S, avoided)
     entry = {
         "step": "collapse",
         "alpha": str(alpha),
@@ -205,15 +221,15 @@ def collapse_map(q, alpha, S, tau=None):
     }
     if avoided:
         entry["avoided image"] = str(xi(avoided[0]))
-    return ConstructionResult(xi, verdict, [entry])
+    return xi, S, avoided, entry
 
 
 def tame_reduce_recursive(instance, tau):
     """Shrink the marked set one collapse at a time, then normalize.
 
     The composite has degree (q-1)^(s-3) for s > 3 and degree 1 otherwise.
-    The final verdict is whatever the verifier computes on the composite;
-    nothing is repaired or hidden.
+    The steps are built unverified; the one verdict is whatever the verifier
+    computes on the composite, so nothing is repaired or hidden.
     """
     field = instance.field
     tau = as_point(field, tau)
@@ -237,14 +253,14 @@ def tame_reduce_recursive(instance, tau):
             provenance.append({"step": "move to standard position", "map": str(mob)})
     while len(current) > 3:
         alpha = next(pt for pt in current if pt != zero and pt != inf)
-        step = collapse_map(field, alpha, current, cur_tau)
-        provenance.extend(step.provenance)
-        cur_tau = step.map(cur_tau)
-        current = _point_tuple(field, (step.map(pt) for pt in current))
-        composite = step.map.compose(composite)
-    finish = tame_normalize_small(BelyiInstance(field, current, (cur_tau,)), cur_tau)
-    provenance.extend(finish.provenance)
-    composite = finish.map.compose(composite)
+        xi, _, _, entry = _collapse_step(field, alpha, current, cur_tau)
+        provenance.append(entry)
+        cur_tau = xi(cur_tau)
+        current = _point_tuple(field, (xi(pt) for pt in current))
+        composite = xi.compose(composite)
+    mob, _, _, entry = _normalize_step(BelyiInstance(field, current, (cur_tau,)), cur_tau)
+    provenance.append(entry)
+    composite = mob.compose(composite)
     expected = (field.q - 1) ** max(instance.s - 3, 0)
     if composite.degree != expected:
         raise InternalInconsistencyError(

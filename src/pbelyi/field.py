@@ -20,7 +20,9 @@ three routes:
   kernel below.
 - n > 1 with at most TABLE_LIMIT elements: the value is the code, an int in
   [0, q).  log/exp tables of a primitive element multiply, invert and power
-  by lookup, and Zech's logarithms, built with them, add and subtract.
+  by lookup, and Zech's logarithms, built with them, add and subtract.  The
+  build is one walk on codes by table lookups (_log_exp_tables), with no
+  element multiply.
 - n > 1 above TABLE_LIMIT: the value is the coordinate tuple; elements
   multiply as int-tuple polynomials and invert by the one extended Euclid
   over F_p.
@@ -57,11 +59,17 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the 13 prime bases 2 .. 41; PreconditionError for an n they cannot decide.
+    """Deterministic Miller-Rabin to the 13 prime bases 2 .. 41; PreconditionError for an n they cannot decide
+    and for an n that is no int (errors.check_int).
 
     They decide every n below psi_13 = 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
     all 13; the 12 to 37 pass psi_12 = 399,165,290,221 * 798,330,580,441 (Sorenson & Webster, 2017).
     """
+    return _is_prime(check_int("n", n))
+
+
+def _is_prime(n: int) -> bool:
+    """is_prime on an n that is an int already."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -94,8 +102,7 @@ def is_prime(n: int) -> bool:
 # int-tuple polynomials over F_p (little-endian, trailing zeros stripped): the
 # F_p[x] kernel.  A prime field binds it as its pmul, pdivmod and ppowmod, so
 # Polynomial over F_p multiplies, divides and powers modulo here on its value
-# tuples; F_{p^n}, n > 1, multiplies its elements here above TABLE_LIMIT and
-# in the table build.
+# tuples; F_{p^n}, n > 1, multiplies its elements here above TABLE_LIMIT.
 #
 # Short operands go through schoolbook loops.  From MUL_CUTOFF coefficients a
 # product is one bigint product (Kronecker substitution, von zur Gathen &
@@ -292,8 +299,6 @@ def _prime_divisors(n: int) -> List[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-            if is_prime(n):  # a prime cofactor ends the search at once
-                break
         d += 1
     if n > 1:
         out.append(n)
@@ -320,7 +325,7 @@ def prime_power(q: int) -> Tuple[int, int]:
     """
     if check_int("odd prime power q", q, 3) % 2:
         r, n = _largest_power(q)
-        if is_prime(r):
+        if _is_prime(r):
             return r, n
     raise PreconditionError("q must be an odd prime power, got %r" % (q,))
 
@@ -345,9 +350,13 @@ def digits(k: int, base: int, count: int) -> List[int]:
 def _search_modulus(p: int, n: int) -> IntPoly:
     """The first monic irreducible of degree n over F_p, in the order of the codes of its lower coefficients.
 
-    A candidate with a root at 0, 1 or -1, that is with a zero constant term,
-    coefficient sum or alternating sum mod p, is reducible for n >= 2 and is
-    skipped before Ben-Or's test.
+    A candidate with a root in F_p is reducible for n >= 2 and is skipped;
+    below degree 4 a reducible candidate has a linear factor, so the first
+    one left is the modulus, and from degree 4 Ben-Or's test decides the
+    rest.  The first stage of Ben-Or's test, gcd(f, x^p - x), is itself a
+    root screen in about n^2 log2 p steps.  While p(n + 1) Horner steps
+    (_code_of at each a) cost no more, the search evaluates instead, which
+    spares most candidates the test over small p.
     """
     if n == 1:
         return (0, 1)
@@ -355,13 +364,16 @@ def _search_modulus(p: int, n: int) -> IntPoly:
     from .poly import Polynomial
 
     prime_field = FiniteField(p)
+    by_values = p <= n * n * p.bit_length()
     for k in range(p ** n):
         coeffs = digits(k, p, n) + [1]
-        if not coeffs[0] or not sum(coeffs) % p or not (sum(coeffs[::2]) - sum(coeffs[1::2])) % p:
-            continue
-        f = Polynomial(prime_field, coeffs)
-        if is_irreducible(f):
-            return f.values
+        if by_values:
+            if any(not _code_of(coeffs, a) % p for a in range(p)):
+                continue
+            if n < 4:
+                return tuple(coeffs)
+        if is_irreducible(Polynomial(prime_field, coeffs)):
+            return tuple(coeffs)
     raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
@@ -399,8 +411,8 @@ def _value_ops(p: int, n: int, modulus: IntPoly):
     """zero, one, add, sub, neg, mul, inv and pow on ints for n == 1, else on coordinate tuples, by arithmetic.
 
     They act on the values of F_p and of fields above TABLE_LIMIT; a tabled
-    field builds its tables with this mul.  inv needs a nonzero value and
-    pow a non-negative exponent.
+    field replaces them by _table_ops.  inv needs a nonzero value and pow a
+    non-negative exponent.
     """
     if n == 1:
         add, sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
@@ -464,8 +476,19 @@ def _coordinates(x: Iterable[int], p: int, n: int) -> List[int]:
     return coords + [0] * (n - len(coords))
 
 
-def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
-    """(exp, log, zech, coords) for F_p[x]/(modulus), n > 1, with mul its int-tuple multiply: four lists on codes.
+def _digit_table(base: int, count: int, zero, weight, add=operator.add) -> list:
+    """T with T[d_0 + d_1 base + ... + d_(count-1) base^(count-1)] = zero + weight(0, d_0) + ... by add.
+
+    Each digit position is one list comprehension over the table so far, so T costs about base**count adds.
+    """
+    table = [zero]
+    for i in range(count):
+        table = [add(x, w) for w in [weight(i, d) for d in range(base)] for x in table]
+    return table
+
+
+def _log_exp_tables(p: int, n: int, modulus: IntPoly):
+    """(exp, log, zech, coords) for F_p[x]/(modulus), n > 1: four lists on codes.
 
     exp lists the codes of the powers g^0 .. g^(q-2) of a primitive element
     g twice over, so a sum of two logs indexes it directly; log[c] is the
@@ -475,44 +498,64 @@ def _log_exp_tables(p: int, n: int, modulus: IntPoly, mul):
     Adding 1 raises the lowest base-p digit of a code c by one mod p, so
     1 + g^k has code c + 1, or c - (p - 1) when that digit of the code c of
     g^k is p - 1.  Z is None at k = (q - 1)/2, where 1 + g^k = 0 has no log.
-    coords[c] is the coordinate tuple of code c, kept from the build.
+    coords[c] is the coordinate tuple of code c.
 
-    g is the first element by code, past the constants, of order q - 1.
-    When g = c1*x + c0 its powers step in O(n) on coordinates: shift, reduce
-    the top coordinate by the monic modulus, scale by c1 and add c0 times the
-    old value; otherwise each step is a general multiply.  The O(n) step
-    builds F_2401 in 2.4 ms against 7.6 ms by the general multiply.
+    g is the first element by code, past the constants, of order q - 1, and
+    exp is its walk on codes, which is also the order test: a candidate is g
+    when its walk from 1 first returns to 1 after q - 1 steps.  With h =
+    ceil(n/2) a step splits a code c = lo + p^h hi and looks up the
+    coordinate vectors of lo*g and x^h hi*g, packed as integers in base 2p - 1
+    so that they add with no carry; two more lookups, on the low h and the
+    high n - h packed digits, read the sum back as a code mod p.  Every table
+    is built digit by digit (_digit_table), so the build multiplies no
+    elements.  A linear candidate c1 x + c0 is first screened by its norm
+    (-c1)^n f(-c0/c1): g^((q-1)/l) = N(g)^((p-1)/l) for each prime l | p - 1,
+    so g's norm generates F_p^*.
     """
-    q = p ** n
-    one = (1,) + (0,) * (n - 1)
-    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    q, h, base = p ** n, (n + 1) // 2, 2 * p - 1
+    split, half = p ** h, base ** h
+
+    def halves(radix):  # the low h and the high n - h packed digits, each below 2p - 1, read mod p in radix
+        return [_digit_table(base, k, 0, lambda i, d: d % p * radix ** (j + i)) for j, k in ((0, h), (h, n - h))]
+
+    low, high = halves(p)  # to a code
+    packed_low, packed_high = halves(base)  # packed again
+    fold = lambda s: packed_low[s % half] + packed_high[s // half]
+    norm_cofactors = [(p - 1) // r for r in _prime_divisors(p - 1)]
     for k in range(p, q):
-        g = tuple(digits(k, p, n))
-        if all(_pow_by_squaring(mul, one, g, e) != one for e in cofactors):
+        g = digits(k, p, n)
+        if k < p * p:
+            a = -g[0] * pow(g[1], -1, p) % p
+            norm = pow(-g[1], n, p) * _code_of(modulus, a) % p
+            if any(pow(norm, e, p) == 1 for e in norm_cofactors):
+                continue
+        rows = [g]  # the coordinates of x^i g
+        for _ in range(n - 1):
+            top = rows[-1][-1]
+            rows.append([(s - top * m) % p for s, m in zip([0] + rows[-1][:-1], modulus)])
+        times_lo, times_hi = [  # packed coordinates of lo*g and of x^h hi*g
+            _digit_table(p, len(part), 0, lambda i, d: _code_of([d * c % p for c in part[i]], base),
+                         lambda x, w: fold(x + w))
+            for part in (rows[:h], rows[h:])
+        ]
+        exp, c = [], 1
+        for _ in range(q - 1):
+            exp.append(c)
+            s = times_lo[c % split] + times_hi[c // split]
+            c = low[s % half] + high[s // half]
+            if c == 1:
+                break
+        if c == 1 and len(exp) == q - 1:
             break
     else:
         raise InternalInconsistencyError(f"no primitive element in F_{p}^{n} modulo {modulus}")
-    if k < p * p:
-        c0, c1 = g[0], g[1]
-
-        def step(a):
-            top = a[-1]
-            return tuple([(c1 * (s - top * m) + c0 * x) % p for s, m, x in zip((0,) + a[:-1], modulus, a)])
-
-    else:
-        step = lambda a: mul(a, g)
-    power, exp, coords = one, [], [(0,) * n] * q
-    for _ in range(q - 1):
-        exp.append(_code_of(power, p))
-        coords[exp[-1]] = power
-        power = step(power)
     log = [None] * q
     for i, c in enumerate(exp):
         log[c] = i
     if log.count(None) != 1:
-        raise InternalInconsistencyError(f"the powers of {g} in F_{p}^{n} repeat before q - 1")
+        raise InternalInconsistencyError(f"the powers of {tuple(g)} in F_{p}^{n} repeat before q - 1")
     zech = [log[c + 1] if c % p != p - 1 else log[c - p + 1] for c in exp]
-    return exp + exp, log, zech, coords
+    return exp + exp, log, zech, _digit_table(p, n, (), lambda i, d: (d,))
 
 
 def _table_ops(exp, log, zech):
@@ -605,7 +648,7 @@ class FiniteField:
     )
 
     def __new__(cls, p: int, n: int = 1, modulus: Sequence[int] = None):
-        if not is_prime(check_int("p", p)):
+        if not _is_prime(check_int("p", p)):
             raise PreconditionError(f"characteristic must be prime, got {p}")
         if p == 2:
             raise PreconditionError("characteristic 2 is not supported")
@@ -644,7 +687,7 @@ class FiniteField:
             if n == 1:
                 self.coords = lambda a: (a,)
             else:
-                self._exp, self._log, self._zech, coords = _log_exp_tables(p, n, self.modulus, mul)
+                self._exp, self._log, self._zech, coords = _log_exp_tables(p, n, self.modulus)
                 zero, one = 0, 1
                 add, sub, neg, mul, inv, pow_ = _table_ops(self._exp, self._log, self._zech)
                 self.coords = coords.__getitem__
@@ -984,9 +1027,9 @@ def parse_field(text: str) -> FiniteField:
             p, n = int(text), 1
     except ValueError:
         raise PreconditionError(f"field {original!r} is not p^n or p^n/c0,...,cn in integers") from None
-    if "^" not in text and p >= 3 and p % 2 and not is_prime(p):
+    if "^" not in text and p >= 3 and p % 2 and not _is_prime(p):
         r, k = _largest_power(p)
-        if k > 1 and is_prime(r):
+        if k > 1 and _is_prime(r):
             raise PreconditionError(f"characteristic must be prime, got {p}; write {p} as {r}^{k}")
     if mod is not None and (mod[-1] != 1 or any(not 0 <= c < p for c in mod)):
         # FiniteField rejects every other count of coordinates by the degree

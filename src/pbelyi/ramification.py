@@ -367,35 +367,46 @@ def verify_tame_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:
     characteristic, branch values inside {0, 1, inf}, marked points mapped
     into {0, 1, inf}, avoided points mapped outside it.
     """
+    return _tame_verdicts(f, [(marked, avoided)])[0]
+
+
+def _tame_verdicts(f: RationalMap, readings) -> list:
+    """verify_tame_belyi(f, marked, avoided) for each (marked, avoided) in readings, on one analysis of f
+    and one image of each point."""
     if f.is_constant:
         raise PreconditionError("constant map is not a covering")
-    marked, avoided = point_set(f.field, marked), point_set(f.field, avoided)
-    disjoint(marked, avoided)
-    violations = []
     std = three_points(f.field)
-    for pt in marked:
-        img = f(pt)
-        if img not in std:
-            violations.append(f"marked point {pt} maps to {img}, outside {{0, 1, inf}}")
-    for pt in avoided:
-        img = f(pt)
-        if img in std:
-            violations.append(f"avoided point {pt} maps to {img}, inside {{0, 1, inf}}")
+    images, per_reading = {}, []
+    for marked, avoided in readings:
+        marked, avoided = point_set(f.field, marked), point_set(f.field, avoided)
+        disjoint(marked, avoided)
+        for pt in marked + avoided:
+            if pt not in images:
+                images[pt] = f(pt)
+        violations = [
+            f"marked point {pt} maps to {images[pt]}, outside {{0, 1, inf}}" for pt in marked if images[pt] not in std
+        ]
+        violations += [
+            f"avoided point {pt} maps to {images[pt]}, inside {{0, 1, inf}}" for pt in avoided if images[pt] in std
+        ]
+        per_reading.append(violations)
     try:
         report = analyze(f)
     except InseparableMapError:
-        violations.append("inseparable")
-        return BelyiVerdict("tame", False, violations)
+        return [BelyiVerdict("tame", False, violations + ["inseparable"]) for violations in per_reading]
+    of_map = []
     for orbit in report.points:
         if orbit.wild:
-            violations.append(
+            of_map.append(
                 f"ramification index {orbit.index} at {orbit.place_label()} "
                 "is divisible by the characteristic"
             )
     for bp in report.branch_points:
         if not _branch_in_triple(bp, f.field):
-            violations.append(f"branch point {bp.label()} lies outside {{0, 1, inf}}")
-    return BelyiVerdict("tame", not violations, violations, report)
+            of_map.append(f"branch point {bp.label()} lies outside {{0, 1, inf}}")
+    for violations in per_reading:
+        violations += of_map
+    return [BelyiVerdict("tame", not violations, violations, report) for violations in per_reading]
 
 
 def verify_wild_belyi(f: RationalMap, marked=(), avoided=()) -> BelyiVerdict:

@@ -5,9 +5,9 @@ from fractions import Fraction
 from math import factorial
 
 from pbelyi.counting import curve_points
-from pbelyi.errors import PreconditionError
+from pbelyi.errors import InternalInconsistencyError, PreconditionError
 from pbelyi.factor import is_irreducible, pth_root, squarefree_decomposition
-from pbelyi.field import FiniteField, digits
+from pbelyi.field import FiniteField, _code_of, _pow_by_squaring, _prime_divisors, _value_ops, digits
 from pbelyi.poly import Polynomial
 from pbelyi.ramification import analyze
 from pbelyi.ratmap import P1Point, RationalMap, wronskian
@@ -120,6 +120,62 @@ def search_modulus(p: int, n: int):
         if is_irreducible(f):
             return f.values
     raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+def search_modulus_screened(p: int, n: int):
+    """The modulus search that field._search_modulus ran before its root screen: it skips a candidate with
+    a root at 0, 1 or -1 (a zero constant term, coefficient sum or alternating sum mod p) and runs Ben-Or's
+    test on every other."""
+    if n == 1:
+        return (0, 1)
+    for k in range(p ** n):
+        coeffs = digits(k, p, n) + [1]
+        if not coeffs[0] or not sum(coeffs) % p or not (sum(coeffs[::2]) - sum(coeffs[1::2])) % p:
+            continue
+        f = Polynomial(FiniteField(p), coeffs)
+        if is_irreducible(f):
+            return f.values
+    raise PreconditionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
+def log_exp_tables(p: int, n: int, modulus):
+    """(g, exp, log, zech, coords) as field._log_exp_tables built them before its walk on codes.
+
+    g, a coordinate tuple, is the first element by code past the constants whose powers to (q - 1)/r
+    differ from 1 for each prime r | q - 1, by square-and-multiply with the int-tuple multiply of the
+    field's value ops; its powers are stepped on coordinate tuples, by an O(n) shift when g is linear.
+    """
+    mul = _value_ops(p, n, modulus)[5]
+    q = p ** n
+    one = (1,) + (0,) * (n - 1)
+    cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    for k in range(p, q):
+        g = tuple(digits(k, p, n))
+        if all(_pow_by_squaring(mul, one, g, e) != one for e in cofactors):
+            break
+    else:
+        raise InternalInconsistencyError(f"no primitive element in F_{p}^{n} modulo {modulus}")
+    if k < p * p:
+        c0, c1 = g[0], g[1]
+
+        def step(a):
+            top = a[-1]
+            return tuple([(c1 * (s - top * m) + c0 * x) % p for s, m, x in zip((0,) + a[:-1], modulus, a)])
+
+    else:
+        step = lambda a: mul(a, g)
+    power, exp, coords = one, [], [(0,) * n] * q
+    for _ in range(q - 1):
+        exp.append(_code_of(power, p))
+        coords[exp[-1]] = power
+        power = step(power)
+    log = [None] * q
+    for i, c in enumerate(exp):
+        log[c] = i
+    if log.count(None) != 1:
+        raise InternalInconsistencyError(f"the powers of {g} in F_{p}^{n} repeat before q - 1")
+    zech = [log[c + 1] if c % p != p - 1 else log[c - p + 1] for c in exp]
+    return g, exp + exp, log, zech, coords
 
 
 def tame_root_count(g: Polynomial) -> int:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -168,6 +169,50 @@ def test_reduce_moves_to_standard_position():
     res = tame_reduce_recursive(BelyiInstance(F5, ["1", "2", "3", "4"], []), "0")
     assert res.provenance[0]["step"] == "move to standard position"
     assert res.degree == 4
+
+
+@pytest.fixture
+def analyze_calls(monkeypatch):
+    """The maps passed to analyze, from constructions and from the verifiers of ramification alike."""
+    calls = []
+    real = constructions.analyze
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(constructions, "analyze", counting)
+    monkeypatch.setattr(sys.modules["pbelyi.ramification"], "analyze", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
+def test_power_map_analyzes_each_map_once(analyze_calls, q):
+    """The power map, and its shifted variant once for both readings."""
+    res = tame_power_map(q)
+    shifted = next(e for e in res.provenance if e["step"] == "rejected shifted variant")["map"]
+    assert [str(f) for f in analyze_calls] == [str(res.map), shifted]
+
+
+def test_reduction_analyzes_only_its_composite(analyze_calls):
+    """The collapse and normalize steps carry no verdict: the one analysis is the composite's, at q = 5
+    and q = 7 (one and two collapses) as in the benchmark, and in the pipeline, which adds the composite
+    with the covering."""
+    for instance, tau in ((BelyiInstance(F5, ["0", "1", "2", "inf"], []), "3"),
+                          (BelyiInstance(F7, ["0", "1", "2", "3", "inf"], []), "4")):
+        analyze_calls.clear()
+        res = tame_reduce_recursive(instance, tau)
+        assert analyze_calls == [res.map] and res.verdict.report.map == res.map
+    analyze_calls.clear()
+    rec = tame_pipeline(CoveringDescriptor.identity(F5, S=["2"], T=["3"]), S=["2"], T=["3"])
+    assert analyze_calls == [rec["xi"].map, rec["composite"].map] and rec["composite"].verdict.passed
+
+
+def test_the_steps_still_verify_when_called_alone(analyze_calls):
+    collapse = collapse_map(5, "1", ["0", "1", "2", "inf"], "3")
+    normal = tame_normalize_small(BelyiInstance(F5, ["2", "3"], []), "0")
+    assert analyze_calls == [collapse.map, normal.map]
+    assert not collapse.verdict.passed and normal.verdict.passed
 
 
 def test_reduce_validation():

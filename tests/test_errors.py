@@ -15,7 +15,7 @@ from pbelyi.counting import (
     hasse_weil_check, point_counts, sym_product_count, zeta_fit,
 )
 from pbelyi.errors import GuardExceededError, PreconditionError, check_int, check_size
-from pbelyi.field import FiniteField, prime_power
+from pbelyi.field import FiniteField, is_prime, prime_power
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import as_point
 from pbelyi.search import SearchSpec, enumerate_candidates, minimal_belyi_degree
@@ -155,6 +155,7 @@ ENTRY_POINTS = [
     ("SearchSpec.budget", lambda v: SearchSpec(SPEC.instance, "tame", 1, mode="randomized", budget=v), "budget", 0),
     ("minimal_belyi_degree.workers", lambda v: minimal_belyi_degree(SPEC, workers=v), "workers", 0),
     ("minimal_belyi_degree.guard", lambda v: minimal_belyi_degree(SPEC, guard=v), "guard", None),
+    ("is_prime", lambda v: is_prime(v), "n", None),  # 7.0 once read as a prime, and 1.5 and True as none
     ("FiniteField.p", lambda v: FiniteField(v), "p", None),
     ("FiniteField.n", lambda v: FiniteField(5, v), "n", 0),
     ("prime_power", lambda v: prime_power(v), "odd prime power q", 2),
@@ -164,7 +165,8 @@ ENTRY_POINTS = [
 
 @pytest.mark.parametrize("call, name, out_of_range", [row[1:] for row in ENTRY_POINTS], ids=[row[0] for row in ENTRY_POINTS])
 def test_every_entry_point_refuses_what_is_no_int_in_range_and_names_the_parameter(call, name, out_of_range):
-    values = [True, 1.5, 2.0] + (["3"] if name != "point code" else [False]) + [out_of_range] * (out_of_range is not None)
+    values = [True, 1.5, 2.0, 7.0] + (["3"] if name != "point code" else [False])
+    values += [out_of_range] * (out_of_range is not None)
     for value in values:
         with pytest.raises(PreconditionError) as err:
             call(value)

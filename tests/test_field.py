@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+import sys
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from pbelyi.field import (
     prime_power,
 )
 from pbelyi.poly import Polynomial
-from oracles import search_modulus
+from oracles import log_exp_tables, search_modulus, search_modulus_screened
 
 
 def brute_first_irreducible_quadratic(p):
@@ -66,13 +67,110 @@ def test_canonical_moduli_are_pinned(pn):
 
 
 def test_the_root_screen_keeps_every_modulus():
-    """The modulus search skips candidates with a root at 0, 1 or -1 before
-    Ben-Or's test; it finds the modulus of the plain loop, which tests every
-    candidate, for each (p, n) with p <= 13 and p^n <= 5^10."""
+    """The modulus search skips candidates with a root in F_p, and below
+    degree 4 takes the first one left without Ben-Or's test; it finds the
+    modulus of the plain loop, which tests every candidate, for each (p, n)
+    with p <= 13 and p^n <= 5^10."""
     pairs = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 15) if p ** n <= 5 ** 10]
     assert len(pairs) == 44
     for p, n in pairs:
         assert field_module._search_modulus(p, n) == search_modulus(p, n), (p, n)
+
+
+def test_the_root_screen_finds_the_modulus_of_the_screen_at_zero_and_plus_minus_one():
+    """Against the search that skipped only roots at 0, 1 and -1, for every odd prime p and n >= 2 with
+    p^n <= 10^6."""
+    pairs = [(p, n) for p in range(3, 1000) if is_prime(p) for n in range(2, 20) if p ** n <= 10 ** 6]
+    assert len(pairs) == 218
+    for p, n in pairs:
+        assert field_module._search_modulus(p, n) == search_modulus_screened(p, n), (p, n)
+
+
+def test_the_root_screen_leaves_ben_or_13_candidates_before_the_modulus_of_f_5_10(monkeypatch):
+    """The screen at 0 and +-1 left 17 of them."""
+    factor_module = sys.modules["pbelyi.factor"]
+    tested = []
+    real = factor_module.is_irreducible
+
+    def counting(f):
+        tested.append(f.values)
+        return real(f)
+
+    monkeypatch.setattr(factor_module, "is_irreducible", counting)
+    assert field_module._search_modulus(5, 10) == PINNED_MODULI[5, 10]
+    assert len(tested) == 14 and tested[-1] == PINNED_MODULI[5, 10]
+    tested.clear()
+    assert [field_module._search_modulus(p, n) for p, n in ((3, 2), (3, 3), (13, 2), (7, 3))] == [
+        PINNED_MODULI[3, 2], PINNED_MODULI[3, 3], PINNED_MODULI[13, 2], PINNED_MODULI[7, 3]
+    ]
+    assert tested == []  # below degree 4 the screen alone decides
+
+
+def test_the_root_screen_costs_no_evaluation_at_each_point_of_a_large_prime_field():
+    """Over p near 10^9 the search screens roots by gcd(f, x^p - x), not by evaluating f at all p points:
+    x^2 + 1 has no root mod 10^9 + 7, so each of its 10^9 values would be read.  10^9 + 9 is 1 mod 3,
+    so its first cubic candidates without a root come early."""
+    start = time.perf_counter()
+    built = [FiniteField(p, n).modulus for p, n in ((10 ** 9 + 7, 2), (10 ** 9 + 9, 2), (10 ** 9 + 9, 3))]
+    assert time.perf_counter() - start < 1.0
+    assert built == [(1, 0, 1), (11, 0, 1), (2, 0, 0, 1)]
+    assert built == [search_modulus(10 ** 9 + 7, 2), search_modulus(10 ** 9 + 9, 2), search_modulus(10 ** 9 + 9, 3)]
+
+
+# every tabled extension field, by its canonical modulus, then explicit moduli whose first primitive
+# element is not linear: F_3^4 mod x^4 + x^2 + 2, F_5^4 mod x^4 + 3 and F_3^6 mod x^6 + 2x^2 + 1
+TABLED = [(p, n, None) for p in range(3, 64) if is_prime(p) for n in range(2, 12) if p ** n <= field_module.TABLE_LIMIT]
+TABLED += [(3, 4, (2, 0, 1, 0, 1)), (5, 4, (3, 0, 0, 0, 1)), (3, 6, (1, 0, 2, 0, 0, 0, 1))]
+
+
+def test_the_walk_on_codes_builds_the_tables_of_the_tuple_loop():
+    """The same g, and equal exp, log, zech and coords, as the build that stepped the powers of g on
+    coordinate tuples after testing each candidate's order by square-and-multiply."""
+    assert len(TABLED) == 29 + 3
+    first_codes = []
+    for p, n, modulus in TABLED:
+        modulus = modulus or field_module._canonical_modulus(p, n)
+        g, *tables = log_exp_tables(p, n, modulus)
+        built = list(field_module._log_exp_tables(p, n, modulus))
+        assert built == tables and built[0][1] == field_module._code_of(g, p), (p, n, modulus)
+        first_codes.append(built[0][1])
+    assert first_codes[-3:] == [12, 30, 14]
+
+
+def test_building_a_tabled_field_multiplies_no_elements(monkeypatch):
+    """Building a tabled field calls neither _pow_by_squaring nor the int-tuple mul of _value_ops: every
+    canonical one, its modulus found already and none interned, and the tables on each explicit modulus,
+    whose irreducibility test takes powers."""
+    calls = []
+    real_pow, real_value_ops = field_module._pow_by_squaring, field_module._value_ops
+
+    def counting_pow(*args):
+        calls.append("pow")
+        return real_pow(*args)
+
+    def counting_value_ops(p, n, modulus):
+        zero, one, add, sub, neg, mul, inv, pow_ = real_value_ops(p, n, modulus)
+
+        def counting_mul(a, b):
+            calls.append("mul")
+            return mul(a, b)
+
+        return zero, one, add, sub, neg, counting_mul, inv, pow_
+
+    canonical = [(p, n) for p, n, modulus in TABLED if modulus is None]
+    for p, n in canonical:
+        field_module._canonical_modulus(p, n)
+    monkeypatch.setattr(field_module._canonical_modulus, "fields", {})
+    monkeypatch.setattr(field_module, "_pow_by_squaring", counting_pow)
+    monkeypatch.setattr(field_module, "_value_ops", counting_value_ops)
+    fields = [FiniteField(p, n) for p, n in canonical]
+    for p, n, modulus in TABLED[len(canonical):]:
+        field_module._log_exp_tables(p, n, modulus)
+    assert calls == []
+    assert len(field_module._canonical_modulus.fields) == 29 + 17  # with the prime fields of the 17 odd p < 64
+    assert all(fld._log is not None for fld in fields)
+    nine = fields[0]  # F_3[x]/(x^2 + 1)
+    assert nine.gen * nine.gen == nine.element(-1) and calls == []  # by lookup
 
 
 def test_modulus_cache_keeps_the_name_the_benchmark_clears():
@@ -206,6 +304,23 @@ def test_a_dropped_field_leaves_no_reference_cycle():
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(97) and is_prime(3125 // 625)
     assert not is_prime(1) and not is_prime(91) and not is_prime(561)
+
+
+def test_finite_field_checks_its_characteristic_once(monkeypatch):
+    """FiniteField refuses a p that is no int by its own check, naming p, and its primality test checks
+    no more; is_prime on its own checks its n."""
+    checked = []
+    real = field_module.check_int
+
+    def recording(name, value, *bounds):
+        checked.append((name, value))
+        return real(name, value, *bounds)
+
+    monkeypatch.setattr(field_module, "check_int", recording)
+    FiniteField(7)
+    assert checked == [("p", 7), ("n", 1)]
+    checked.clear()
+    assert is_prime(7) and checked == [("n", 7)]
 
 
 PSI_12 = 318665857834031151167461  # the least strong pseudoprime to the 12 prime bases 2 .. 37
