@@ -167,7 +167,7 @@ def split_root(f: Polynomial, rng=None) -> FieldElement:
     """One root of f, a product of distinct linear factors over its field.
 
     Follows the smaller factor of each random split, so it costs about
-    log2(deg f) splits instead of the deg f - 1 that roots() needs.
+    log2(deg f) splits instead of the deg f - 1 that roots() needs after its first stage.
     """
     gen = _rng(rng)
     f = f.monic()
@@ -201,15 +201,14 @@ def factor(f: Polynomial, rng=None) -> Tuple[FieldElement, List[Tuple[Polynomial
 
 
 def roots(f: Polynomial, rng=None) -> List[FieldElement]:
-    """All roots of f in its coefficient field, sorted by element order."""
+    """All roots of f in its coefficient field, sorted by element order: the split of gcd(f, x^q - x), the first
+    distinct_degree stage when that has degree 1 (for a root-free f of degree 4 or more it runs on to the next)."""
     if f.is_zero:
         raise PreconditionError("every point is a root of the zero polynomial")
     if f.is_constant:
         return []
-    fld = f.field
-    x = Polynomial.x(fld)
-    linear_part = f.monic().gcd(x.powmod(fld.q, f) - x)
-    if linear_part.degree < 1:
+    linear_part, d = next(distinct_degree(f.monic()))
+    if d != 1:
         return []
     found = [-g.coeff(0) for g in equal_degree(linear_part, 1, rng)]
     return sorted(found, key=lambda e: e.int_value)

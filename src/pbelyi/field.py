@@ -11,23 +11,22 @@ field's ops act on values, and FieldElement is a view of one value.
 Everything here is immutable and hashable, and no floating point is used
 anywhere.
 
-A field picks its arithmetic once, when it is made, and binds value ops,
-the conversions between values, codes and coordinates, and a kernel on
+A field picks its arithmetic once, in FiniteField.__init__, and binds value
+ops, the conversions between values, codes and coordinates, and a kernel on
 trimmed value tuples (pmul, pdivmod, ppowmod) for Polynomial.  There are
 three routes:
 
-- F_p: the value is the code, an int in [0, p); the kernel is the F_p[x]
-  kernel below.
+- F_p: the value is the code, an int in [0, p); the value ops are
+  _value_ops on ints and the kernel is the F_p[x] kernel below.
 - n > 1 with at most TABLE_LIMIT elements: the value is the code, an int in
   [0, q).  log/exp tables of a primitive element multiply, invert and power
   by lookup, and Zech's logarithms, built with them, add and subtract.  The
   build is one walk on codes by table lookups (_log_exp_tables), with no
-  element multiply.
-- n > 1 above TABLE_LIMIT: the value is the coordinate tuple; elements
-  multiply as int-tuple polynomials and invert by the one extended Euclid
-  over F_p.
+  element multiply, no _value_ops and no F_p.
+- n > 1 above TABLE_LIMIT: the value is the coordinate tuple; _value_ops
+  multiplies as int-tuple polynomials and inverts by the one extended Euclid.
 
-Both extension routes run the kernel as schoolbook loops on their value ops.
+Both extension routes run the kernel as schoolbook loops (_poly_ops).
 
 FiniteField(p, n) with no modulus is interned: while the canonical modulus
 of (p, n) stays cached, every such call returns the one field built on it,
@@ -347,10 +346,17 @@ def digits(k: int, base: int, count: int) -> List[int]:
     return out
 
 
+def _irreducible_binomials(p: int, n: int) -> bool:
+    """Whether some x^n + c is irreducible over F_p, n >= 2: exactly when every prime r | n divides p - 1, and
+    p = 1 mod 4 when 4 | n (Capelli; Lidl & Niederreiter, Finite Fields, Thm 3.75, with -c a generator)."""
+    return all((p - 1) % r == 0 for r in _prime_divisors(n)) and (n % 4 != 0 or p % 4 == 1)
+
+
 def _search_modulus(p: int, n: int) -> IntPoly:
     """The first monic irreducible of degree n over F_p, in the order of the codes of its lower coefficients.
 
-    A candidate with a root in F_p is reducible for n >= 2 and is skipped;
+    When no binomial x^n + c, code c < p, is irreducible the search starts
+    at code p.  A candidate with a root in F_p is reducible and is skipped;
     below degree 4 a reducible candidate has a linear factor, so the first
     one left is the modulus, and from degree 4 Ben-Or's test decides the
     rest.  The first stage of Ben-Or's test, gcd(f, x^p - x), is itself a
@@ -365,7 +371,7 @@ def _search_modulus(p: int, n: int) -> IntPoly:
 
     prime_field = FiniteField(p)
     by_values = p <= n * n * p.bit_length()
-    for k in range(p ** n):
+    for k in range(0 if _irreducible_binomials(p, n) else p, p ** n):
         coeffs = digits(k, p, n) + [1]
         if by_values:
             if any(not _code_of(coeffs, a) % p for a in range(p)):
@@ -410,9 +416,9 @@ _canonical_modulus = _ModulusCache(_search_modulus)
 def _value_ops(p: int, n: int, modulus: IntPoly):
     """zero, one, add, sub, neg, mul, inv and pow on ints for n == 1, else on coordinate tuples, by arithmetic.
 
-    They act on the values of F_p and of fields above TABLE_LIMIT; a tabled
-    field replaces them by _table_ops.  inv needs a nonzero value and pow a
-    non-negative exponent.
+    FiniteField builds them for F_p and above TABLE_LIMIT only; a tabled
+    field binds _table_ops alone, and builds no F_p.  inv needs a nonzero
+    value and pow a non-negative exponent.
     """
     if n == 1:
         add, sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
@@ -559,7 +565,7 @@ def _log_exp_tables(p: int, n: int, modulus: IntPoly):
 
 
 def _table_ops(exp, log, zech):
-    """add, sub, neg, mul, inv and pow on a tabled field's codes, by lookup in its (exp, log, zech) tables."""
+    """zero, one, add, sub, neg, mul, inv and pow on a tabled field's codes, by lookup in its (exp, log, zech)."""
     order = len(log) - 1  # q - 1
     neg = [0] + [exp[k + order // 2] for k in log[1:]]  # -1 = g^((q-1)/2)
 
@@ -580,16 +586,12 @@ def _table_ops(exp, log, zech):
             return exp[log[a] * e % order]
         return 0 if e else 1
 
-    return add, sub, neg.__getitem__, mul, (lambda a: exp[order - log[a]]), pow_
+    return 0, 1, add, sub, neg.__getitem__, mul, (lambda a: exp[order - log[a]]), pow_
 
 
-def _poly_ops(p: int, n: int, zero, one, add, sub, mul, inv):
-    """pmul, pdivmod and ppowmod on trimmed value tuples; a zero divisor or modulus raises ZeroDivisionError.
-
-    The F_p[x] kernel when n == 1, else schoolbook loops on the value ops.
-    """
-    if n == 1:
-        return partial(_pmul, p), partial(_pdivmod, p), partial(_ppowmod, p)
+def _poly_ops(zero, one, add, sub, mul, inv):
+    """pmul, pdivmod and ppowmod on trimmed value tuples of F_{p^n}, n > 1, by schoolbook loops on its value ops;
+    a zero divisor or modulus raises ZeroDivisionError.  F_p binds the F_p[x] kernel instead."""
 
     def pmul(a, b):
         out = [zero] * (len(a) + len(b) - 1)
@@ -677,7 +679,6 @@ class FiniteField:
                 raise PreconditionError("modulus is reducible over the prime field")
             self.modulus = f.values
         self._hash = hash((self.p, self.n, self.modulus))
-        zero, one, add, sub, neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
         self._exp = self._log = self._zech = None
         self._embeddings = {}  # (p, n, modulus) of a source -> the image value of its generator
         q = p ** n
@@ -685,19 +686,23 @@ class FiniteField:
             self.code, self.from_code = operator.index, q.__rmod__  # a -> a and k -> k % q, with no Python frame
             self._from_raw = lambda x: x % p if isinstance(x, int) else _code_of(_coordinates(x, p, n), p)
             if n == 1:
+                zero, one, add, sub, neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
                 self.coords = lambda a: (a,)
             else:
                 self._exp, self._log, self._zech, coords = _log_exp_tables(p, n, self.modulus)
-                zero, one = 0, 1
-                add, sub, neg, mul, inv, pow_ = _table_ops(self._exp, self._log, self._zech)
+                zero, one, add, sub, neg, mul, inv, pow_ = _table_ops(self._exp, self._log, self._zech)
                 self.coords = coords.__getitem__
         else:  # the value is the coordinate tuple
+            zero, one, add, sub, neg, mul, inv, pow_ = _value_ops(p, n, self.modulus)
             self.code, self.coords = (lambda a: _code_of(a, p)), tuple
             self.from_code = lambda k: tuple(digits(k, p, n))
             self._from_raw = lambda x: tuple(_coordinates((x,) if isinstance(x, int) else x, p, n))
         self.zero_value, self.one_value, self.add, self.sub, self.neg = zero, one, add, sub, neg
         self.mul, self._inv, self._pow = mul, inv, pow_
-        self.pmul, self.pdivmod, self.ppowmod = _poly_ops(p, n, zero, one, add, sub, mul, inv)
+        if n == 1:  # the F_p[x] kernel
+            self.pmul, self.pdivmod, self.ppowmod = partial(_pmul, p), partial(_pdivmod, p), partial(_ppowmod, p)
+        else:
+            self.pmul, self.pdivmod, self.ppowmod = _poly_ops(zero, one, add, sub, mul, inv)
         if modulus is None:
             _canonical_modulus.fields[p, n] = self
 

@@ -79,7 +79,7 @@ import sys
 from .constructions import BelyiInstance, _as_field
 from .errors import InseparableMapError, InternalInconsistencyError, PreconditionError, check_int, check_size
 from .factor import DEFAULT_SEED, distinct_degree, squarefree_decomposition
-from .field import FiniteField, _derivative, _euclid, _trim, digits, embed
+from .field import FiniteField, _code_of, _derivative, _euclid, _trim, digits, embed
 from .poly import Polynomial, value_at
 from .ramification import _infinity_orbit, verify_tame_belyi, verify_wild_belyi
 from .ratmap import RationalMap, disjoint, point_set, wronskian
@@ -130,14 +130,6 @@ def _rows(field, indices):
             offset, end = q ** e - end, end + q ** e
         code = index + offset
         yield index, e, code, _poly_from_code(field, code, e + 1)
-
-
-def _code(field, vals):
-    """The base-q code of the polynomial with these element values."""
-    code = 0
-    for v in reversed(vals):
-        code = code * field.q + field.code(v)
-    return code
 
 
 def _row_codes(q, d, e):
@@ -572,8 +564,8 @@ class _RowSearch:
             for m in multiples:
                 n = [add(a, b) for a, b in zip(low, m)] + m[k:]
                 if all(value_at(fld, n, d, x) in allowed for x, allowed in tail):
-                    code, rest = _code(fld, n), [sub(b, a) for a, b in zip(n, dtail)]
-                    if code and code <= _code(fld, rest):  # N = 0 lies outside every row
+                    code, rest = _code_of(list(map(fld.code, n)), q), [sub(b, a) for a, b in zip(n, dtail)]
+                    if code and code <= _code_of(list(map(fld.code, rest)), q):  # N = 0 lies outside every row
                         found.append((code, _trim(n, zero), _trim(rest, zero)))
         found.sort()
         return found

@@ -111,11 +111,12 @@ def branch_poly_by_conjugates(f: RationalMap, g: Polynomial) -> Polynomial:
     return Polynomial(base, [c.coeff(0) for c in coeffs])
 
 
-def search_modulus(p: int, n: int):
-    """The first monic irreducible of degree n over F_p in code order, as a value tuple, testing every code."""
+def search_modulus(p: int, n: int, start: int = 0):
+    """The first monic irreducible of degree n over F_p in code order from start, as a value tuple, testing
+    every code."""
     if n == 1:
         return (0, 1)
-    for k in range(p ** n):
+    for k in range(start, p ** n):
         f = Polynomial(FiniteField(p), digits(k, p, n) + [1])
         if is_irreducible(f):
             return f.values

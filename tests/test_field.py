@@ -22,6 +22,7 @@ from pbelyi.field import (
     parse_field,
     prime_power,
 )
+from pbelyi.factor import is_irreducible
 from pbelyi.poly import Polynomial
 from oracles import log_exp_tables, search_modulus, search_modulus_screened
 
@@ -86,8 +87,10 @@ def test_the_root_screen_finds_the_modulus_of_the_screen_at_zero_and_plus_minus_
         assert field_module._search_modulus(p, n) == search_modulus_screened(p, n), (p, n)
 
 
-def test_the_root_screen_leaves_ben_or_13_candidates_before_the_modulus_of_f_5_10(monkeypatch):
-    """The screen at 0 and +-1 left 17 of them."""
+def test_the_screens_leave_ben_or_11_candidates_before_the_modulus_of_f_5_10(monkeypatch):
+    """5 does not divide 5 - 1, so no x^10 + c is irreducible and the search starts at code 5, past
+    x^10 + 2 and x^10 + 3, which have no root in F_5; the root screen leaves 11 candidates before the
+    modulus.  Below degree 4 the screen alone decides."""
     factor_module = sys.modules["pbelyi.factor"]
     tested = []
     real = factor_module.is_irreducible
@@ -98,7 +101,7 @@ def test_the_root_screen_leaves_ben_or_13_candidates_before_the_modulus_of_f_5_1
 
     monkeypatch.setattr(factor_module, "is_irreducible", counting)
     assert field_module._search_modulus(5, 10) == PINNED_MODULI[5, 10]
-    assert len(tested) == 14 and tested[-1] == PINNED_MODULI[5, 10]
+    assert len(tested) == 12 and tested[-1] == PINNED_MODULI[5, 10]
     tested.clear()
     assert [field_module._search_modulus(p, n) for p, n in ((3, 2), (3, 3), (13, 2), (7, 3))] == [
         PINNED_MODULI[3, 2], PINNED_MODULI[3, 3], PINNED_MODULI[13, 2], PINNED_MODULI[7, 3]
@@ -115,6 +118,53 @@ def test_the_root_screen_costs_no_evaluation_at_each_point_of_a_large_prime_fiel
     assert time.perf_counter() - start < 1.0
     assert built == [(1, 0, 1), (11, 0, 1), (2, 0, 0, 1)]
     assert built == [search_modulus(10 ** 9 + 7, 2), search_modulus(10 ** 9 + 9, 2), search_modulus(10 ** 9 + 9, 3)]
+
+
+def test_the_binomial_rule_matches_a_scan_of_the_binomials():
+    """Capelli's rule (field._irreducible_binomials) lets the search scan the codes below p exactly when
+    Ben-Or's test finds an irreducible x^n + c, for every odd prime p < 60 and 2 <= n <= 8."""
+    outcomes = []
+    for p in range(3, 60):
+        if is_prime(p):
+            for n in range(2, 9):
+                binomials = (Polynomial(FiniteField(p), [c] + [0] * (n - 1) + [1]) for c in range(1, p))
+                found = any(map(is_irreducible, binomials))
+                assert field_module._irreducible_binomials(p, n) == found, (p, n)
+                outcomes.append(found)
+    assert len(outcomes) == 16 * 7 and 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("p, n", [(10 ** 9 + 7, 3), (10 ** 9 + 7, 4), (10 ** 9 + 9, 5)])
+def test_a_large_prime_with_no_irreducible_binomial_starts_at_code_p(p, n):
+    """3 and 5 do not divide p - 1, and 10^9 + 7 is 3 mod 4: the search skips the p binomials, and finds
+    the first irreducible of a Ben-Or scan from code p."""
+    assert not field_module._irreducible_binomials(p, n)
+    modulus = FiniteField(p, n).modulus
+    assert is_irreducible(Polynomial(FiniteField(p), modulus))
+    assert field_module._code_of(modulus[:-1], p) >= p
+    assert modulus == search_modulus(p, n, start=p)
+
+
+def test_the_pipeline_over_f_10007_builds_its_working_field_with_few_ben_or_tests(monkeypatch, capsys):
+    """The tame pipeline of x^2 over F_10007 with S = {1}, T = {2, 10005} works in F_10007^12: 3 does not
+    divide 10006, so the modulus search skips the 10007 binomials, and Ben-Or's test sees only the 13
+    candidates of degree 12 from code p up to the modulus."""
+    from pbelyi import cli
+
+    factor_module = sys.modules["pbelyi.factor"]
+    tested = []
+    real = factor_module.is_irreducible
+
+    def counting(f):
+        tested.append((f.degree, field_module._code_of(f.values[:-1], 10007) >= 10007))
+        return real(f)
+
+    monkeypatch.setattr(field_module, "_canonical_modulus", field_module._ModulusCache(field_module._search_modulus))
+    monkeypatch.setattr(factor_module, "is_irreducible", counting)
+    argv = ["--json", "construct", "pipeline", "--q", "10007", "--map", "poly=0,0,1", "--S", "1", "--T", "2,10005"]
+    assert cli.main(argv) == 0
+    assert '"field": "10007^12"' in capsys.readouterr().out
+    assert tested == [(12, True)] * 13
 
 
 # every tabled extension field, by its canonical modulus, then explicit moduli whose first primitive
@@ -138,9 +188,9 @@ def test_the_walk_on_codes_builds_the_tables_of_the_tuple_loop():
 
 
 def test_building_a_tabled_field_multiplies_no_elements(monkeypatch):
-    """Building a tabled field calls neither _pow_by_squaring nor the int-tuple mul of _value_ops: every
+    """Building a tabled field calls neither _pow_by_squaring nor _value_ops, and builds no F_p: every
     canonical one, its modulus found already and none interned, and the tables on each explicit modulus,
-    whose irreducibility test takes powers."""
+    whose irreducibility test takes powers.  F_p and a field above TABLE_LIMIT build _value_ops once each."""
     calls = []
     real_pow, real_value_ops = field_module._pow_by_squaring, field_module._value_ops
 
@@ -149,16 +199,11 @@ def test_building_a_tabled_field_multiplies_no_elements(monkeypatch):
         return real_pow(*args)
 
     def counting_value_ops(p, n, modulus):
-        zero, one, add, sub, neg, mul, inv, pow_ = real_value_ops(p, n, modulus)
-
-        def counting_mul(a, b):
-            calls.append("mul")
-            return mul(a, b)
-
-        return zero, one, add, sub, neg, counting_mul, inv, pow_
+        calls.append((p, n))
+        return real_value_ops(p, n, modulus)
 
     canonical = [(p, n) for p, n, modulus in TABLED if modulus is None]
-    for p, n in canonical:
+    for p, n in canonical + [(3, 8)]:
         field_module._canonical_modulus(p, n)
     monkeypatch.setattr(field_module._canonical_modulus, "fields", {})
     monkeypatch.setattr(field_module, "_pow_by_squaring", counting_pow)
@@ -167,10 +212,14 @@ def test_building_a_tabled_field_multiplies_no_elements(monkeypatch):
     for p, n, modulus in TABLED[len(canonical):]:
         field_module._log_exp_tables(p, n, modulus)
     assert calls == []
-    assert len(field_module._canonical_modulus.fields) == 29 + 17  # with the prime fields of the 17 odd p < 64
+    assert len(field_module._canonical_modulus.fields) == 29  # and no prime field
     assert all(fld._log is not None for fld in fields)
     nine = fields[0]  # F_3[x]/(x^2 + 1)
     assert nine.gen * nine.gen == nine.element(-1) and calls == []  # by lookup
+    assert 3 ** 8 > field_module.TABLE_LIMIT
+    FiniteField(3)
+    FiniteField(3, 8)
+    assert calls == [(3, 1), (3, 8)]
 
 
 def test_modulus_cache_keeps_the_name_the_benchmark_clears():

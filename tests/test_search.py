@@ -14,7 +14,7 @@ import pytest
 from pbelyi.bounds import wild_bound
 from pbelyi.constructions import BelyiInstance
 from pbelyi.errors import GuardExceededError, InternalInconsistencyError, PreconditionError
-from pbelyi.field import FiniteField, embed
+from pbelyi.field import FiniteField, _code_of, embed
 from pbelyi.ramification import verify_tame_belyi, verify_wild_belyi
 from pbelyi.poly import Polynomial
 from pbelyi.ratmap import P1Point, RationalMap, p1_points, parse_ratmap
@@ -76,10 +76,15 @@ def test_stream_blocks_concatenate_to_the_stream():
         assert pieces == whole
 
 
+def _poly_code(field, vals):
+    """The base-q code of the polynomial with these element values, as the search codes a numerator."""
+    return _code_of(list(map(field.code, vals)), field.q)
+
+
 def _row_index(field, den):
     """The index of den's row at any degree d >= deg den."""
     q = field.q
-    return search._row_count(q, den.degree - 1) + search._code(field, den.values) - q ** den.degree
+    return search._row_count(q, den.degree - 1) + _poly_code(field, den.values) - q ** den.degree
 
 
 @pytest.mark.parametrize("field, d_max", [(F3, 3), (F5, 2), (F7, 2), (F9, 2)], ids=["q3", "q5", "q7", "q9"])
@@ -112,7 +117,7 @@ def test_places_match_the_row_stream(field, d_max, every):
         for _, e, _, den in search._rows(field, range(search._row_count(q, d))):
             kinds.add(0 if e == 0 else 2 if e == d else 1)
             stream = list(search._row_stream(field, d, e, den))
-            places = {search._code(field, f.num.values): i for i, f in enumerate(stream, 1)}
+            places = {_poly_code(field, f.num.values): i for i, f in enumerate(stream, 1)}
             if not every:
                 ends = set()
                 for _, block in itertools.groupby(sorted(places), key=lambda code: code // q ** e):
@@ -194,7 +199,7 @@ def test_row_scan_matches_the_stream_scan(field, d_max, splits):
                     hits_inside_a_row += before.den == want[0].den == after.den
                 if want[0] is not None:
                     den = want[0].den
-                    hits_after_a_band_prefix += search._code(field, den.values) > field.q ** den.degree
+                    hits_after_a_band_prefix += _poly_code(field, den.values) > field.q ** den.degree
     assert hits_inside_a_row > 0 and hits_after_a_band_prefix > 0
     assert any(inf in marked for marked, _ in splits) and any(inf in avoided for _, avoided in splits)
 
@@ -222,7 +227,7 @@ def test_row_filter_builds_exactly_the_numerators_that_meet_the_points(field, d_
                         if (
                             screen.meets_points(num.values, den.values, d)
                             and not any(num.evaluate(r).is_zero for r in roots)
-                            and code <= search._code(field, (den - num).values)
+                            and code <= _poly_code(field, (den - num).values)
                             and not (kind == "tame" and e == d and num.coeff(d) in (field.zero, field.one))
                         ):
                             meet.append((code, num.values, (den - num).values))
@@ -388,7 +393,7 @@ def test_orbit_leaders_meet_every_orbit_once(field, marked, avoided, order, top)
         orbits = set()
         for code in range(q ** e, 2 * q ** e):
             den = search._poly_from_code(field, code, e + 1)
-            orbits.add(frozenset(search._code(field, den.compose(line).monic().values) for line in group))
+            orbits.add(frozenset(_poly_code(field, den.compose(line).monic().values) for line in group))
         leaders = [code for code in range(q ** e, 2 * q ** e) if rows.leads(e, code)]
         assert sorted(min(orbit) for orbit in orbits) == leaders, e
 

@@ -161,6 +161,21 @@ def test_one_linear_solve_one_euclid_and_no_guard_as_control_flow():
     assert catches == []
 
 
+def test_one_frobenius_stage_for_roots_one_code_fold_and_one_kernel_per_route():
+    """factor.roots reads its linear part off the first stage of distinct_degree, so it names no powmod;
+    search.py codes a numerator with field._code_of and defines no _code of its own; and _poly_ops, the
+    schoolbook kernel of the extension fields, names no F_p[x] kernel, which FiniteField binds for F_p."""
+    functions = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                functions.setdefault(f"{path.name}:{func.name}", set()).update(name for _, name in _names(func))
+    assert "powmod" not in functions["factor.py:roots"] and "distinct_degree" in functions["factor.py:roots"]
+    assert "search.py:_code" not in functions and "_code_of" in functions["search.py:numerators"]
+    assert not functions["field.py:_poly_ops"] & {"_pmul", "_pdivmod", "_ppowmod", "n"}
+
+
 def _enclosing_functions(tree):
     """Map each node of a module's tree to the name of the innermost function around it."""
     where = {}
